@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "core/batch.h"
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "data/dataset.h"
 #include "metrics/metrics.h"
 
@@ -20,12 +20,18 @@ namespace data = fpsnr::data;
 
 namespace {
 
-core::CompressResult compress_fixed_psnr(std::span<const float> values,
-                                         const fpsnr::data::Dims& dims,
-                                         double target,
-                                         const core::CompressOptions& opts = {}) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target), opts);
+/// One whole-field block (tile {0}): the paper's single-stream setting.
+core::CompressOptions whole_field() {
+  core::CompressOptions opts;
+  opts.parallel.tile = {0};
+  return opts;
+}
+
+core::CompressResult compress_fixed_psnr(
+    std::span<const float> values, const fpsnr::data::Dims& dims,
+    double target, const core::CompressOptions& opts = whole_field()) {
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target), opts);
 }
 
 fpsnr::metrics::ErrorReport verify_stream(std::span<const float> values,

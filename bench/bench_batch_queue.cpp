@@ -19,6 +19,7 @@
 #include <cstdio>
 
 #include "core/batch.h"
+#include "core/pipeline.h"
 #include "data/dataset.h"
 #include "data/synth.h"
 
@@ -65,36 +66,42 @@ const data::Dataset& mixed_dataset() {
   return ds;
 }
 
-core::BatchOptions batch_options(std::size_t threads, bool global_queue) {
-  core::BatchOptions opts;
-  opts.threads = threads;
-  opts.global_queue = global_queue;
-  opts.verify = false;  // time the compression schedule, not the decoder
-  return opts;
-}
-
-void run_batch(benchmark::State& state, bool global_queue) {
-  const auto& ds = mixed_dataset();
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto batch =
-        core::run_fixed_psnr_batch(ds, 80.0, batch_options(threads, global_queue));
-    benchmark::DoNotOptimize(batch.fields.data());
-  }
+void set_counters(benchmark::State& state, const data::Dataset& ds) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ds.total_bytes()));
   state.counters["fields"] =
       benchmark::Counter(static_cast<double>(ds.field_count()));
 }
 
+// The pre-queue schedule, built here from the single-field entry point:
+// fields one after another, each fanning its own blocks out on N workers,
+// with a barrier between fields.
 void BM_BatchSequentialPerField(benchmark::State& state) {
-  run_batch(state, /*global_queue=*/false);
+  const auto& ds = mixed_dataset();
+  core::CompressOptions opts;
+  opts.parallel.threads = static_cast<std::size_t>(state.range(0));
+  const auto request = core::ControlRequest::fixed_psnr(80.0);
+  for (auto _ : state) {
+    for (const data::Field& f : ds.fields) {
+      auto r = core::compress_blocked<float>(f.span(), f.dims, request, opts);
+      benchmark::DoNotOptimize(r.stream.data());
+    }
+  }
+  set_counters(state, ds);
 }
 BENCHMARK(BM_BatchSequentialPerField)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_BatchGlobalQueue(benchmark::State& state) {
-  run_batch(state, /*global_queue=*/true);
+  const auto& ds = mixed_dataset();
+  core::BatchOptions opts;
+  opts.threads = static_cast<std::size_t>(state.range(0));
+  opts.verify = false;  // time the compression schedule, not the decoder
+  for (auto _ : state) {
+    auto batch = core::run_fixed_psnr_batch(ds, 80.0, opts);
+    benchmark::DoNotOptimize(batch.fields.data());
+  }
+  set_counters(state, ds);
 }
 BENCHMARK(BM_BatchGlobalQueue)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "core/distortion_model.h"
 #include "core/search_baseline.h"
 #include "data/dataset.h"
@@ -21,12 +21,18 @@ namespace data = fpsnr::data;
 
 namespace {
 
-core::CompressResult compress_fixed_psnr(std::span<const float> values,
-                                         const fpsnr::data::Dims& dims,
-                                         double target,
-                                         const core::CompressOptions& opts = {}) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target), opts);
+/// One whole-field block (tile {0}): the paper's single-stream setting.
+core::CompressOptions whole_field() {
+  core::CompressOptions opts;
+  opts.parallel.tile = {0};
+  return opts;
+}
+
+core::CompressResult compress_fixed_psnr(
+    std::span<const float> values, const fpsnr::data::Dims& dims,
+    double target, const core::CompressOptions& opts = whole_field()) {
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target), opts);
 }
 
 fpsnr::metrics::ErrorReport verify_stream(std::span<const float> values,
@@ -54,6 +60,7 @@ void print_pass_counts() {
     core::SearchOptions opts;
     opts.tolerance_db = 0.5;
     opts.initial_rel_bound = start;
+    opts.compress = whole_field();
     const auto sr = core::search_fixed_psnr<float>(f.span(), f.dims, 80.0, opts);
     char label[64];
     std::snprintf(label, sizeof label, "search (start eb=%.0e)", start);
@@ -81,8 +88,8 @@ void BM_PlainRelativeBoundPass(benchmark::State& state) {
   const auto& f = hurricane().field("U");
   const double eb = core::rel_bound_for_psnr(80.0);
   for (auto _ : state) {
-    auto r = core::compress<float>(f.span(), f.dims,
-                                   core::ControlRequest::relative(eb));
+    auto r = core::compress_blocked<float>(
+        f.span(), f.dims, core::ControlRequest::relative(eb), whole_field());
     benchmark::DoNotOptimize(r.stream.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -95,6 +102,7 @@ void BM_SearchBaseline(benchmark::State& state) {
   core::SearchOptions opts;
   opts.tolerance_db = 0.5;
   opts.initial_rel_bound = 1e-5;
+  opts.compress = whole_field();
   for (auto _ : state) {
     auto sr = core::search_fixed_psnr<float>(f.span(), f.dims, 80.0, opts);
     benchmark::DoNotOptimize(sr.result.stream.data());

@@ -1,10 +1,9 @@
 // Ablation — parallel decomposition cost and scaling.
 //
-// Three axes of parallelism: across fields (core/batch), within a field via
-// the legacy slab decomposition (sz/chunked), and within a field via the
-// block-parallel pipeline engine (core/pipeline) — the production path,
-// whose FPBK container also gives random-access decode. Blocking restarts
-// prediction at slab boundaries, so we also report the compression-ratio
+// Two axes of parallelism: across fields (core/batch) and within a field
+// via the block-parallel pipeline engine (core/pipeline), whose FPBK
+// container also gives random-access decode. Blocking restarts
+// prediction at block boundaries, so we also report the compression-ratio
 // cost of each slab count — the classic HPC trade of parallelism vs. ratio.
 #include <benchmark/benchmark.h>
 
@@ -14,69 +13,46 @@
 #include "core/pipeline.h"
 #include "data/dataset.h"
 #include "metrics/metrics.h"
-#include "sz/chunked.h"
 
 namespace core = fpsnr::core;
 namespace data = fpsnr::data;
 namespace metrics = fpsnr::metrics;
-namespace parallel = fpsnr::parallel;
-namespace sz = fpsnr::sz;
 
 namespace {
 
 core::CompressResult compress_fixed_psnr(std::span<const float> values,
                                          const fpsnr::data::Dims& dims,
                                          double target,
-                                         const core::CompressOptions& opts = {}) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target), opts);
+                                         const core::CompressOptions& opts) {
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target), opts);
 }
-
 
 void print_ratio_cost() {
   const auto ds = data::make_hurricane({});
   const auto& f = ds.field("U");
-  sz::Params params;
-  params.mode = sz::ErrorBoundMode::ValueRangeRelative;
-  params.bound = 1e-4;
+  const double eb_rel = 1e-4;
 
-  std::printf("\n=== Chunked codec: ratio cost of slab decomposition "
+  std::printf("\n=== Ratio cost of slab decomposition "
               "(Hurricane/U, eb_rel 1e-4) ===\n");
   std::printf("%8s %14s %14s %14s\n", "slabs", "ratio", "bits/value",
               "max|err|<=eb");
   const double vr = metrics::value_range<float>(f.span());
-  for (std::size_t chunks : {1ul, 2ul, 4ul, 8ul, 16ul}) {
-    sz::ChunkedInfo info;
-    const auto stream =
-        sz::chunked_compress<float>(f.span(), f.dims, params, chunks, nullptr, &info);
-    const auto out = sz::chunked_decompress<float>(stream);
+  for (std::size_t slabs : {1ul, 2ul, 4ul, 8ul, 16ul}) {
+    core::CompressOptions opts;
+    opts.parallel.tile = {(f.dims[0] + slabs - 1) / slabs};
+    const auto r = core::compress_blocked<float>(
+        f.span(), f.dims, core::ControlRequest::relative(eb_rel), opts);
+    const auto out = core::decompress<float>(r.stream);
     const auto rep = metrics::compare<float>(f.span(), out.values);
-    std::printf("%8zu %14.2f %14.2f %14s\n", info.chunk_count,
-                info.compression_ratio, info.bit_rate,
-                rep.max_abs_error <= 1e-4 * vr * (1 + 1e-9) ? "yes" : "NO");
+    std::printf("%8llu %14.2f %14.2f %14s\n",
+                static_cast<unsigned long long>(r.block_count),
+                r.info.compression_ratio, r.info.bit_rate,
+                rep.max_abs_error <= eb_rel * vr * (1 + 1e-9) ? "yes" : "NO");
   }
   std::printf("(prediction restarts per slab: ratio decays gently with slab "
               "count; the error bound never moves)\n\n");
 }
-
-void BM_ChunkedCompress(benchmark::State& state) {
-  const auto ds = data::make_hurricane({});
-  const auto& f = ds.field("U");
-  sz::Params params;
-  params.mode = sz::ErrorBoundMode::ValueRangeRelative;
-  params.bound = 1e-4;
-  const auto chunks = static_cast<std::size_t>(state.range(0));
-  parallel::ThreadPool pool;
-  for (auto _ : state) {
-    auto stream =
-        sz::chunked_compress<float>(f.span(), f.dims, params, chunks, &pool);
-    benchmark::DoNotOptimize(stream.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(f.bytes()));
-}
-BENCHMARK(BM_ChunkedCompress)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
 
 // The headline scaling curve: the block-parallel pipeline engine at 1..N
 // worker threads. Block layout is fixed (auto), so every thread count
@@ -86,7 +62,6 @@ void BM_PipelineCompress(benchmark::State& state) {
   const auto ds = data::make_hurricane({});
   const auto& f = ds.field("U");
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     auto result = compress_fixed_psnr(f.span(), f.dims, 80.0, opts);
@@ -102,7 +77,6 @@ void BM_PipelineDecompress(benchmark::State& state) {
   const auto ds = data::make_hurricane({});
   const auto& f = ds.field("U");
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   const auto stream =
       compress_fixed_psnr(f.span(), f.dims, 80.0, opts).stream;
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -120,7 +94,6 @@ void BM_PipelineRandomAccessBlock(benchmark::State& state) {
   const auto ds = data::make_hurricane({});
   const auto& f = ds.field("U");
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   const auto stream =
       compress_fixed_psnr(f.span(), f.dims, 80.0, opts).stream;
   const auto info = core::inspect_block_stream(stream);

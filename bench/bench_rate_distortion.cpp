@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "core/batch.h"
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "data/dataset.h"
 
 namespace core = fpsnr::core;
@@ -18,12 +18,18 @@ namespace data = fpsnr::data;
 
 namespace {
 
-core::CompressResult compress_fixed_psnr(std::span<const float> values,
-                                         const fpsnr::data::Dims& dims,
-                                         double target,
-                                         const core::CompressOptions& opts = {}) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target), opts);
+/// One whole-field block (tile {0}): the paper's single-stream setting.
+core::CompressOptions whole_field() {
+  core::CompressOptions opts;
+  opts.parallel.tile = {0};
+  return opts;
+}
+
+core::CompressResult compress_fixed_psnr(
+    std::span<const float> values, const fpsnr::data::Dims& dims,
+    double target, const core::CompressOptions& opts = whole_field()) {
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target), opts);
 }
 
 
@@ -55,11 +61,11 @@ void print_tables() {
   const auto hur = data::make_hurricane({});
   for (const auto& f : hur.fields) {
     double rates[3] = {0, 0, 0};
-    const core::Engine engines[] = {core::Engine::SzLorenzo,
-                                    core::Engine::TransformHaar,
-                                    core::Engine::TransformDct};
+    const core::CodecId engines[] = {core::kCodecSzLorenzo,
+                                     core::kCodecTransformHaar,
+                                     core::kCodecTransformDct};
     for (int e = 0; e < 3; ++e) {
-      core::CompressOptions opts;
+      core::CompressOptions opts = whole_field();
       opts.engine = engines[e];
       const auto r = compress_fixed_psnr(f.span(), f.dims, 70.0, opts);
       rates[e] = r.info.bit_rate;

@@ -34,7 +34,6 @@ std::vector<float> make_field() {
 
 core::CompressOptions options(std::size_t threads) {
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = threads;
   opts.parallel.tile = {kBlockRows};
   return opts;

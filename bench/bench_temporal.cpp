@@ -67,15 +67,14 @@ void BM_TemporalSpatialOnlyCompress(benchmark::State& state) {
   const auto series = slow_series();
   const double target_db = static_cast<double>(state.range(0));
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = 1;
   std::size_t compressed = 0;
   for (auto _ : state) {
     compressed = 0;
     for (const auto& f : series) {
-      auto r = core::compress<float>(std::span<const float>(f.values), f.dims,
-                                     core::ControlRequest::fixed_psnr(target_db),
-                                     opts);
+      auto r = core::compress_blocked<float>(
+          std::span<const float>(f.values), f.dims,
+          core::ControlRequest::fixed_psnr(target_db), opts);
       compressed += r.stream.size();
       benchmark::DoNotOptimize(r.stream.data());
     }

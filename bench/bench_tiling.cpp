@@ -43,7 +43,6 @@ std::vector<float> pancake_field() {
 core::CompressOptions tiled_options(std::vector<std::size_t> tile,
                                     std::size_t threads) {
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = threads;
   opts.parallel.tile = std::move(tile);
   return opts;
@@ -54,8 +53,9 @@ void run_compress(benchmark::State& state, std::vector<std::size_t> tile) {
   const auto opts =
       tiled_options(std::move(tile), static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = core::compress<float>(std::span<const float>(values), kPancake,
-                                   core::ControlRequest::fixed_psnr(80.0), opts);
+    auto r = core::compress_blocked<float>(
+        std::span<const float>(values), kPancake,
+        core::ControlRequest::fixed_psnr(80.0), opts);
     benchmark::DoNotOptimize(r.stream.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -82,9 +82,9 @@ BENCHMARK(BM_TilingFullRankCompress)->Arg(1)->Arg(2)->Arg(8)
 void run_decompress(benchmark::State& state, std::vector<std::size_t> tile) {
   const auto values = pancake_field();
   const auto stream =
-      core::compress<float>(std::span<const float>(values), kPancake,
-                            core::ControlRequest::fixed_psnr(80.0),
-                            tiled_options(std::move(tile), 1))
+      core::compress_blocked<float>(std::span<const float>(values), kPancake,
+                                    core::ControlRequest::fixed_psnr(80.0),
+                                    tiled_options(std::move(tile), 1))
           .stream;
   const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -116,9 +116,9 @@ void print_block_layout() {
        {std::pair<const char*, std::vector<std::size_t>>{"axis-0 slab", {1}},
         {"full-rank auto", {}}}) {
     const auto r =
-        core::compress<float>(std::span<const float>(values), kPancake,
-                              core::ControlRequest::fixed_psnr(80.0),
-                              tiled_options(tile, 1));
+        core::compress_blocked<float>(std::span<const float>(values), kPancake,
+                                      core::ControlRequest::fixed_psnr(80.0),
+                                      tiled_options(tile, 1));
     const auto info = core::inspect_block_stream(r.stream);
     std::printf("%16s: %4llu block(s), tile %zux%zux%zu, ratio %.2f\n", label,
                 static_cast<unsigned long long>(info.block_count),

@@ -101,15 +101,14 @@ struct CompressReport {
   /// apply (pointwise-rel, fixed-rate).
   double predicted_psnr_db = 0.0;
   /// Measured PSNR of the emitted archive, exact from the per-block SSE
-  /// recorded at compress time; +inf for lossless output, NaN only for the
-  /// pointwise-rel serial path.
+  /// recorded at compress time; +inf for lossless output.
   double achieved_psnr_db = 0.0;
-  /// Value-range relative bound the job resolved to (0 in rate mode).
+  /// Value-range relative bound the job resolved to (0 in rate and
+  /// pointwise-rel modes).
   double rel_bound_used = 0.0;
   std::size_t outlier_count = 0;
 
-  /// Block layout of the emitted FPBK container (0 / empty for the
-  /// pointwise-rel flat stream).
+  /// Block layout of the emitted FPBK container.
   std::uint64_t block_count = 0;
   std::vector<std::size_t> tile;  ///< per-axis tile extents, C order
   /// Streaming-sink reorder-buffer high-water marks (0 otherwise).
@@ -225,8 +224,8 @@ class Session {
 
   /// Compress a field Source to an archive Sink under `target`. Throws
   /// std::invalid_argument for combinations the engine cannot honour
-  /// (e.g. pointwise targets on transform codecs) and io errors as
-  /// std::runtime_error subclasses.
+  /// (e.g. pointwise-rel targets on codecs other than sz-lorenzo) and io
+  /// errors as std::runtime_error subclasses.
   CompressReport compress(const Source& input, const Target& target,
                           const Sink& output) const;
 

@@ -34,6 +34,7 @@ struct PointwiseAbs {
 };
 
 /// Bound every point's relative error: |x_i - x~_i| <= fraction * |x_i|.
+/// Needs the sz-lorenzo engine (its log2-domain mode).
 struct PointwiseRel {
   double fraction = 1e-3;
 };

@@ -485,8 +485,8 @@ int cmd_decompress(const Args& a) {
       probe.read(reinterpret_cast<char*>(magic), 4);
       if (probe.gcount() != 4 ||
           !io::is_block_container(std::span<const std::uint8_t>(magic, 4)))
-        usage("--mmap requires a block-pipeline (FPBK) archive "
-              "(compress with --threads/--tile/--stream)");
+        usage("--mmap requires a block-pipeline (FPBK) archive, not a "
+              "legacy flat stream");
     }
     const Source source = Source::file(a.input);
     const Field d = a.block ? session.decompress_block(source, *a.block)

@@ -152,26 +152,6 @@ BatchResult run_fixed_psnr_batch(std::span<const data::FieldView> fields,
 
   const ControlRequest request = ControlRequest::fixed_psnr(target_psnr_db);
   CompressOptions copts = options.compress;
-  copts.parallel.block_pipeline = true;
-
-  if (!options.global_queue) {
-    // Pre-queue baseline: one field at a time, each fanning its blocks out
-    // on its own, with a full barrier between fields. Same plans, same
-    // bytes — only the schedule (and the idle cores on small fields)
-    // differ.
-    copts.parallel.threads = options.threads;
-    for (std::size_t i = 0; i < field_count; ++i) {
-      const data::FieldView& field = fields[i];
-      CompressResult cr =
-          paths[i].empty()
-              ? compress_blocked<float>(field.span(), field.dims, request, copts)
-              : compress_to_file<float>(field.span(), field.dims, request,
-                                        copts, paths[i]);
-      fill_outcome(result.fields[i], field, target_psnr_db, std::move(cr),
-                   options, paths[i]);
-    }
-    return result;
-  }
 
   // Streaming opens every in-flight field's `.partial` at plan time (and
   // the round-robin enqueue runs every field's first block early), so an

@@ -66,21 +66,14 @@ struct BatchResult {
 };
 
 struct BatchOptions {
-  /// Per-field codec options. The batch engine always routes through the
-  /// block pipeline (parallel.block_pipeline is forced on); tile /
-  /// engine / budget pass through to every field's plan.
+  /// Per-field codec options; tile / engine / budget pass through to
+  /// every field's plan (the queue owns parallel.threads).
   CompressOptions compress = {};
   /// Concurrent executors draining the global queue (the calling thread
   /// plus up to threads-1 shared-pool workers); <= 1 = fully sequential.
   /// Per-field archives are byte-identical for every value — only
   /// wall-clock changes.
   std::size_t threads = 0;
-  /// true (default): interleave all fields' blocks on one global work
-  /// queue. false: the pre-queue behavior — fields run to completion one
-  /// after another, each fanning its own blocks out with `threads`
-  /// workers; kept as the comparison baseline (bench_batch_queue) and for
-  /// peak-memory-sensitive streaming runs (one field in flight at a time).
-  bool global_queue = true;
   /// true (default): decompress each archive and measure the actual PSNR /
   /// max error independently. false: skip the decode pass and report the
   /// exact achieved PSNR the FPBK v2 per-block SSE column records at

@@ -24,7 +24,8 @@ double sse_budget_for(std::size_t value_count, double eb_abs) {
 }
 
 /// Predictor path: Lorenzo / hybrid-regression SZ codec with an absolute
-/// bound. Pointwise |err| <= eb_abs holds in addition to the budget.
+/// bound (pointwise |err| <= eb_abs holds in addition to the budget) or a
+/// pointwise-relative one (|err| <= eps * |x| via the log2 domain).
 class SzBlockCodec final : public BlockCodec {
  public:
   std::string_view name() const override { return "sz-lorenzo"; }
@@ -58,7 +59,7 @@ class SzBlockCodec final : public BlockCodec {
                                           const BlockParams& params,
                                           BlockInfo* info) const {
     sz::Params p;
-    p.mode = sz::ErrorBoundMode::Absolute;
+    p.mode = params.mode;
     p.bound = params.eb_abs;
     p.predictor = params.predictor;
     p.quantization_bins = params.quantization_bins;

@@ -29,7 +29,7 @@ namespace fpsnr::core {
 /// Wire id of a codec in the block container (one byte).
 using CodecId = std::uint8_t;
 
-/// Built-in codec ids; values match core::Engine for easy mapping.
+/// Built-in codec ids.
 inline constexpr CodecId kCodecSzLorenzo = 0;
 inline constexpr CodecId kCodecTransformHaar = 1;
 inline constexpr CodecId kCodecTransformDct = 2;
@@ -47,6 +47,10 @@ inline constexpr CodecId kCodecStore = 5;
 /// the uniform-quantization model (Eq. 6).
 struct BlockParams {
   double eb_abs = 0.0;
+  /// Bound semantics of `eb_abs`. Absolute for every codec; the sz-lorenzo
+  /// codec also takes PointwiseRelative, where `eb_abs` is the fraction eps
+  /// of |err| <= eps * |x| and the tile is coded in the log2 domain.
+  sz::ErrorBoundMode mode = sz::ErrorBoundMode::Absolute;
   std::uint32_t quantization_bins = 65536;
   lossless::Method backend = lossless::Method::Deflate;
   sz::Predictor predictor = sz::Predictor::Lorenzo;

@@ -1,137 +1,9 @@
 #include "core/compressor.h"
 
-#include <cmath>
-#include <stdexcept>
-
-#include "core/distortion_model.h"
 #include "core/pipeline.h"
-#include "io/bitstream.h"
+#include "transform/transform_codec.h"
 
 namespace fpsnr::core {
-
-namespace {
-
-bool is_transform_engine(Engine e) {
-  return e == Engine::TransformHaar || e == Engine::TransformDct;
-}
-
-/// Engines that exist only behind the block-codec registry — they have no
-/// serial flat-stream path and always emit the FPBK container.
-bool is_registry_only_engine(Engine e) {
-  return e == Engine::Interp || e == Engine::ZfpRate || e == Engine::Store;
-}
-
-template <typename T>
-CompressResult compress_transform(std::span<const T> values, const data::Dims& dims,
-                                  const ControlRequest& request,
-                                  const CompressOptions& options) {
-  // Transform engines control only aggregate distortion; the uniform
-  // coefficient bin width comes straight from Eq. (6).
-  const double vr = metrics::value_range(values);
-  double bin_width = 0.0;
-  switch (request.mode) {
-    case ControlMode::FixedPsnr:
-      bin_width = bin_width_for_psnr(request.value, vr);
-      break;
-    case ControlMode::Absolute:
-      bin_width = 2.0 * request.value;
-      break;
-    case ControlMode::ValueRangeRelative:
-      bin_width = 2.0 * request.value * vr;
-      break;
-    default:
-      throw std::invalid_argument(
-          "compress: transform engines support FixedPsnr / Absolute / "
-          "ValueRangeRelative control only");
-  }
-  if (!(bin_width > 0.0)) {
-    // Constant field: any tiny width keeps it exact.
-    bin_width = std::numeric_limits<double>::min() * 1e6;
-  }
-
-  transform::Params tp;
-  tp.kind = options.engine == Engine::TransformHaar ? transform::Kind::HaarMultiLevel
-                                                    : transform::Kind::BlockDct;
-  tp.bin_width = bin_width;
-  tp.quantization_bins = options.quantization_bins;
-  tp.haar_levels = options.haar_levels;
-  tp.dct_block = options.dct_block;
-  tp.backend = options.backend;
-
-  transform::Info tinfo;
-  CompressResult out;
-  out.stream = transform::compress(values, dims, tp, &tinfo);
-  out.request = request;
-  out.predicted_psnr_db =
-      vr > 0.0 ? psnr_for_bin_width(bin_width, vr)
-               : std::numeric_limits<double>::infinity();
-  out.achieved_psnr_db =
-      vr > 0.0 && tinfo.value_count > 0
-          ? metrics::psnr_from_mse(
-                tinfo.achieved_sse / static_cast<double>(tinfo.value_count), vr)
-          : std::numeric_limits<double>::infinity();
-  out.rel_bound_used = vr > 0.0 ? bin_width / (2.0 * vr) : 0.0;
-  out.info.eb_abs_used = bin_width / 2.0;
-  out.info.value_range = tinfo.value_range;
-  out.info.value_count = tinfo.value_count;
-  out.info.achieved_sse = tinfo.achieved_sse;
-  out.info.outlier_count = tinfo.outlier_count;
-  out.info.compressed_bytes = tinfo.compressed_bytes;
-  out.info.compression_ratio = tinfo.compression_ratio;
-  out.info.bit_rate = tinfo.bit_rate;
-  return out;
-}
-
-}  // namespace
-
-template <typename T>
-CompressResult compress(std::span<const T> values, const data::Dims& dims,
-                        const ControlRequest& request,
-                        const CompressOptions& options) {
-  // FixedRate exists only behind the block pipeline (the per-block rate
-  // search IS the parallel decomposition), like the registry-only engines.
-  if (options.parallel.enabled() || is_registry_only_engine(options.engine) ||
-      options.budget == BudgetMode::Adaptive ||
-      request.mode == ControlMode::FixedRate)
-    return compress_blocked(values, dims, request, options);
-  if (is_transform_engine(options.engine))
-    return compress_transform(values, dims, request, options);
-
-  const ResolvedControl resolved = resolve_control(request);
-  sz::Params params;
-  params.mode = resolved.sz_mode;
-  params.bound = resolved.sz_bound;
-  params.predictor = options.sz_predictor;
-  params.quantization_bins = options.quantization_bins;
-  params.backend = options.backend;
-
-  CompressResult out;
-  out.request = request;
-  out.stream = sz::compress(values, dims, params, &out.info);
-  // The codec measured the exact achieved SSE during quantization (every
-  // non-pwrel mode); surface it as the measured PSNR like the block
-  // pipeline does.
-  if (out.info.achieved_sse >= 0.0 && out.info.value_count > 0) {
-    out.achieved_psnr_db =
-        out.info.value_range > 0.0
-            ? metrics::psnr_from_mse(out.info.achieved_sse /
-                                         static_cast<double>(out.info.value_count),
-                                     out.info.value_range)
-            : std::numeric_limits<double>::infinity();
-  }
-  out.predicted_psnr_db = resolved.predicted_psnr_db;
-  if (request.mode == ControlMode::Absolute && out.info.value_range > 0.0) {
-    // Now that the value range is known, complete the Eq. (7) prediction.
-    out.predicted_psnr_db =
-        psnr_for_abs_bound(out.info.eb_abs_used, out.info.value_range);
-  }
-  out.rel_bound_used = resolved.sz_mode == sz::ErrorBoundMode::ValueRangeRelative
-                           ? resolved.sz_bound
-                           : (out.info.value_range > 0.0
-                                  ? out.info.eb_abs_used / out.info.value_range
-                                  : 0.0);
-  return out;
-}
 
 template <typename T>
 sz::Decompressed<T> decompress(std::span<const std::uint8_t> stream) {
@@ -144,10 +16,6 @@ sz::Decompressed<T> decompress(std::span<const std::uint8_t> stream) {
   return sz::decompress<T>(stream);
 }
 
-template CompressResult compress<float>(std::span<const float>, const data::Dims&,
-                                        const ControlRequest&, const CompressOptions&);
-template CompressResult compress<double>(std::span<const double>, const data::Dims&,
-                                         const ControlRequest&, const CompressOptions&);
 template sz::Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 template sz::Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
 

@@ -1,10 +1,11 @@
-// Engine-level compression entry points (internal).
+// Engine-level compression options and results (internal).
 //
-// Wraps the SZ-style codec (and optionally the orthogonal-transform codec)
-// behind the unified ControlRequest interface, with fixed-PSNR as the
-// headline mode. The public surface is fpsnr::Session
-// (include/fpsnr/session.h); these internals are what the facade, the
-// batch engine, and the pipeline compose.
+// Every compression runs through the block pipeline (core/pipeline.h);
+// this header holds the option and result types it shares with the batch
+// engine, the temporal layer, and the fpsnr::Session facade
+// (include/fpsnr/session.h), plus the format-dispatching decoder that
+// still reads the flat FPSZ/FPTC streams older archives (and every
+// per-block payload) use.
 #pragma once
 
 #include <cstdint>
@@ -13,24 +14,12 @@
 #include <span>
 #include <vector>
 
+#include "core/codec_registry.h"
 #include "core/psnr_control.h"
 #include "data/field.h"
-#include "metrics/metrics.h"
 #include "sz/codec.h"
-#include "transform/transform_codec.h"
 
 namespace fpsnr::core {
-
-/// Which codec family executes the request. Values match the CodecId wire
-/// bytes of the block-codec registry (core/codec_registry.h).
-enum class Engine : std::uint8_t {
-  SzLorenzo = 0,       ///< prediction-based (Theorem 1); pointwise bounds hold
-  TransformHaar = 1,   ///< orthogonal Haar DWT (Theorem 2); PSNR-only control
-  TransformDct = 2,    ///< orthogonal block DCT (Theorem 2); PSNR-only control
-  Interp = 3,          ///< SZ3-style interpolation predictor; pointwise bounds
-  ZfpRate = 4,         ///< ZFP-style fixed-rate bit-packed DCT; PSNR-only
-  Store = 5,           ///< raw passthrough (lossless; the fallback codec)
-};
 
 /// How the global error budget is split across pipeline blocks.
 enum class BudgetMode : std::uint8_t {
@@ -43,8 +32,8 @@ enum class BudgetMode : std::uint8_t {
   /// uniform level so the fixed-PSNR guarantee is unchanged (Eq. 3's
   /// general form). Applies to the aggregate-distortion control modes
   /// (FixedPsnr / FixedNrmse) only; pointwise-bound requests (Absolute /
-  /// ValueRangeRelative) always compress with the uniform plan, since
-  /// widening any block would break |err| <= bound.
+  /// ValueRangeRelative / PointwiseRelative) always compress with the
+  /// uniform plan, since widening any block would break their bound.
   Adaptive = 1,
 };
 
@@ -53,9 +42,6 @@ enum class BudgetMode : std::uint8_t {
 /// The stream layout depends only on `tile` — never on `threads` — so the
 /// same request produces byte-identical output at any thread count.
 struct ParallelOptions {
-  /// Route through the block-parallel engine even when threads <= 1
-  /// (emits the FPBK block-indexed container instead of a flat stream).
-  bool block_pipeline = false;
   /// Worker threads for block execution; 0 or 1 runs the blocks serially.
   std::size_t threads = 0;
   /// Per-axis tile extents of the pipeline's block grid, C order. Empty
@@ -63,9 +49,6 @@ struct ParallelOptions {
   /// core::auto_tile). A 0 entry — or a missing trailing axis — spans the
   /// field on that axis, so {r} is the legacy axis-0 slab of r rows.
   std::vector<std::size_t> tile;
-
-  /// The engine is engaged when any knob is set.
-  bool enabled() const { return block_pipeline || threads > 1 || !tile.empty(); }
 };
 
 /// Chain metadata the temporal subsystem (src/temporal/) threads through
@@ -87,19 +70,18 @@ struct TemporalLink {
 };
 
 struct CompressOptions {
-  Engine engine = Engine::SzLorenzo;
-  /// Prediction scheme for the SzLorenzo engine (Lorenzo = the paper's
+  /// Codec of every block, by registry id (core/codec_registry.h).
+  CodecId engine = kCodecSzLorenzo;
+  /// Prediction scheme for the sz-lorenzo codec (Lorenzo = the paper's
   /// SZ 1.4 substrate; HybridRegression = SZ 2.x-style per-block choice).
   sz::Predictor sz_predictor = sz::Predictor::Lorenzo;
   std::uint32_t quantization_bins = 65536;
   lossless::Method backend = lossless::Method::Deflate;
   unsigned haar_levels = 4;
   std::size_t dct_block = 8;
-  /// Per-block error-budget allocation (block pipeline only).
+  /// Per-block error-budget allocation.
   BudgetMode budget = BudgetMode::Uniform;
-  /// Block-parallel pipeline execution; disabled by default (serial codecs).
-  /// The registry-only engines (Interp / ZfpRate / Store) always route
-  /// through the block pipeline regardless of these knobs.
+  /// Thread count and tile shape of the block grid.
   ParallelOptions parallel;
   /// When set, range-derived control modes (fixed-PSNR / rel / nrmse)
   /// resolve their absolute budget — and the header's recorded
@@ -119,49 +101,25 @@ struct CompressResult {
   /// Analytical PSNR prediction from the distortion model (Eq. 6/7);
   /// NaN for modes where the model does not apply.
   double predicted_psnr_db = 0.0;
-  /// Measured PSNR of the emitted stream, from the exact SSE the codec
-  /// tracked at compress time (recorded per block in the FPBK v2 index on
-  /// the pipeline path; computed from the recon buffer / decode replay on
-  /// the serial paths). NaN only where it is not tracked (serial
-  /// PointwiseRelative mode); +inf for a lossless result.
+  /// Measured PSNR of the emitted stream, from the exact SSE each block
+  /// codec tracked at compress time (recorded per block in the FPBK v2
+  /// index); +inf for a lossless result.
   double achieved_psnr_db = std::numeric_limits<double>::quiet_NaN();
-  /// Value-range relative bound actually used (fixed-PSNR / relative modes).
+  /// Value-range relative bound actually used (0 in rate and
+  /// pointwise-relative modes).
   double rel_bound_used = 0.0;
-  /// Block layout of the emitted FPBK container, straight from the plan
-  /// (0 / empty on the serial flat-stream paths) — callers never need to
-  /// re-parse the archive just to describe it.
+  /// Block layout of the emitted FPBK container, straight from the plan —
+  /// callers never need to re-parse the archive just to describe it.
   std::uint64_t block_count = 0;
   std::vector<std::size_t> tile;  ///< per-axis tile extents, C order
   sz::CompressionInfo info;
 };
 
-/// Compress one field under any control mode. FixedRate routes through the
-/// block pipeline's per-block rate bisection (core/pipeline.h); the other
-/// modes resolve analytically.
-///
-/// INTERNAL engine entry point: the public surface is the fpsnr::Session
-/// facade (include/fpsnr/session.h), which routes through this function for
-/// the one mode without a block container (serial pointwise-relative) and
-/// emits byte-identical archives for equivalent options. The former
-/// convenience shims (compress_fixed_psnr / verify) have been removed.
-template <typename T>
-CompressResult compress(std::span<const T> values, const data::Dims& dims,
-                        const ControlRequest& request,
-                        const CompressOptions& options = {});
-
-/// Decompress a stream produced by compress() with any engine (the stream
-/// is self-describing via its magic bytes). Internal, like compress().
+/// Decompress any archive this library writes or wrote: an FPBK container
+/// or a legacy flat FPSZ / FPTC stream (self-describing via its magic).
 template <typename T>
 sz::Decompressed<T> decompress(std::span<const std::uint8_t> stream);
 
-extern template CompressResult compress<float>(std::span<const float>,
-                                               const data::Dims&,
-                                               const ControlRequest&,
-                                               const CompressOptions&);
-extern template CompressResult compress<double>(std::span<const double>,
-                                                const data::Dims&,
-                                                const ControlRequest&,
-                                                const CompressOptions&);
 extern template sz::Decompressed<float> decompress<float>(
     std::span<const std::uint8_t>);
 extern template sz::Decompressed<double> decompress<double>(

@@ -21,26 +21,14 @@ namespace fpsnr::core {
 
 namespace {
 
-/// Resolve any uniform-budget control request to the absolute per-point
-/// budget every block shares. Throws for modes without one. Validation is
-/// delegated to resolve_control so bad requests (non-positive bounds,
-/// non-finite PSNR targets) are rejected exactly as the serial facade
-/// rejects them. (FixedRate never reaches here — plan_blocks branches to
-/// the per-block rate search first.)
-template <typename T>
-double resolve_budget(const ControlRequest& request, std::span<const T> values,
-                      std::optional<double> vr_override,
-                      double* value_range_out) {
-  // The temporal layer compresses a delta/raw composite whose error
-  // contract is against the ORIGINAL snapshot; it overrides the range so
-  // the budget (and the recorded header range) stay anchored to it.
-  const double vr = vr_override ? *vr_override : metrics::value_range(values);
-  if (value_range_out) *value_range_out = vr;
+/// Resolve an absolute or range-derived control request (abs / rel /
+/// fixed-PSNR / nrmse) to the absolute per-point budget every block
+/// shares. Validation is delegated to resolve_control, so bad requests
+/// (non-positive bounds, non-finite PSNR targets) are rejected there.
+/// (FixedRate and PointwiseRelative never reach here — plan_blocks gives
+/// them per-block bounds first.)
+double resolve_budget(const ControlRequest& request, double vr) {
   const ResolvedControl rc = resolve_control(request);
-  if (rc.sz_mode == sz::ErrorBoundMode::PointwiseRelative)
-    throw std::invalid_argument(
-        "block pipeline: only uniform-budget control modes are supported "
-        "(fixed-psnr / abs / rel / nrmse)");
   double eb = rc.sz_mode == sz::ErrorBoundMode::Absolute ? rc.sz_bound
                                                          : rc.sz_bound * vr;
   if (!(eb > 0.0)) {
@@ -123,12 +111,16 @@ namespace {
 /// budgets, and header bytes cannot drift between the two paths.
 struct BlockPlan {
   double vr = 0.0;
-  double eb_abs = 0.0;  ///< base (uniform-equivalent) bound; 0 in rate mode
+  /// Base (uniform-equivalent) absolute bound; 0 when bounds are per
+  /// block (rate and pointwise-relative modes).
+  double eb_abs = 0.0;
   TileLayout layout;
   CodecId codec_id = 0;
   const BlockCodec* codec = nullptr;
   BlockParams bp;
-  /// Per-block absolute bounds; all equal to eb_abs under Uniform budgets.
+  /// Per-block bounds in bp.mode's units: absolute budgets (all equal to
+  /// eb_abs under Uniform budgets), or the fraction eps for every block
+  /// in PointwiseRelative mode.
   std::vector<double> block_eb;
   /// FixedRate mode: each block bisects its own bound toward this many
   /// compressed bits per value (run_block performs the search, so the
@@ -136,6 +128,13 @@ struct BlockPlan {
   bool rate_mode = false;
   double target_bits_per_value = 0.0;
   io::BlockContainerHeader header;
+
+  /// No global absolute budget: the header records eb_abs = 0 ("see the
+  /// self-describing block payloads") and only the measured PSNR is
+  /// reported.
+  bool per_block_bounds() const {
+    return rate_mode || bp.mode == sz::ErrorBoundMode::PointwiseRelative;
+  }
 };
 
 /// Adaptive per-block bounds (Eq. 3's general form, reverse-water-filling
@@ -266,43 +265,58 @@ BlockPlan plan_blocks(std::span<const T> values, const data::Dims& dims,
     throw std::invalid_argument("block pipeline: value count does not match dims");
 
   BlockPlan plan;
-  if (request.mode == ControlMode::FixedRate) {
-    // Rate mode has no global error budget to split: every block bisects
-    // its own bound in run_block. eb_abs = 0 in the header says "per-block,
-    // see the self-describing block payloads" (each block stream records
-    // the bound it was coded at).
-    if (!(request.value > 0.0) || !std::isfinite(request.value))
-      throw std::invalid_argument(
-          "block pipeline: fixed-rate target must be positive and finite "
-          "bits per value");
-    plan.vr = options.value_range_override
-                  ? *options.value_range_override
-                  : metrics::value_range(values);
-    plan.rate_mode = true;
-    plan.target_bits_per_value = request.value;
-  } else {
-    plan.eb_abs = resolve_budget(request, values, options.value_range_override,
-                                 &plan.vr);
-  }
+  // The temporal layer compresses a delta/raw composite whose error
+  // contract is against the ORIGINAL snapshot; it overrides the range so
+  // the budget (and the recorded header range) stay anchored to it.
+  plan.vr = options.value_range_override ? *options.value_range_override
+                                         : metrics::value_range(values);
   plan.layout = make_layout(dims, options.parallel.tile);
-
-  plan.codec_id = static_cast<CodecId>(options.engine);
+  plan.codec_id = options.engine;
   plan.codec = &CodecRegistry::instance().at(plan.codec_id);
 
-  plan.bp.eb_abs = plan.eb_abs;
   plan.bp.quantization_bins = options.quantization_bins;
   plan.bp.backend = options.backend;
   plan.bp.predictor = options.sz_predictor;
   plan.bp.haar_levels = options.haar_levels;
   plan.bp.dct_block = options.dct_block;
 
-  plan.block_eb.assign(plan.layout.block_count, plan.eb_abs);
+  // Rate and pointwise-relative modes have no global error budget to
+  // split; every block payload records the bound it was coded at.
+  double block_bound = 0.0;
+  if (request.mode == ControlMode::FixedRate) {
+    // Every block bisects its own bound in run_block.
+    if (!(request.value > 0.0) || !std::isfinite(request.value))
+      throw std::invalid_argument(
+          "block pipeline: fixed-rate target must be positive and finite "
+          "bits per value");
+    plan.rate_mode = true;
+    plan.target_bits_per_value = request.value;
+  } else if (request.mode == ControlMode::PointwiseRelative) {
+    // log2(1 + eps) bounds every value's log-domain error whatever its
+    // magnitude, so each tile is coded at eps on its own.
+    if (!(request.value > 0.0) || !std::isfinite(request.value))
+      throw std::invalid_argument(
+          "block pipeline: pointwise-relative bound must be positive and "
+          "finite");
+    if (plan.codec_id != kCodecSzLorenzo)
+      throw std::invalid_argument(
+          "block pipeline: pointwise-relative bounds need the sz-lorenzo "
+          "codec (its log2-domain mode); '" +
+          std::string(plan.codec->name()) + "' cannot bound each value");
+    plan.bp.mode = sz::ErrorBoundMode::PointwiseRelative;
+    block_bound = request.value;
+  } else {
+    plan.eb_abs = resolve_budget(request, plan.vr);
+    block_bound = plan.eb_abs;
+  }
+  plan.bp.eb_abs = block_bound;
+  plan.block_eb.assign(plan.layout.block_count, block_bound);
   BudgetMode budget = options.budget;
   // Adaptive reallocation trades pointwise slack for aggregate rate, so it
   // only applies to the aggregate-distortion control modes (fixed-PSNR /
-  // fixed-NRMSE). Absolute and value-range-relative requests are pointwise
-  // |err| <= bound contracts — widening any block would break them, so
-  // those plans stay uniform no matter what the option says.
+  // fixed-NRMSE). Absolute, value-range-relative, and pointwise-relative
+  // requests are per-value contracts — widening any block would break
+  // them, so those plans stay uniform no matter what the option says.
   const bool aggregate_mode = request.mode == ControlMode::FixedPsnr ||
                               request.mode == ControlMode::FixedNrmse;
   if (budget == BudgetMode::Adaptive) {
@@ -509,10 +523,10 @@ CompressResult account_blocks(const BlockPlan& plan, std::span<const T> values,
   }
   if (covered != values.size())
     throw std::logic_error("block pipeline: blocks do not cover the field");
-  if (plan.rate_mode) {
-    // Fixed-rate mode has no global error budget to enforce: each block
-    // chose its own bound to land on the rate target, so the only honest
-    // PSNR is the measured one from the per-block SSE column.
+  if (plan.per_block_bounds()) {
+    // No global error budget to enforce: each block chose its own bound
+    // (to land on the rate target, or eps * |x| per value), so the only
+    // honest PSNR is the measured one from the per-block SSE column.
     out.predicted_psnr_db = std::numeric_limits<double>::quiet_NaN();
     // vr == 0 follows metrics::compare's convention: +inf only when the
     // reconstruction is exact.

@@ -29,6 +29,10 @@
 // rate curve share it as uniformly wider bins, so their bits shrink
 // log-linearly at the same global PSNR target. The engine still
 // cross-checks the aggregate against the uniform-plan budget.
+// FixedRate and PointwiseRelative have no global budget: each block
+// searches its own bound (rate) or codes every value at |err| <= eps*|x|
+// in the sz codec's log2 domain (pointwise-relative), and the header
+// records eb_abs = 0.
 //
 // Every block's exact achieved SSE is measured at compress time and stored
 // in the FPBK v2 index column, so readers report the *measured* global
@@ -162,17 +166,19 @@ class FieldCompressor {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Compress through the block pipeline. Supports every uniform-budget
-/// control mode (FixedPsnr / Absolute / ValueRangeRelative / FixedNrmse)
-/// plus FixedRate (each block bisects its own bound toward the requested
-/// bits/value, seeded by a zfpr-style width census — the searches run
-/// per block, so they parallelize like any other block work);
-/// PointwiseRelative throws std::invalid_argument.
+/// Compress one field — the library's only write path. Supports every
+/// uniform-budget control mode (FixedPsnr / Absolute / ValueRangeRelative
+/// / FixedNrmse), FixedRate (each block bisects its own bound toward the
+/// requested bits/value, seeded by a zfpr-style width census — the
+/// searches run per block, so they parallelize like any other block
+/// work), and PointwiseRelative (sz-lorenzo only: every tile is coded in
+/// the codec's log2-domain mode at the same eps; other codecs throw
+/// std::invalid_argument).
 template <typename T>
 CompressResult compress_blocked(std::span<const T> values,
                                 const data::Dims& dims,
                                 const ControlRequest& request,
-                                const CompressOptions& options);
+                                const CompressOptions& options = {});
 
 /// Streaming variant: identical block layout, budgets, and bytes as
 /// compress_blocked, but each block is spilled to `path` as its worker

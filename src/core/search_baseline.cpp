@@ -2,6 +2,9 @@
 
 #include <cmath>
 
+#include "core/pipeline.h"
+#include "metrics/metrics.h"
+
 namespace fpsnr::core {
 
 namespace {
@@ -11,8 +14,8 @@ template <typename T>
 double probe_psnr(std::span<const T> values, const data::Dims& dims,
                   double rel_bound, const CompressOptions& options,
                   CompressResult* out) {
-  CompressResult r =
-      compress(values, dims, ControlRequest::relative(rel_bound), options);
+  CompressResult r = compress_blocked(
+      values, dims, ControlRequest::relative(rel_bound), options);
   const auto decoded =
       decompress<T>(std::span<const std::uint8_t>(r.stream));
   const metrics::ErrorReport rep =
@@ -97,8 +100,8 @@ RateSearchResult search_fixed_rate(std::span<const T> values, const data::Dims& 
   double hi = 0.5;    // loose bound => low rate
 
   auto probe = [&](double rel_bound, CompressResult* out) {
-    CompressResult r =
-        compress(values, dims, ControlRequest::relative(rel_bound), options.compress);
+    CompressResult r = compress_blocked(
+        values, dims, ControlRequest::relative(rel_bound), options.compress);
     const double rate = r.info.bit_rate;
     if (out) *out = std::move(r);
     ++rr.compression_passes;

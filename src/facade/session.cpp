@@ -4,10 +4,9 @@
 // include/fpsnr headers to the internal src/ layers: it resolves the
 // engine name against the codec registry, applies CodecTuning overrides
 // onto core::CompressOptions, routes every Target through the
-// block-parallel pipeline (or the serial pointwise-rel path, the one mode
-// without a block container), and maps Source/Sink shapes onto the
+// block-parallel pipeline, and maps Source/Sink shapes onto the
 // in-memory, whole-file, raw-file, streaming-writer, and mmap-reader
-// entry points. Archives are byte-identical to the legacy core:: free
+// entry points. Archives are byte-identical to the core:: pipeline
 // functions for equivalent options by construction — both run the same
 // engine.
 #include "fpsnr/fpsnr.h"
@@ -204,8 +203,7 @@ core::CompressOptions resolve_session_options(const SessionOptions& opts,
                                               std::size_t* threads_out) {
   core::CompressOptions base;
   auto& registry = core::CodecRegistry::instance();
-  const core::CodecId engine_id = registry.id_of(opts.engine);  // may throw
-  base.engine = static_cast<core::Engine>(engine_id);
+  base.engine = registry.id_of(opts.engine);  // may throw
 
   if (opts.budget == "uniform") base.budget = core::BudgetMode::Uniform;
   else if (opts.budget == "adaptive")
@@ -222,11 +220,10 @@ core::CompressOptions resolve_session_options(const SessionOptions& opts,
     const core::CodecId id = registry.id_of(engine_name);  // may throw
     for (const auto& [key, value] : kv) {
       if (!key_known(engine_name, id, key)) bad_tuning_key(engine_name, key);
-      if (id == engine_id) apply_tuning(engine_name, key, value, base);
+      if (id == base.engine) apply_tuning(engine_name, key, value, base);
     }
   }
 
-  base.parallel.block_pipeline = true;
   base.parallel.tile = opts.tile.extents;
   const std::size_t threads =
       opts.threads ? opts.threads
@@ -378,33 +375,13 @@ CompressReport run_compress(const core::CompressOptions& base,
                             std::span<const T> values, const data::Dims& dims,
                             const Target& target, const Sink& sink) {
   const core::ControlRequest request = facade::to_request(target);
-  core::CompressOptions opts = base;
 
   CompressReport report;
   core::CompressResult result;
 
-  const bool pwrel = std::holds_alternative<PointwiseRel>(target);
-  if (pwrel) {
-    // Pointwise-relative has no block container (the log-domain transform
-    // is stream-global); it runs the serial codec and emits the flat
-    // stream, byte-identical to legacy core::compress. A stream sink
-    // degrades to a buffered whole-file write.
-    opts.parallel = {};
-    result = core::compress<T>(values, dims, request, opts);
-    switch (Access::kind(sink)) {
-      case SinkKind::Memory:
-        report.archive = std::move(result.stream);
-        break;
-      case SinkKind::File:
-      case SinkKind::Stream:
-        write_whole_file(Access::path(sink), result.stream.data(),
-                         result.stream.size());
-        report.archive_path = Access::path(sink);
-        break;
-    }
-  } else if (Access::kind(sink) == SinkKind::Stream) {
+  if (Access::kind(sink) == SinkKind::Stream) {
     io::StreamingStats stats;
-    result = core::compress_to_file<T>(values, dims, request, opts,
+    result = core::compress_to_file<T>(values, dims, request, base,
                                        Access::path(sink), &stats);
     report.archive_path = Access::path(sink);
     report.block_count = stats.block_count;
@@ -412,7 +389,7 @@ CompressReport run_compress(const core::CompressOptions& base,
     report.peak_buffered_bytes = stats.peak_buffered_bytes;
     report.peak_buffered_blocks = stats.peak_buffered_blocks;
   } else {
-    result = core::compress_blocked<T>(values, dims, request, opts);
+    result = core::compress_blocked<T>(values, dims, request, base);
     report.block_count = result.block_count;
     report.tile = result.tile;
     if (Access::kind(sink) == SinkKind::File) {

@@ -35,21 +35,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    futures.push_back(pool.submit([&fn, i] { fn(i); }));
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 }  // namespace fpsnr::parallel

@@ -1,8 +1,9 @@
-// Minimal work-stealing-free thread pool + blocking parallel_for.
+// Minimal work-stealing-free thread pool.
 //
-// Used by core::batch to compress the many fields of a dataset concurrently
-// (CESM-ATM has 79 fields). Codecs themselves stay single-threaded per
-// field so compression output is byte-deterministic.
+// Backs the process-wide shared pool (parallel/shared_pool.h) that the
+// block pipeline and the work queue draw their helper threads from.
+// Codecs themselves stay single-threaded per block so compression output
+// is byte-deterministic.
 #pragma once
 
 #include <condition_variable>
@@ -51,10 +52,5 @@ class ThreadPool {
 
   void worker_loop();
 };
-
-/// Run fn(i) for i in [0, count) across the pool; rethrows the first task
-/// exception after all tasks finish.
-void parallel_for(ThreadPool& pool, std::size_t count,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace fpsnr::parallel

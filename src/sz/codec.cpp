@@ -434,6 +434,17 @@ struct PwrelTransform {
   std::vector<T> exception_values;
 };
 
+bool pwrel_negative(std::span<const std::uint8_t> sign_bits, std::size_t i) {
+  return (sign_bits[i >> 3] >> (i & 7)) & 1u;
+}
+
+/// Decode-side value of one log-domain reconstruction.
+template <typename T>
+T pwrel_value(T log, bool negative) {
+  const double mag = std::exp2(static_cast<double>(log));
+  return static_cast<T>(negative ? -mag : mag);
+}
+
 template <typename T>
 PwrelTransform<T> pwrel_forward(std::span<const T> values, double zero_floor) {
   PwrelTransform<T> t;
@@ -458,16 +469,50 @@ PwrelTransform<T> pwrel_forward(std::span<const T> values, double zero_floor) {
   return t;
 }
 
+/// Replay the decoder on the log-domain recon buffer. The log2 / exp2
+/// round trip and the T casts can push a value that sits on the edge of
+/// its log bin just past (1 + eb); such values join the exception list, so
+/// |x - x~| <= eb * |x| holds on every value. Returns the exact SSE of the
+/// decoded stream (exceptions reproduce their values and add nothing).
+template <typename T>
+double pwrel_finish(std::span<const T> values, std::span<const T> recon_logs,
+                    double eb, PwrelTransform<T>& t) {
+  std::vector<std::uint64_t> indices;
+  std::vector<T> exact;
+  auto keep_exact = [&](std::size_t i) {
+    indices.push_back(i);
+    exact.push_back(values[i]);
+  };
+  double sse = 0.0;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (k < t.exception_indices.size() && t.exception_indices[k] == i) {
+      ++k;
+      keep_exact(i);
+      continue;
+    }
+    const double x = static_cast<double>(values[i]);
+    const double err =
+        static_cast<double>(
+            pwrel_value(recon_logs[i], pwrel_negative(t.sign_bits, i))) -
+        x;
+    if (!(std::abs(err) <= eb * std::abs(x))) {
+      keep_exact(i);
+      continue;
+    }
+    sse += err * err;
+  }
+  t.exception_indices = std::move(indices);
+  t.exception_values = std::move(exact);
+  return sse;
+}
+
 template <typename T>
 void pwrel_inverse(std::vector<T>& values, std::span<const std::uint8_t> sign_bits,
                    std::span<const std::uint64_t> exception_indices,
                    std::span<const T> exception_values) {
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const bool negative =
-        (sign_bits[i >> 3] >> (i & 7)) & 1u;
-    const double mag = std::exp2(static_cast<double>(values[i]));
-    values[i] = static_cast<T>(negative ? -mag : mag);
-  }
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = pwrel_value(values[i], pwrel_negative(sign_bits, i));
   for (std::size_t k = 0; k < exception_indices.size(); ++k) {
     const std::uint64_t idx = exception_indices[k];
     if (idx >= values.size())
@@ -523,24 +568,31 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
 
   // Quantize with the configured predictor; the hybrid plan (block bitmap
   // + regression coefficients) is written right before the inner stream.
+  std::vector<std::uint8_t> plan_blob;
   auto run_quantize = [&](std::span<const T> vals) {
     if (params.predictor == Predictor::HybridRegression) {
       const HybridPlan plan = build_hybrid_plan(vals, dims, eb_abs);
-      out.put_blob(serialize_plan(plan));
+      plan_blob = serialize_plan(plan);
       return quantize_pass_hybrid(vals, dims, eb_abs, params.quantization_bins,
                                   plan);
     }
     return quantize_pass(vals, dims, eb_abs, params.quantization_bins, nullptr);
   };
+  auto put_plan_and_inner = [&](const QuantizeOutput<T>& q) {
+    if (params.predictor == Predictor::HybridRegression) out.put_blob(plan_blob);
+    out.put_blob(encode_inner(q, params.quantization_bins, params));
+  };
 
-  std::size_t outlier_count = 0;
   // Exact achieved distortion: the quantize pass maintains the same T-domain
   // reconstruction decompress will produce, so the SSE measured here equals
-  // the decode-side error bit for bit. Not available in PointwiseRelative
-  // mode, where the recon buffer lives in the log2 domain.
-  double achieved_sse = -1.0;
+  // the decode-side error bit for bit (PointwiseRelative replays the
+  // decoder's exp2 over the log-domain buffer first).
+  std::size_t outlier_count = 0;
+  double achieved_sse = 0.0;
   if (params.mode == ErrorBoundMode::PointwiseRelative) {
-    const auto t = pwrel_forward(values, params.pwrel_zero_floor);
+    auto t = pwrel_forward(values, params.pwrel_zero_floor);
+    const auto q = run_quantize(t.logs);
+    achieved_sse = pwrel_finish<T>(values, q.recon, params.bound, t);
     // Side channel: signs + exceptions, then the abs-mode core over y.
     io::ByteWriter side;
     side.put_blob(t.sign_bits);
@@ -552,10 +604,8 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
       side.put<T>(t.exception_values[k]);
     }
     out.put_blob(lossless::backend_compress(side.buffer(), params.backend));
-
-    const auto q = run_quantize(t.logs);
     outlier_count = q.outliers.size() + t.exception_indices.size();
-    out.put_blob(encode_inner(q, params.quantization_bins, params));
+    put_plan_and_inner(q);
   } else {
     const auto q = run_quantize(values);
     outlier_count = q.outliers.size();
@@ -565,7 +615,7 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
     else
       achieved_sse =
           simd::kernels().sse_f64(values.data(), q.recon.data(), values.size());
-    out.put_blob(encode_inner(q, params.quantization_bins, params));
+    put_plan_and_inner(q);
   }
 
   auto bytes = out.take();

@@ -68,9 +68,8 @@ struct CompressionInfo {
   double compression_ratio = 0.0;
   double bit_rate = 0.0;          ///< compressed bits per value
   /// Exact sum of squared reconstruction errors (original vs what
-  /// decompress will produce, in the stored scalar type). -1 when the mode
-  /// does not track it (PointwiseRelative's log-domain transform).
-  double achieved_sse = -1.0;
+  /// decompress will produce, in the stored scalar type).
+  double achieved_sse = 0.0;
 };
 
 }  // namespace fpsnr::sz

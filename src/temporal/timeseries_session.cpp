@@ -60,7 +60,8 @@ struct TimeSeriesSession::Impl {
     if (std::holds_alternative<PointwiseRel>(target))
       throw std::invalid_argument(
           "TimeSeriesSession: pointwise-relative targets are not supported "
-          "(the temporal chain runs the block pipeline)");
+          "(a delta tile codes x - ref, so its error cannot be bounded "
+          "relative to each original value x)");
     if (opts.series.empty())
       throw std::invalid_argument("TimeSeriesSession: series name is empty");
     base = facade::resolve_session_options(opts.session, &threads);

@@ -16,12 +16,11 @@ namespace metrics = fpsnr::metrics;
 
 namespace {
 
-core::CompressOptions opts_with(core::Engine engine, core::BudgetMode budget,
+core::CompressOptions opts_with(core::CodecId engine, core::BudgetMode budget,
                                 std::size_t slab_rows) {
   core::CompressOptions opts;
   opts.engine = engine;
   opts.budget = budget;
-  opts.parallel.block_pipeline = true;
   opts.parallel.tile = {slab_rows};
   return opts;
 }
@@ -56,10 +55,10 @@ TEST(AdaptiveBudget, NeverLargerThanUniformAndStrictlySmallerWithDonors) {
   const auto request = core::ControlRequest::fixed_psnr(60.0);
 
   const auto uni = core::compress_blocked<float>(
-      span, dims, request, opts_with(core::Engine::SzLorenzo,
+      span, dims, request, opts_with(core::kCodecSzLorenzo,
                                      core::BudgetMode::Uniform, 16));
   const auto ada = core::compress_blocked<float>(
-      span, dims, request, opts_with(core::Engine::SzLorenzo,
+      span, dims, request, opts_with(core::kCodecSzLorenzo,
                                      core::BudgetMode::Adaptive, 16));
 
   EXPECT_LT(ada.stream.size(), uni.stream.size())
@@ -91,10 +90,10 @@ TEST(AdaptiveBudget, DegeneratesToUniformBytesOnHomogeneousField) {
   const auto request = core::ControlRequest::fixed_psnr(80.0);
 
   const auto uni = core::compress_blocked<float>(
-      span, dims, request, opts_with(core::Engine::SzLorenzo,
+      span, dims, request, opts_with(core::kCodecSzLorenzo,
                                      core::BudgetMode::Uniform, 16));
   const auto ada = core::compress_blocked<float>(
-      span, dims, request, opts_with(core::Engine::SzLorenzo,
+      span, dims, request, opts_with(core::kCodecSzLorenzo,
                                      core::BudgetMode::Adaptive, 16));
   EXPECT_EQ(ada.stream, uni.stream);
 }
@@ -111,10 +110,10 @@ TEST(AdaptiveBudget, PointwiseBoundModesAlwaysCompressUniform) {
   for (const auto request : {core::ControlRequest::absolute(0.01),
                              core::ControlRequest::relative(1e-3)}) {
     const auto uni = core::compress_blocked<float>(
-        span, dims, request, opts_with(core::Engine::SzLorenzo,
+        span, dims, request, opts_with(core::kCodecSzLorenzo,
                                        core::BudgetMode::Uniform, 16));
     const auto ada = core::compress_blocked<float>(
-        span, dims, request, opts_with(core::Engine::SzLorenzo,
+        span, dims, request, opts_with(core::kCodecSzLorenzo,
                                        core::BudgetMode::Adaptive, 16));
     EXPECT_EQ(ada.stream, uni.stream)
         << "mode " << static_cast<int>(request.mode);
@@ -135,7 +134,7 @@ TEST(AdaptiveBudget, PointwiseBoundStaysWithinWidenedAllowance) {
   const std::span<const float> span(values);
   const auto request = core::ControlRequest::fixed_psnr(60.0);
 
-  for (const core::Engine e : {core::Engine::SzLorenzo, core::Engine::Interp}) {
+  for (const core::CodecId e : {core::kCodecSzLorenzo, core::kCodecInterp}) {
     const auto ada = core::compress_blocked<float>(
         span, dims, request, opts_with(e, core::BudgetMode::Adaptive, 16));
     const auto out = core::decompress_blocked<float>(ada.stream);
@@ -165,10 +164,10 @@ TEST(AdaptiveBudget, IsolatedSpikesInFlatBlocksNeverGrowTheArchive) {
   for (const double target : {80.0, 120.0}) {
     const auto request = core::ControlRequest::fixed_psnr(target);
     const auto uni = core::compress_blocked<float>(
-        span, dims, request, opts_with(core::Engine::SzLorenzo,
+        span, dims, request, opts_with(core::kCodecSzLorenzo,
                                        core::BudgetMode::Uniform, 16));
     const auto ada = core::compress_blocked<float>(
-        span, dims, request, opts_with(core::Engine::SzLorenzo,
+        span, dims, request, opts_with(core::kCodecSzLorenzo,
                                        core::BudgetMode::Adaptive, 16));
     EXPECT_LE(ada.stream.size(), uni.stream.size()) << "target " << target;
     const auto out = core::decompress_blocked<float>(ada.stream);
@@ -186,10 +185,10 @@ TEST(AdaptiveBudget, ReportedPsnrMatchesRecomputationExactly) {
   const std::span<const float> span(values);
   const auto request = core::ControlRequest::fixed_psnr(60.0);
 
-  for (const core::Engine e :
-       {core::Engine::SzLorenzo, core::Engine::TransformHaar,
-        core::Engine::TransformDct, core::Engine::Interp,
-        core::Engine::ZfpRate}) {
+  for (const core::CodecId e :
+       {core::kCodecSzLorenzo, core::kCodecTransformHaar,
+        core::kCodecTransformDct, core::kCodecInterp,
+        core::kCodecZfpRate}) {
     const auto ada = core::compress_blocked<float>(
         span, dims, request, opts_with(e, core::BudgetMode::Adaptive, 16));
     const auto out = core::decompress_blocked<float>(ada.stream);
@@ -217,8 +216,8 @@ TEST(AdaptiveBudget, StoreFallbackBoundsIncompressibleOutput) {
   const std::span<const float> span(values);
   const auto request = core::ControlRequest::fixed_psnr(180.0);
 
-  for (const core::Engine e : {core::Engine::SzLorenzo, core::Engine::Interp,
-                               core::Engine::TransformDct}) {
+  for (const core::CodecId e : {core::kCodecSzLorenzo, core::kCodecInterp,
+                                core::kCodecTransformDct}) {
     const auto r = core::compress_blocked<float>(
         span, dims, request, opts_with(e, core::BudgetMode::Uniform, 16));
     const std::size_t raw = values.size() * sizeof(float);
@@ -242,7 +241,7 @@ TEST(AdaptiveBudget, RandomAccessDecodesAdaptiveBlocks) {
   const std::span<const float> span(values);
   const auto ada = core::compress_blocked<float>(
       span, dims, core::ControlRequest::fixed_psnr(60.0),
-      opts_with(core::Engine::SzLorenzo, core::BudgetMode::Adaptive, 16));
+      opts_with(core::kCodecSzLorenzo, core::BudgetMode::Adaptive, 16));
   const auto full = core::decompress_blocked<float>(ada.stream);
   const auto info = core::inspect_block_stream(ada.stream);
   const std::size_t row = dims.count() / dims[0];

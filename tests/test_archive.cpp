@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "data/dataset.h"
 #include "metrics/metrics.h"
 
@@ -73,8 +73,8 @@ TEST(Archive, WholeDatasetRoundTrip) {
   for (const auto& f : ds.fields) {
     io::ArchiveEntry e;
     e.name = f.name;
-    e.bytes = core::compress<float>(f.span(), f.dims,
-                                    core::ControlRequest::fixed_psnr(70.0))
+    e.bytes = core::compress_blocked<float>(
+                  f.span(), f.dims, core::ControlRequest::fixed_psnr(70.0))
                   .stream;
     entries.push_back(std::move(e));
   }

@@ -7,7 +7,7 @@
 #include <numbers>
 #include <random>
 
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "data/synth.h"
 
 namespace metrics = fpsnr::metrics;
@@ -77,8 +77,8 @@ TEST(Autocorrelation, CompressionErrorsAreNearlyWhite) {
   auto values = data::smoothed_noise(dims, 21, 4, 2);
   data::rescale(values, 0.0f, 100.0f);
 
-  const auto r = core::compress<float>(values, dims,
-                                       core::ControlRequest::fixed_psnr(60.0));
+  const auto r = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(60.0));
   const auto out = core::decompress<float>(r.stream);
 
   const double err_white =

@@ -67,7 +67,6 @@ std::vector<std::uint8_t> single_field_bytes(const data::Field& field,
                                              double target_db,
                                              const core::CompressOptions& base) {
   core::CompressOptions opts = base;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = 1;
   return core::compress_blocked<float>(field.span(), field.dims,
                                        core::ControlRequest::fixed_psnr(target_db),
@@ -163,29 +162,6 @@ TEST(BatchQueue, StreamingWritersMatchInMemoryBytes) {
   }
 }
 
-TEST(BatchQueue, SequentialFallbackMatchesQueue) {
-  const auto ds = mixed_dataset();
-  const double target = 75.0;
-
-  core::BatchOptions queue_opts;
-  queue_opts.threads = 4;
-  queue_opts.keep_streams = true;
-  const auto with_queue = core::run_fixed_psnr_batch(ds, target, queue_opts);
-
-  core::BatchOptions seq_opts = queue_opts;
-  seq_opts.global_queue = false;
-  const auto sequential = core::run_fixed_psnr_batch(ds, target, seq_opts);
-
-  ASSERT_EQ(with_queue.fields.size(), sequential.fields.size());
-  for (std::size_t i = 0; i < with_queue.fields.size(); ++i) {
-    EXPECT_EQ(with_queue.fields[i].stream, sequential.fields[i].stream);
-    EXPECT_DOUBLE_EQ(with_queue.fields[i].actual_psnr_db,
-                     sequential.fields[i].actual_psnr_db);
-    EXPECT_DOUBLE_EQ(with_queue.fields[i].compression_ratio,
-                     sequential.fields[i].compression_ratio);
-  }
-}
-
 TEST(BatchQueue, VerifyOffReportsTheExactRecordedPsnr) {
   const auto ds = mixed_dataset();
   const double target = 68.0;
@@ -216,7 +192,7 @@ TEST(BatchQueue, ExplicitTileAndEnginePassThrough) {
   const auto ds = mixed_dataset();
   const double target = 64.0;
   core::CompressOptions base;
-  base.engine = core::Engine::Interp;
+  base.engine = core::kCodecInterp;
   base.parallel.tile = {7};  // deliberately awkward slab tile
 
   core::BatchOptions opts;

@@ -1,4 +1,5 @@
-// Tests for the high-level compression facade (core::compress).
+// Tests for the engine entry points: core::compress_blocked under every
+// control mode, and core::decompress's format dispatch.
 #include "core/compressor.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "core/pipeline.h"
 #include "data/synth.h"
 #include "metrics/metrics.h"
+#include "transform/transform_codec.h"
 
 namespace core = fpsnr::core;
 namespace data = fpsnr::data;
@@ -21,11 +23,18 @@ std::vector<float> sample_field(const data::Dims& dims, std::uint64_t seed) {
   return v;
 }
 
-core::CompressResult compress_fixed_psnr(std::span<const float> values,
-                                         const data::Dims& dims, double target,
-                                         const core::CompressOptions& opts = {}) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target), opts);
+/// One whole-field block (tile {0}): the paper's single-stream setting.
+core::CompressOptions whole_field() {
+  core::CompressOptions opts;
+  opts.parallel.tile = {0};
+  return opts;
+}
+
+core::CompressResult compress_fixed_psnr(
+    std::span<const float> values, const data::Dims& dims, double target,
+    const core::CompressOptions& opts = whole_field()) {
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target), opts);
 }
 
 metrics::ErrorReport verify_stream(std::span<const float> values,
@@ -63,8 +72,8 @@ TEST(Compressor, HigherTargetCostsMoreBits) {
 TEST(Compressor, AbsoluteModePredictionCompletedFromData) {
   const data::Dims dims{48, 48};
   const auto values = sample_field(dims, 3);
-  const auto r =
-      core::compress<float>(values, dims, core::ControlRequest::absolute(0.01));
+  const auto r = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::absolute(0.01), whole_field());
   EXPECT_FALSE(std::isnan(r.predicted_psnr_db));
   const auto rep = verify_stream(values, r.stream);
   EXPECT_LE(rep.max_abs_error, 0.01 * (1.0 + 1e-9));
@@ -72,21 +81,21 @@ TEST(Compressor, AbsoluteModePredictionCompletedFromData) {
   EXPECT_NEAR(rep.psnr_db, r.predicted_psnr_db, 2.5);
 }
 
-TEST(Compressor, PointwiseModeThroughFacade) {
+TEST(Compressor, PointwiseModeThroughPipeline) {
   const data::Dims dims{32, 32};
   auto values = sample_field(dims, 4);
-  const auto r =
-      core::compress<float>(values, dims, core::ControlRequest::pointwise(0.02));
+  const auto r = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::pointwise(0.02));
   const auto out = core::decompress<float>(r.stream);
   for (std::size_t i = 0; i < values.size(); ++i)
-    ASSERT_LE(std::abs(out.values[i] - values[i]),
-              0.02 * std::abs(values[i]) * (1.0 + 1e-6));
+    ASSERT_LE(std::abs(static_cast<double>(out.values[i]) - values[i]),
+              0.02 * std::abs(static_cast<double>(values[i])));
 }
 
 TEST(Compressor, TransformEnginesHitPsnrTargets) {
   const data::Dims dims{64, 64};
   const auto values = sample_field(dims, 5);
-  for (auto engine : {core::Engine::TransformHaar, core::Engine::TransformDct}) {
+  for (auto engine : {core::kCodecTransformHaar, core::kCodecTransformDct}) {
     core::CompressOptions opts;
     opts.engine = engine;
     const auto r = compress_fixed_psnr(values, dims, 70.0, opts);
@@ -99,45 +108,47 @@ TEST(Compressor, TransformEnginesHitPsnrTargets) {
 TEST(Compressor, SelfDescribingDecompressDispatch) {
   const data::Dims dims{32, 32};
   const auto values = sample_field(dims, 6);
-  core::CompressOptions sz_opts;  // default engine
-  core::CompressOptions tc_opts;
-  tc_opts.engine = core::Engine::TransformHaar;
-  const auto a = compress_fixed_psnr(values, dims, 60.0, sz_opts);
-  const auto b = compress_fixed_psnr(values, dims, 60.0, tc_opts);
-  // Same entry point decompresses both container formats.
-  EXPECT_EQ(core::decompress<float>(a.stream).values.size(), values.size());
-  EXPECT_EQ(core::decompress<float>(b.stream).values.size(), values.size());
+  // Legacy flat FPSZ / FPTC streams (what older archives hold) next to
+  // the FPBK container every compression now writes.
+  fpsnr::sz::Params sp;
+  sp.bound = 1e-3;
+  const auto flat_sz = fpsnr::sz::compress<float>(values, dims, sp);
+  fpsnr::transform::Params tp;
+  tp.bin_width = 0.05;
+  const auto flat_tc = fpsnr::transform::compress<float>(values, dims, tp);
+  const auto fpbk = compress_fixed_psnr(values, dims, 60.0).stream;
+  // Same entry point decompresses all three formats.
+  for (const auto* stream : {&flat_sz, &flat_tc, &fpbk})
+    EXPECT_EQ(core::decompress<float>(*stream).values.size(), values.size());
 }
 
 TEST(Compressor, TransformEngineRejectsPointwise) {
   const data::Dims dims{16, 16};
   const auto values = sample_field(dims, 7);
   core::CompressOptions opts;
-  opts.engine = core::Engine::TransformDct;
-  EXPECT_THROW(
-      core::compress<float>(values, dims, core::ControlRequest::pointwise(0.01), opts),
-      std::invalid_argument);
+  opts.engine = core::kCodecTransformDct;
+  EXPECT_THROW(core::compress_blocked<float>(
+                   values, dims, core::ControlRequest::pointwise(0.01), opts),
+               std::invalid_argument);
 }
 
-TEST(Compressor, FixedRateRoutesThroughBlockPipeline) {
-  // FixedRate used to be rejected here; it is now a first-class mode that
-  // always routes through the block pipeline's per-block rate bisection
-  // (there is no serial flat-stream form of a rate-searched field).
+TEST(Compressor, FixedRateSearchesPerBlock) {
+  // FixedRate runs the block pipeline's per-block rate bisection.
   const data::Dims dims{64, 64};
   const auto values = sample_field(dims, 8);
-  const auto r =
-      core::compress<float>(values, dims, core::ControlRequest::fixed_rate(8.0));
+  const auto r = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_rate(8.0));
   EXPECT_TRUE(core::is_block_stream(r.stream));
   EXPECT_TRUE(std::isnan(r.predicted_psnr_db));  // no closed-form prediction
   const auto d = core::decompress<float>(r.stream);
   EXPECT_EQ(d.values.size(), values.size());
   // Invalid budgets are still rejected.
-  EXPECT_THROW(
-      core::compress<float>(values, dims, core::ControlRequest::fixed_rate(0.0)),
-      std::invalid_argument);
-  EXPECT_THROW(
-      core::compress<float>(values, dims, core::ControlRequest::fixed_rate(-4.0)),
-      std::invalid_argument);
+  EXPECT_THROW(core::compress_blocked<float>(
+                   values, dims, core::ControlRequest::fixed_rate(0.0)),
+               std::invalid_argument);
+  EXPECT_THROW(core::compress_blocked<float>(
+                   values, dims, core::ControlRequest::fixed_rate(-4.0)),
+               std::invalid_argument);
 }
 
 TEST(Compressor, ReportedInfoConsistent) {

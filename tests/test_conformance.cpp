@@ -35,7 +35,7 @@ namespace {
 namespace fs = std::filesystem;
 
 struct Case {
-  core::Engine engine;
+  core::CodecId engine;
   double target_db;
   data::Dims dims;
   std::vector<std::size_t> tile;
@@ -45,10 +45,8 @@ struct Case {
 
 /// Registry name of the engine — the same string the CLI and the Session
 /// accept, so the test sweep can never drift from the live codec set.
-std::string engine_name(core::Engine e) {
-  return std::string(core::CodecRegistry::instance()
-                         .at(static_cast<core::CodecId>(e))
-                         .name());
+std::string engine_name(core::CodecId e) {
+  return std::string(core::CodecRegistry::instance().at(e).name());
 }
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
@@ -67,12 +65,12 @@ std::string case_name(const ::testing::TestParamInfo<Case>& info) {
 }
 
 std::vector<Case> all_cases() {
-  const core::Engine engines[] = {core::Engine::SzLorenzo,
-                                  core::Engine::TransformHaar,
-                                  core::Engine::TransformDct,
-                                  core::Engine::Interp,
-                                  core::Engine::ZfpRate,
-                                  core::Engine::Store};
+  const core::CodecId engines[] = {core::kCodecSzLorenzo,
+                                   core::kCodecTransformHaar,
+                                   core::kCodecTransformDct,
+                                   core::kCodecInterp,
+                                   core::kCodecZfpRate,
+                                   core::kCodecStore};
   const double targets[] = {40.0, 60.0, 80.0};
   // One slab and (for rank >= 2) one full-rank tile per rank; no extent
   // divides its field, so the short trailing tile is exercised on every
@@ -85,7 +83,7 @@ std::vector<Case> all_cases() {
       {data::Dims{14, 20, 18}, {5, 7, 6}}, // full-rank non-slab tile
   };
   std::vector<Case> cases;
-  for (core::Engine e : engines)
+  for (core::CodecId e : engines)
     for (double t : targets)
       for (const auto& [dims, tile] : shapes)
         for (bool constant : {false, true})
@@ -93,7 +91,7 @@ std::vector<Case> all_cases() {
   // Adaptive budgets must honour the same contract; sweep every codec over
   // the 2-D shape at the middle target, on the non-slab tile so the
   // rank-aware residual probe sees gathered tile interiors.
-  for (core::Engine e : engines)
+  for (core::CodecId e : engines)
     cases.push_back({e, 60.0, data::Dims{52, 36}, {15, 10}, false,
                      core::BudgetMode::Adaptive});
   return cases;
@@ -178,7 +176,7 @@ TEST_P(Conformance, MeetsPsnrTargetAndStreamsByteIdentically) {
   const auto decoded = make_session(2).decompress(
       fpsnr::Source::memory(std::span<const std::uint8_t>(mem.archive)));
   const auto report = metrics::compare<float>(values, decoded.f32);
-  if (c.constant || c.engine == core::Engine::Store) {
+  if (c.constant || c.engine == core::kCodecStore) {
     EXPECT_EQ(decoded.f32, values)
         << (c.constant ? "constant field" : "store codec")
         << " must stay exact";
@@ -216,7 +214,6 @@ TEST_P(Conformance, MeetsPsnrTargetAndStreamsByteIdentically) {
   core::CompressOptions lopts;
   lopts.engine = c.engine;
   lopts.budget = c.budget;
-  lopts.parallel.block_pipeline = true;
   lopts.parallel.threads = 2;
   lopts.parallel.tile = c.tile;
   const auto legacy = core::compress_blocked<float>(

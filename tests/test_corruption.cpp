@@ -34,7 +34,6 @@ std::vector<std::uint8_t> valid_container() {
   auto values = data::smoothed_noise(dims, 29, 2, 2);
   data::rescale(values, -1.0f, 5.0f);
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.tile = {8};
   return core::compress_blocked<float>(std::span<const float>(values), dims,
                                        core::ControlRequest::fixed_psnr(60.0),

@@ -105,7 +105,7 @@ data::Dims random_dims(std::mt19937_64& rng) {
 struct FuzzCase {
   data::Dims dims{1};
   Content content = Content::Smooth;
-  core::Engine engine = core::Engine::SzLorenzo;
+  core::CodecId engine = core::kCodecSzLorenzo;
   core::BudgetMode budget = core::BudgetMode::Uniform;
   double target_db = 60.0;
   std::vector<std::size_t> tile;  ///< empty = auto near-cubic tile
@@ -135,12 +135,12 @@ FuzzCase draw_case(std::mt19937_64& rng, int iteration) {
   c.content = static_cast<Content>(rng() % 4);
   // Round-robin over every registered codec so all of them see every
   // content class across the sweep.
-  const core::Engine engines[] = {core::Engine::SzLorenzo,
-                                  core::Engine::TransformHaar,
-                                  core::Engine::TransformDct,
-                                  core::Engine::Interp,
-                                  core::Engine::ZfpRate,
-                                  core::Engine::Store};
+  const core::CodecId engines[] = {core::kCodecSzLorenzo,
+                                   core::kCodecTransformHaar,
+                                   core::kCodecTransformDct,
+                                   core::kCodecInterp,
+                                   core::kCodecZfpRate,
+                                   core::kCodecStore};
   c.engine = engines[iteration % 6];
   c.budget = rng() % 2 ? core::BudgetMode::Adaptive : core::BudgetMode::Uniform;
   const double targets[] = {40.0, 60.0, 80.0};
@@ -158,23 +158,21 @@ core::CompressOptions options_for(const FuzzCase& c, std::size_t threads) {
   core::CompressOptions opts;
   opts.engine = c.engine;
   opts.budget = c.budget;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = threads;
   opts.parallel.tile = c.tile;
   return opts;
 }
 
-bool pointwise_engine(core::Engine e) {
-  return e == core::Engine::SzLorenzo || e == core::Engine::Interp ||
-         e == core::Engine::Store;
+bool pointwise_engine(core::CodecId e) {
+  return e == core::kCodecSzLorenzo || e == core::kCodecInterp ||
+         e == core::kCodecStore;
 }
 
 /// The same case expressed through the public Session facade.
 fpsnr::Session session_for(const FuzzCase& c, std::size_t threads) {
   fpsnr::SessionOptions opts;
-  opts.engine = std::string(core::CodecRegistry::instance()
-                                .at(static_cast<core::CodecId>(c.engine))
-                                .name());
+  opts.engine =
+      std::string(core::CodecRegistry::instance().at(c.engine).name());
   opts.budget =
       c.budget == core::BudgetMode::Adaptive ? "adaptive" : "uniform";
   opts.threads = threads;
@@ -245,7 +243,7 @@ TEST(FuzzRoundTrip, SeededSweepHoldsAllPipelineProperties) {
     ASSERT_EQ(out.values.size(), values.size());
     const auto info = core::inspect_block_stream(r1.stream);
     const auto report = metrics::compare<float>(values, out.values);
-    if (c.engine == core::Engine::Store || c.content == Content::Constant) {
+    if (c.engine == core::kCodecStore || c.content == Content::Constant) {
       EXPECT_EQ(out.values, values);
     } else {
       if (pointwise_engine(c.engine)) {
@@ -328,7 +326,7 @@ TEST(FuzzRoundTrip, DoubleScalarSweep) {
     ASSERT_EQ(out.dims, c.dims);
     const auto report = metrics::compare<double>(values, out.values);
     const auto info = core::inspect_block_stream(r1.stream);
-    if (c.engine == core::Engine::Store || c.content == Content::Constant)
+    if (c.engine == core::kCodecStore || c.content == Content::Constant)
       EXPECT_EQ(out.values, values);
     else
       EXPECT_GE(report.psnr_db, c.target_db - 2.0);
@@ -346,7 +344,7 @@ TEST(FuzzRoundTrip, FixedRateSweep) {
   std::mt19937_64 rng(kSeed ^ 0xF1CED);
   for (int it = 0; it < 10; ++it) {
     FuzzCase c = draw_case(rng, it);
-    if (c.engine == core::Engine::Store) c.engine = core::Engine::SzLorenzo;
+    if (c.engine == core::kCodecStore) c.engine = core::kCodecSzLorenzo;
     const double bits = 4.0 + static_cast<double>(rng() % 9);
     SCOPED_TRACE("rate iteration " + std::to_string(it) + " bits=" +
                  std::to_string(bits) + ": " + c.describe());

@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "core/batch.h"
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "core/distortion_model.h"
 #include "core/search_baseline.h"
 #include "data/dataset.h"
@@ -22,8 +22,8 @@ const data::DatasetConfig kSmall{0.4, 2026};
 
 core::CompressResult compress_fixed_psnr(std::span<const float> values,
                                          const data::Dims& dims, double target) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target));
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target));
 }
 
 metrics::ErrorReport verify_stream(std::span<const float> values,
@@ -50,7 +50,7 @@ TEST(Integration, AllDatasetsAllModesRoundTrip) {
         {core::ControlRequest::fixed_psnr(70.0), "psnr"},
     };
     for (const auto& c : cases) {
-      const auto r = core::compress<float>(f.span(), f.dims, c.request);
+      const auto r = core::compress_blocked<float>(f.span(), f.dims, c.request);
       const auto rep = verify_stream(f.span(), r.stream);
       EXPECT_LE(rep.max_abs_error, vr * 1e-3 * (1 + 1e-9))
           << ds.name << "/" << f.name << " mode " << c.name

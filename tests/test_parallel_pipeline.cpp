@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "core/codec_registry.h"
 #include "data/synth.h"
@@ -29,7 +31,6 @@ std::vector<float> sample_field(const data::Dims& dims, std::uint64_t seed) {
 core::CompressOptions pipeline_options(std::size_t threads,
                                        std::size_t slab_rows = 0) {
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = threads;
   if (slab_rows) opts.parallel.tile = {slab_rows};
   return opts;
@@ -53,11 +54,11 @@ TEST(ParallelPipeline, StreamBytesIndependentOfThreadCount) {
   const auto values = sample_field(dims, 3);
   const auto request = core::ControlRequest::fixed_psnr(70.0);
 
-  const auto serial =
-      core::compress<float>(values, dims, request, pipeline_options(1, 8));
+  const auto serial = core::compress_blocked<float>(values, dims, request,
+                                                    pipeline_options(1, 8));
   for (std::size_t threads : {2u, 4u, 8u}) {
-    const auto parallel = core::compress<float>(values, dims, request,
-                                                pipeline_options(threads, 8));
+    const auto parallel = core::compress_blocked<float>(
+        values, dims, request, pipeline_options(threads, 8));
     ASSERT_EQ(serial.stream, parallel.stream) << "threads=" << threads;
   }
 }
@@ -67,10 +68,10 @@ TEST(ParallelPipeline, RoundTripIdenticalSerialVsParallel) {
   const auto values = sample_field(dims, 5);
   const auto request = core::ControlRequest::relative(1e-4);
 
-  const auto a = core::compress<float>(values, dims, request,
-                                       pipeline_options(1, 6));
-  const auto b = core::compress<float>(values, dims, request,
-                                       pipeline_options(4, 6));
+  const auto a = core::compress_blocked<float>(values, dims, request,
+                                               pipeline_options(1, 6));
+  const auto b = core::compress_blocked<float>(values, dims, request,
+                                               pipeline_options(4, 6));
   const auto da = core::decompress<float>(a.stream);
   const auto db = core::decompress_blocked<float>(b.stream, 4);
   EXPECT_EQ(da.values, db.values);
@@ -85,14 +86,13 @@ TEST(ParallelPipeline, PsnrTargetMetForEveryThreadCount) {
   const double target_db = 70.0;
 
   // The model is analytical (Eq. 6/7): achieved PSNR tracks the target to
-  // within the same tolerance the serial facade tests use, and it must be
+  // within the same tolerance the whole-field tests use, and it must be
   // IDENTICAL across thread counts (the streams are byte-equal).
   double first_psnr = 0.0;
   for (std::size_t threads : {1u, 2u, 4u}) {
-    const auto result =
-        core::compress<float>(values, dims,
-                              core::ControlRequest::fixed_psnr(target_db),
-                              pipeline_options(threads, 10));
+    const auto result = core::compress_blocked<float>(
+        values, dims, core::ControlRequest::fixed_psnr(target_db),
+        pipeline_options(threads, 10));
     const auto report = verify_stream<float>(values, result.stream);
     EXPECT_NEAR(report.psnr_db, target_db, 3.0)
         << "threads=" << threads << " strayed from the PSNR target";
@@ -110,8 +110,8 @@ TEST(ParallelPipeline, PointwiseBoundHoldsAcrossBlockBoundaries) {
   const double vr = metrics::value_range<float>(values);
   const auto request = core::ControlRequest::relative(1e-4);
 
-  const auto result =
-      core::compress<float>(values, dims, request, pipeline_options(4, 5));
+  const auto result = core::compress_blocked<float>(values, dims, request,
+                                                    pipeline_options(4, 5));
   const auto out = core::decompress<float>(result.stream);
   for (std::size_t i = 0; i < values.size(); ++i)
     ASSERT_LE(std::abs(static_cast<double>(values[i]) - out.values[i]),
@@ -123,8 +123,8 @@ TEST(ParallelPipeline, TransformEngineMeetsPsnrThroughPipeline) {
   const data::Dims dims{64, 64};
   const auto values = sample_field(dims, 11);
   core::CompressOptions opts = pipeline_options(2, 16);
-  opts.engine = core::Engine::TransformHaar;
-  const auto result = core::compress<float>(
+  opts.engine = core::kCodecTransformHaar;
+  const auto result = core::compress_blocked<float>(
       values, dims, core::ControlRequest::fixed_psnr(60.0), opts);
   const auto report = verify_stream<float>(values, result.stream);
   EXPECT_GE(report.psnr_db, 60.0);
@@ -135,7 +135,7 @@ TEST(ParallelPipeline, TransformEngineMeetsPsnrThroughPipeline) {
 TEST(ParallelPipeline, RandomAccessBlockMatchesFullDecode) {
   const data::Dims dims{50, 30};
   const auto values = sample_field(dims, 13);
-  const auto result = core::compress<float>(
+  const auto result = core::compress_blocked<float>(
       values, dims, core::ControlRequest::fixed_psnr(65.0),
       pipeline_options(2, 8));
 
@@ -160,7 +160,7 @@ TEST(ParallelPipeline, RandomAccessBlockMatchesFullDecode) {
 TEST(ParallelPipeline, InspectReportsTheRequest) {
   const data::Dims dims{24, 24};
   const auto values = sample_field(dims, 15);
-  const auto result = core::compress<float>(
+  const auto result = core::compress_blocked<float>(
       values, dims, core::ControlRequest::fixed_psnr(72.0),
       pipeline_options(1, 6));
   ASSERT_TRUE(core::is_block_stream(result.stream));
@@ -220,7 +220,7 @@ TEST(ParallelPipeline, WriterRejectsMissingAndDuplicateBlocks) {
 TEST(ParallelPipeline, CorruptionRejected) {
   const data::Dims dims{16, 16};
   const auto values = sample_field(dims, 17);
-  const auto result = core::compress<float>(
+  const auto result = core::compress_blocked<float>(
       values, dims, core::ControlRequest::relative(1e-3),
       pipeline_options(1, 4));
 
@@ -236,13 +236,97 @@ TEST(ParallelPipeline, CorruptionRejected) {
 
 // --- engine policy -----------------------------------------------------------
 
-TEST(ParallelPipeline, UnsupportedModesThrow) {
+// --- pointwise-relative through the pipeline --------------------------------
+
+namespace {
+
+/// Signed field with values under the zero floor, exact zeros, and
+/// non-finite samples mixed in.
+std::vector<float> pwrel_field(const data::Dims& dims) {
+  auto v = sample_field(dims, 27);
+  for (std::size_t i = 0; i < v.size(); i += 13) v[i] = -v[i];
+  for (std::size_t i = 3; i < v.size(); i += 101) v[i] = 0.0f;
+  for (std::size_t i = 5; i < v.size(); i += 89) v[i] = 1e-35f;
+  v[7] = std::numeric_limits<float>::quiet_NaN();
+  v[11] = std::numeric_limits<float>::infinity();
+  v[17] = -std::numeric_limits<float>::infinity();
+  return v;
+}
+
+}  // namespace
+
+TEST(ParallelPipeline, PointwiseRelBoundHoldsOnEveryValue) {
+  const data::Dims dims{61, 40};
+  const auto values = pwrel_field(dims);
+  for (const double eps : {1e-1, 1e-2, 1e-4}) {
+    SCOPED_TRACE(eps);
+    const auto result = core::compress_blocked<float>(
+        values, dims, core::ControlRequest::pointwise(eps),
+        pipeline_options(2, 16));
+    ASSERT_TRUE(core::is_block_stream(result.stream));
+    const auto out = core::decompress<float>(result.stream);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const double x = values[i];
+      const double r = out.values[i];
+      if (!std::isfinite(x) || std::abs(x) < 1e-30) {
+        // Non-finite values and values under the zero floor are stored
+        // exactly (bit for bit: NaN stays NaN, signs survive).
+        ASSERT_EQ(std::memcmp(&values[i], &out.values[i], sizeof(float)), 0)
+            << "point " << i;
+        continue;
+      }
+      ASSERT_LE(std::abs(r - x), eps * std::abs(x))
+          << "point " << i << " orig " << x << " recon " << r;
+    }
+  }
+}
+
+TEST(ParallelPipeline, PointwiseRelBytesIndependentOfThreadCount) {
+  const data::Dims dims{20, 30, 24};
+  auto values = sample_field(dims, 29);
+  for (std::size_t i = 0; i < values.size(); i += 7) values[i] = -values[i];
+  const auto request = core::ControlRequest::pointwise(1e-2);
+  auto opts = pipeline_options(1);
+  opts.parallel.tile = {8, 8, 8};
+  const auto one = core::compress_blocked<float>(values, dims, request, opts);
+  for (const std::size_t threads : {2u, 8u}) {
+    opts.parallel.threads = threads;
+    EXPECT_EQ(core::compress_blocked<float>(values, dims, request, opts).stream,
+              one.stream)
+        << "threads=" << threads;
+  }
+  // Header: per-block bounds (eb_abs = 0), the request, a uniform plan,
+  // and a real per-block SSE column.
+  const auto info = core::inspect_block_stream(one.stream);
+  EXPECT_EQ(info.block_count, 3u * 4u * 3u);
+  EXPECT_EQ(info.control_mode, core::ControlMode::PointwiseRelative);
+  EXPECT_DOUBLE_EQ(info.control_value, 1e-2);
+  EXPECT_EQ(info.eb_abs, 0.0);
+  EXPECT_EQ(info.budget_mode, core::BudgetMode::Uniform);
+  EXPECT_GT(info.achieved_sse, 0.0);
+  EXPECT_DOUBLE_EQ(info.achieved_psnr_db, one.achieved_psnr_db);
+  EXPECT_TRUE(std::isnan(one.predicted_psnr_db));
+}
+
+TEST(ParallelPipeline, PointwiseRelNeedsTheSzCodec) {
   const data::Dims dims{8, 8};
   const auto values = sample_field(dims, 19);
-  EXPECT_THROW(core::compress<float>(values, dims,
-                                     core::ControlRequest::pointwise(0.01),
-                                     pipeline_options(2)),
-               std::invalid_argument);
+  for (const core::CodecId e :
+       {core::kCodecTransformHaar, core::kCodecTransformDct,
+        core::kCodecInterp, core::kCodecZfpRate, core::kCodecStore}) {
+    auto opts = pipeline_options(2);
+    opts.engine = e;
+    EXPECT_THROW(core::compress_blocked<float>(
+                     values, dims, core::ControlRequest::pointwise(0.01), opts),
+                 std::invalid_argument)
+        << "engine " << static_cast<int>(e);
+  }
+  for (const double eps : {0.0, -0.1, std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(core::compress_blocked<float>(
+                     values, dims, core::ControlRequest::pointwise(eps),
+                     pipeline_options(2)),
+                 std::invalid_argument)
+        << "eps " << eps;
 }
 
 TEST(ParallelPipeline, FixedRateSearchesPerBlockAndStaysDeterministic) {
@@ -254,10 +338,10 @@ TEST(ParallelPipeline, FixedRateSearchesPerBlockAndStaysDeterministic) {
   const double bits = 7.0;
   auto opts = pipeline_options(1);
   opts.parallel.tile = {16};
-  const auto one = core::compress<float>(
+  const auto one = core::compress_blocked<float>(
       values, dims, core::ControlRequest::fixed_rate(bits), opts);
   opts.parallel.threads = 4;
-  const auto four = core::compress<float>(
+  const auto four = core::compress_blocked<float>(
       values, dims, core::ControlRequest::fixed_rate(bits), opts);
   EXPECT_EQ(one.stream, four.stream);
 
@@ -277,30 +361,28 @@ TEST(ParallelPipeline, FixedRateSearchesPerBlockAndStaysDeterministic) {
   EXPECT_EQ(block.dims[0], 16u);
 }
 
-TEST(ParallelPipeline, InvalidRequestsRejectedLikeSerialPath) {
-  // The pipeline must validate requests exactly as the serial facade does
-  // (it routes through resolve_control), not clamp them to a tiny budget.
+TEST(ParallelPipeline, InvalidRequestsRejected) {
+  // The pipeline validates requests through resolve_control; it must not
+  // clamp them to a tiny budget.
   const data::Dims dims{8, 8};
   const auto values = sample_field(dims, 25);
-  EXPECT_THROW(core::compress<float>(values, dims,
-                                     core::ControlRequest::absolute(-1.0),
-                                     pipeline_options(2)),
+  EXPECT_THROW(core::compress_blocked<float>(
+                   values, dims, core::ControlRequest::absolute(-1.0),
+                   pipeline_options(2)),
                std::invalid_argument);
-  EXPECT_THROW(
-      core::compress<float>(
-          values, dims,
-          core::ControlRequest::fixed_psnr(std::nan("")), pipeline_options(2)),
-      std::invalid_argument);
+  EXPECT_THROW(core::compress_blocked<float>(
+                   values, dims, core::ControlRequest::fixed_psnr(std::nan("")),
+                   pipeline_options(2)),
+               std::invalid_argument);
 }
 
 TEST(ParallelPipeline, ConstantFieldCompressesExactly) {
-  // vr == 0 must not throw (the serial fixed-PSNR path handles it); the
-  // fallback budget keeps every point exact.
+  // vr == 0 must not throw; the fallback budget keeps every point exact.
   const data::Dims dims{12, 12};
   const std::vector<float> values(dims.count(), 4.25f);
-  const auto result =
-      core::compress<float>(values, dims, core::ControlRequest::fixed_psnr(80.0),
-                            pipeline_options(2, 4));
+  const auto result = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(80.0),
+      pipeline_options(2, 4));
   const auto out = core::decompress<float>(result.stream);
   EXPECT_EQ(out.values, values);
 }
@@ -354,12 +436,12 @@ TEST(ParallelPipeline, AutoTileIsDeterministic) {
             (std::vector<std::size_t>{4, 90, 90}));  // pancake redistribution
 
   const auto values = sample_field({97, 33}, 21);
-  const auto a = core::compress<float>(values, data::Dims{97, 33},
-                                       core::ControlRequest::fixed_psnr(60.0),
-                                       pipeline_options(1));
-  const auto b = core::compress<float>(values, data::Dims{97, 33},
-                                       core::ControlRequest::fixed_psnr(60.0),
-                                       pipeline_options(8));
+  const auto a = core::compress_blocked<float>(
+      values, data::Dims{97, 33}, core::ControlRequest::fixed_psnr(60.0),
+      pipeline_options(1));
+  const auto b = core::compress_blocked<float>(
+      values, data::Dims{97, 33}, core::ControlRequest::fixed_psnr(60.0),
+      pipeline_options(8));
   EXPECT_EQ(a.stream, b.stream);
 }
 
@@ -380,7 +462,7 @@ TEST(ParallelPipeline, DoubleScalarRoundTrip) {
   const data::Dims dims{40, 16};
   const auto f = sample_field(dims, 23);
   std::vector<double> values(f.begin(), f.end());
-  const auto result = core::compress<double>(
+  const auto result = core::compress_blocked<double>(
       values, dims, core::ControlRequest::fixed_psnr(90.0),
       pipeline_options(2, 7));
   const auto report = verify_stream<double>(values, result.stream);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.h"
 #include "data/synth.h"
 
 namespace core = fpsnr::core;
@@ -88,8 +89,8 @@ TEST(FixedRate, RateMonotoneInBound) {
   const auto values = sample_field(dims, 6);
   double prev_rate = 1e9;
   for (double eb : {1e-6, 1e-4, 1e-2}) {
-    const auto r =
-        core::compress<float>(values, dims, core::ControlRequest::relative(eb));
+    const auto r = core::compress_blocked<float>(
+        values, dims, core::ControlRequest::relative(eb));
     EXPECT_LT(r.info.bit_rate, prev_rate);
     prev_rate = r.info.bit_rate;
   }

@@ -1,9 +1,9 @@
-// The public fpsnr::Session facade, and the legacy option plumbing it
+// The public fpsnr::Session facade, and the engine option plumbing it
 // wraps.
 //
 // Facade contract under test here:
 //   * every Target × {memory, file, stream} Sink produces archives
-//     byte-identical to the legacy core:: entry points (same engine runs
+//     byte-identical to the core:: pipeline entry points (same engine runs
 //     underneath), and every Source shape decodes them back;
 //   * Target::FixedRate lands within ±5% of the requested bits/value
 //     (payload bytes — the quantity the per-block search controls) across
@@ -29,6 +29,7 @@
 #include "data/synth.h"
 #include "io/archive.h"
 #include "metrics/metrics.h"
+#include "sz/codec.h"
 #include "sz/stream_format.h"
 
 namespace core = fpsnr::core;
@@ -59,8 +60,13 @@ fs::path temp_file(const std::string& stem) {
 core::CompressResult compress_fixed_psnr(std::span<const float> values,
                                          const data::Dims& dims, double target,
                                          const core::CompressOptions& opts = {}) {
-  return core::compress<float>(values, dims,
-                               core::ControlRequest::fixed_psnr(target), opts);
+  return core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_psnr(target), opts);
+}
+
+/// Header of the first block's self-describing sz payload.
+sz::StreamHeader first_block_header(std::span<const std::uint8_t> archive) {
+  return sz::inspect(io::block_container_entry(archive, 0));
 }
 
 fpsnr::metrics::ErrorReport verify_stream(std::span<const float> values,
@@ -77,7 +83,8 @@ TEST(FacadeOptions, PredictorReachesStreamHeader) {
   core::CompressOptions opts;
   opts.sz_predictor = sz::Predictor::HybridRegression;
   const auto r = compress_fixed_psnr(values, dims, 70.0, opts);
-  EXPECT_EQ(sz::inspect(r.stream).predictor, sz::Predictor::HybridRegression);
+  EXPECT_EQ(first_block_header(r.stream).predictor,
+            sz::Predictor::HybridRegression);
   const auto rep = verify_stream(values, r.stream);
   EXPECT_NEAR(rep.psnr_db, 70.0, 2.0);
 }
@@ -88,7 +95,7 @@ TEST(FacadeOptions, QuantizationBinsReachStream) {
   core::CompressOptions opts;
   opts.quantization_bins = 1024;
   const auto r = compress_fixed_psnr(values, dims, 60.0, opts);
-  EXPECT_EQ(sz::inspect(r.stream).quant_bins, 1024u);
+  EXPECT_EQ(first_block_header(r.stream).quant_bins, 1024u);
 }
 
 TEST(FacadeOptions, BackendChoicesAllDecodeIdentically) {
@@ -110,7 +117,7 @@ TEST(FacadeOptions, BackendChoicesAllDecodeIdentically) {
 }
 
 class FacadeMatrix
-    : public ::testing::TestWithParam<std::tuple<core::Engine, double>> {};
+    : public ::testing::TestWithParam<std::tuple<core::CodecId, double>> {};
 
 TEST_P(FacadeMatrix, EveryEngineHitsEveryTarget) {
   const auto [engine, target] = GetParam();
@@ -126,19 +133,17 @@ TEST_P(FacadeMatrix, EveryEngineHitsEveryTarget) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, FacadeMatrix,
-    ::testing::Combine(::testing::Values(core::Engine::SzLorenzo,
-                                         core::Engine::TransformHaar,
-                                         core::Engine::TransformDct),
+    ::testing::Combine(::testing::Values(core::kCodecSzLorenzo,
+                                         core::kCodecTransformHaar,
+                                         core::kCodecTransformDct),
                        ::testing::Values(50.0, 80.0, 110.0)));
 
-TEST(FacadeOptions, RegistryOnlyEnginesRouteThroughBlockPipeline) {
-  // Interp / ZfpRate / Store have no serial flat-stream path; the facade
-  // must emit an FPBK container for them even with no parallel knobs set,
-  // and decompress() must dispatch it transparently.
+TEST(FacadeOptions, EveryEngineWritesTheBlockContainer) {
+  // One write path: every codec emits an FPBK container even with no
+  // parallel knobs set, and decompress() dispatches it transparently.
   const data::Dims dims{48, 32};
   const auto values = sample_field(dims);
-  for (const core::Engine e :
-       {core::Engine::Interp, core::Engine::ZfpRate, core::Engine::Store}) {
+  for (const core::CodecId e : core::CodecRegistry::instance().ids()) {
     core::CompressOptions opts;
     opts.engine = e;
     const auto r = compress_fixed_psnr(values, dims, 60.0, opts);
@@ -175,23 +180,13 @@ TEST(FacadeOptions, RegistryNameLookupListsRegisteredCodecs) {
   }
 }
 
-TEST(FacadeOptions, AdaptiveBudgetRoutesThroughBlockPipeline) {
-  const data::Dims dims{48, 32};
-  const auto values = sample_field(dims);
-  core::CompressOptions opts;
-  opts.budget = core::BudgetMode::Adaptive;
-  const auto r = compress_fixed_psnr(values, dims, 60.0, opts);
-  EXPECT_TRUE(core::is_block_stream(r.stream));
-  EXPECT_GT(verify_stream(values, r.stream).psnr_db, 59.0);
-}
-
 TEST(FacadeOptions, HybridPredictorIgnoredByTransformEngines) {
   // Transform engines have no Lorenzo/regression stage; the option must be
   // harmless, not an error.
   const data::Dims dims{32, 32};
   const auto values = sample_field(dims);
   core::CompressOptions opts;
-  opts.engine = core::Engine::TransformHaar;
+  opts.engine = core::kCodecTransformHaar;
   opts.sz_predictor = sz::Predictor::HybridRegression;
   EXPECT_NO_THROW({
     const auto r = compress_fixed_psnr(values, dims, 70.0, opts);
@@ -213,7 +208,7 @@ using fpsnr::Sink;
 using fpsnr::Source;
 using fpsnr::Target;
 
-/// The Targets the byte-identity sweep covers, with their legacy
+/// The Targets the byte-identity sweep covers, with their core
 /// ControlRequest twins.
 struct TargetCase {
   const char* name;
@@ -221,7 +216,7 @@ struct TargetCase {
   core::ControlRequest request;
 };
 
-std::vector<TargetCase> block_pipeline_targets() {
+std::vector<TargetCase> all_targets() {
   return {
       {"fixed_psnr", fpsnr::FixedPsnr{70.0},
        core::ControlRequest::fixed_psnr(70.0)},
@@ -233,6 +228,8 @@ std::vector<TargetCase> block_pipeline_targets() {
        core::ControlRequest::relative(1e-4)},
       {"fixed_rate", fpsnr::FixedRate{8.0},
        core::ControlRequest::fixed_rate(8.0)},
+      {"pointwise_rel", fpsnr::PointwiseRel{0.01},
+       core::ControlRequest::pointwise(0.01)},
   };
 }
 
@@ -240,9 +237,9 @@ std::vector<TargetCase> block_pipeline_targets() {
 
 TEST(SessionApi, EveryTargetAndEverySinkMatchesLegacyBytes) {
   // The acceptance bar of the facade: for every Target, the memory, file,
-  // and stream sinks all emit the byte-exact archive the legacy
+  // and stream sinks all emit the byte-exact archive the core
   // compress_blocked / compress_to_file free functions emit, and both
-  // Source shapes decode it back to the legacy decompress output.
+  // Source shapes decode it back to the core decompress output.
   const data::Dims dims{72, 48};
   const auto values = sample_field(dims);
 
@@ -252,11 +249,10 @@ TEST(SessionApi, EveryTargetAndEverySinkMatchesLegacyBytes) {
   const Session session(sopts);
 
   core::CompressOptions lopts;
-  lopts.parallel.block_pipeline = true;
   lopts.parallel.threads = 2;
   lopts.parallel.tile = {16};
 
-  for (const TargetCase& tc : block_pipeline_targets()) {
+  for (const TargetCase& tc : all_targets()) {
     SCOPED_TRACE(tc.name);
     const auto legacy = core::compress_blocked<float>(
         std::span<const float>(values), dims, tc.request, lopts);
@@ -302,22 +298,77 @@ TEST(SessionApi, EveryTargetAndEverySinkMatchesLegacyBytes) {
   }
 }
 
-TEST(SessionApi, PointwiseRelMatchesLegacySerialBytes) {
-  // Pointwise-relative is the one Target with no block container: the
-  // facade runs the serial codec and must emit the legacy flat stream.
+TEST(SessionApi, PointwiseRelReportsTheMeasuredPsnr) {
+  // Pointwise-rel runs the block pipeline like every other Target, so its
+  // report carries the exact PSNR from the per-block SSE column (it used
+  // to be NaN on the old serial path).
   const data::Dims dims{40, 40};
   const auto values = sample_field(dims);
   const Session session;
-  const auto legacy = core::compress<float>(
-      std::span<const float>(values), dims, core::ControlRequest::pointwise(0.01));
-  const auto mem = session.compress(
+  const auto r = session.compress(
       Source::memory(std::span<const float>(values), dims.extents),
       fpsnr::PointwiseRel{0.01}, Sink::memory());
-  EXPECT_EQ(mem.archive, legacy.stream);
-  EXPECT_FALSE(core::is_block_stream(mem.archive));
+  EXPECT_TRUE(core::is_block_stream(r.archive));
+  ASSERT_TRUE(std::isfinite(r.achieved_psnr_db));
   const auto out = session.decompress(
-      Source::memory(std::span<const std::uint8_t>(mem.archive)));
-  EXPECT_EQ(out.f32, core::decompress<float>(legacy.stream).values);
+      Source::memory(std::span<const std::uint8_t>(r.archive)));
+  const auto rep = fpsnr::metrics::compare<float>(values, out.f32);
+  EXPECT_NEAR(r.achieved_psnr_db, rep.psnr_db, 1e-6);
+  const auto info = session.inspect(
+      Source::memory(std::span<const std::uint8_t>(r.archive)));
+  EXPECT_EQ(info.target, "pointwise-rel");
+  EXPECT_NEAR(info.achieved_psnr_db, rep.psnr_db, 1e-6);
+}
+
+TEST(SessionApi, AdaptiveBudgetAcceptsPointwiseRelWithUniformPlan) {
+  // Regression: an adaptive-budget session used to throw "only
+  // uniform-budget control modes are supported" for PointwiseRel. Like
+  // the other pointwise targets, it now compresses with the uniform plan.
+  const data::Dims dims{64, 48};
+  const auto values = sample_field(dims);
+  SessionOptions sopts;
+  sopts.budget = "adaptive";
+  sopts.tile = fpsnr::TileShape{16, 16};
+  const Session adaptive(sopts);
+  sopts.budget = "uniform";
+  const Session uniform(sopts);
+  const auto src =
+      Source::memory(std::span<const float>(values), dims.extents);
+  CompressReport r;
+  ASSERT_NO_THROW(r = adaptive.compress(src, fpsnr::PointwiseRel{0.01},
+                                        Sink::memory()));
+  EXPECT_EQ(r.archive,
+            uniform.compress(src, fpsnr::PointwiseRel{0.01}, Sink::memory())
+                .archive);
+  const auto info = adaptive.inspect(
+      Source::memory(std::span<const std::uint8_t>(r.archive)));
+  EXPECT_EQ(info.budget, "uniform");
+  EXPECT_EQ(info.block_count, 4u * 3u);
+}
+
+TEST(SessionApi, LegacyFlatPointwiseRelStreamStillDecodes) {
+  // Archives written before pointwise-rel joined the pipeline are flat
+  // FPSZ streams; Session must keep decoding and inspecting them.
+  const data::Dims dims{40, 40};
+  const auto values = sample_field(dims);
+  sz::Params params;
+  params.mode = sz::ErrorBoundMode::PointwiseRelative;
+  params.bound = 0.01;
+  const auto flat = sz::compress<float>(values, dims, params);
+  ASSERT_FALSE(core::is_block_stream(flat));
+
+  const Session session;
+  const auto src = Source::memory(std::span<const std::uint8_t>(flat));
+  const auto out = session.decompress(src);
+  EXPECT_EQ(out.f32, sz::decompress<float>(flat).values);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    ASSERT_LE(std::abs(static_cast<double>(out.f32[i]) - values[i]),
+              0.01 * std::abs(static_cast<double>(values[i])));
+  const auto info = session.inspect(src);
+  EXPECT_FALSE(info.block_container);
+  EXPECT_EQ(info.target, "pointwise-rel");
+  EXPECT_DOUBLE_EQ(info.target_value, 0.01);
+  EXPECT_EQ(info.dims, dims.extents);
 }
 
 TEST(SessionApi, RawFileSourceMatchesMemorySource) {
@@ -512,7 +563,6 @@ TEST(SessionApi, TuningReachesTheCodec) {
   EXPECT_NE(h.archive, l.archive);
   // The facade bytes equal the legacy bytes built with the same knob.
   core::CompressOptions lopts;
-  lopts.parallel.block_pipeline = true;
   lopts.sz_predictor = sz::Predictor::HybridRegression;
   const auto legacy = core::compress_blocked<float>(
       std::span<const float>(values), dims,
@@ -526,7 +576,6 @@ TEST(SessionApi, TuningReachesTheCodec) {
       Source::memory(std::span<const float>(values), dims.extents),
       fpsnr::FixedPsnr{70.0}, Sink::memory());
   core::CompressOptions bopts;
-  bopts.parallel.block_pipeline = true;
   bopts.quantization_bins = 1024;
   const auto blegacy = core::compress_blocked<float>(
       std::span<const float>(values), dims,

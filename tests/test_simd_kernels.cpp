@@ -530,10 +530,10 @@ TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytes) {
   data::rescale(values, -3.0f, 6.0f);
   const std::span<const float> span(values);
 
-  const auto engines = {core::Engine::SzLorenzo, core::Engine::TransformHaar,
-                        core::Engine::TransformDct, core::Engine::Interp,
-                        core::Engine::ZfpRate, core::Engine::Store};
-  for (const core::Engine engine : engines) {
+  const auto engines = {core::kCodecSzLorenzo, core::kCodecTransformHaar,
+                        core::kCodecTransformDct, core::kCodecInterp,
+                        core::kCodecZfpRate, core::kCodecStore};
+  for (const core::CodecId engine : engines) {
     SCOPED_TRACE("engine " + std::to_string(static_cast<int>(engine)));
     for (const auto& request : {core::ControlRequest::fixed_psnr(65.0),
                                 core::ControlRequest::fixed_rate(7.0)}) {
@@ -541,7 +541,6 @@ TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytes) {
                                                                 : "psnr");
       core::CompressOptions opts;
       opts.engine = engine;
-      opts.parallel.block_pipeline = true;
       opts.parallel.threads = 2;
       std::vector<std::uint8_t> reference;
       for (const simd::Backend b : simd::supported_backends()) {

@@ -31,7 +31,6 @@ std::vector<float> sample_field(const data::Dims& dims, std::uint64_t seed) {
 core::CompressOptions pipeline_options(std::size_t threads,
                                        std::size_t slab_rows = 0) {
   core::CompressOptions opts;
-  opts.parallel.block_pipeline = true;
   opts.parallel.threads = threads;
   if (slab_rows) opts.parallel.tile = {slab_rows};
   return opts;

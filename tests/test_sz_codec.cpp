@@ -103,18 +103,44 @@ TEST(SzCodec, PointwiseRelativeBound) {
   sz::Params params;
   params.mode = sz::ErrorBoundMode::PointwiseRelative;
   params.bound = eb;
-  const auto stream = sz::compress<float>(values, dims, params);
+  sz::CompressionInfo info;
+  const auto stream = sz::compress<float>(values, dims, params, &info);
   const auto out = sz::decompress<float>(stream);
+  double sse = 0.0;
   for (std::size_t i = 0; i < values.size(); ++i) {
     const double o = values[i];
     const double r = out.values[i];
     if (o == 0.0) {
       ASSERT_EQ(r, 0.0) << "zeros must be restored exactly";
     } else {
-      ASSERT_LE(std::abs(r - o), eb * std::abs(o) * (1.0 + 1e-6))
+      // Exact: values the log2/exp2 round trip would push past the bound
+      // are stored as exceptions.
+      ASSERT_LE(std::abs(r - o), eb * std::abs(o))
           << "point " << i << " orig " << o << " recon " << r;
     }
+    sse += (r - o) * (r - o);
   }
+  // The codec replays the decoder, so its SSE is the decoded one.
+  EXPECT_DOUBLE_EQ(info.achieved_sse, sse);
+}
+
+TEST(SzCodec, PointwiseRelativeBoundHoldsAcrossMagnitudes) {
+  // Regression: over a wide dynamic range the float log2 / exp2 round trip
+  // let a few values on the edge of their log bin exceed eps * |x|.
+  const data::Dims dims{256, 256};
+  std::vector<float> values(dims.count());
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> exponent(-30.0, 30.0);
+  for (auto& v : values)
+    v = static_cast<float>((rng() % 2 ? 1.0 : -1.0) * std::exp2(exponent(rng)));
+  sz::Params params;
+  params.mode = sz::ErrorBoundMode::PointwiseRelative;
+  params.bound = 1e-3;
+  const auto out = sz::decompress<float>(sz::compress<float>(values, dims, params));
+  for (std::size_t i = 0; i < values.size(); ++i)
+    ASSERT_LE(std::abs(static_cast<double>(out.values[i]) - values[i]),
+              1e-3 * std::abs(static_cast<double>(values[i])))
+        << "point " << i;
 }
 
 TEST(SzCodec, PointwiseRelativePreservesSigns) {

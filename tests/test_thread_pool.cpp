@@ -1,12 +1,11 @@
-// Unit tests for parallel::ThreadPool / parallel_for and the process-wide
-// shared pool (parallel/shared_pool.h).
+// Unit tests for parallel::ThreadPool and the process-wide shared pool
+// (parallel/shared_pool.h).
 #include "parallel/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
 #include <thread>
 
 #include "parallel/shared_pool.h"
@@ -41,30 +40,6 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   parallel::ThreadPool pool(2);
   auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
   EXPECT_THROW(f.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  parallel::ThreadPool pool(4);
-  std::vector<int> hits(500, 0);
-  parallel::parallel_for(pool, hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 500);
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPool, ParallelForZeroCount) {
-  parallel::ThreadPool pool(2);
-  EXPECT_NO_THROW(parallel::parallel_for(pool, 0, [](std::size_t) {
-    FAIL() << "must not be called";
-  }));
-}
-
-TEST(ThreadPool, ParallelForRethrowsFirstError) {
-  parallel::ThreadPool pool(2);
-  EXPECT_THROW(parallel::parallel_for(pool, 10,
-                                      [](std::size_t i) {
-                                        if (i == 3) throw std::logic_error("x");
-                                      }),
-               std::logic_error);
 }
 
 TEST(ThreadPool, DestructorDrainsCleanly) {

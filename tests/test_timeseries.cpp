@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <limits>
 
-#include "core/compressor.h"
+#include "core/pipeline.h"
 #include "metrics/metrics.h"
 
 namespace data = fpsnr::data;
@@ -215,8 +215,8 @@ TEST(FixedNrmse, EndToEnd) {
   cfg.snapshots = 1;
   const auto series = data::make_advected_series(cfg);
   const auto& f = series[0];
-  const auto r = core::compress<float>(f.span(), f.dims,
-                                       core::ControlRequest::fixed_nrmse(1e-3));
+  const auto r = core::compress_blocked<float>(
+      f.span(), f.dims, core::ControlRequest::fixed_nrmse(1e-3));
   const auto decoded = core::decompress<float>(r.stream);
   const auto rep = metrics::compare<float>(f.span(), decoded.values);
   EXPECT_NEAR(rep.nrmse, 1e-3, 3e-4);
