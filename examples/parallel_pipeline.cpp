@@ -1,5 +1,5 @@
 // Block-parallel pipeline tour through the Session facade: fixed-PSNR
-// compression fanned out over a thread pool, with byte-deterministic
+// compression fanned out over worker threads, with byte-deterministic
 // output and random-access decode.
 //
 // The block layout depends only on the dims and the requested tile shape,

@@ -2,7 +2,7 @@
 //
 // A small campaign writes a time series of snapshots. Each snapshot is
 // compressed to a fixed PSNR through one reusable Session (block-parallel
-// over the shared pool), and all snapshots land in one self-describing
+// over worker threads), and all snapshots land in one self-describing
 // archive — the workflow a simulation's I/O layer would actually run.
 // Reading back, we verify every snapshot meets the quality target and show
 // per-snapshot whiteness of the compression error (errors stay

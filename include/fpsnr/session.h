@@ -10,11 +10,12 @@
 //   auto field = session.decompress(fpsnr::Source::memory(report.archive));
 //
 // A Session is a reusable handle that owns its concurrency budget (jobs it
-// issues run on at most `threads` workers of the process-wide pool), the
-// engine selection, and the per-engine tuning. compress/decompress/inspect
-// accept any Source/Sink combination — in-memory, whole-file, raw-file,
-// streaming spill, memory-mapped decode — through one signature, and the
-// Target sum type covers every control mode including fixed-rate.
+// issues run on at most `threads` executors: the calling thread plus
+// helper threads the work queue lends it), the engine selection, and the
+// per-engine tuning. compress/decompress/inspect accept any Source/Sink
+// combination — in-memory, whole-file, raw-file, streaming spill,
+// memory-mapped decode — through one signature, and the Target sum type
+// covers every control mode including fixed-rate.
 //
 // The Session facade is the ONLY public entry point — the legacy core::
 // free-function shims have been removed. Archive bytes depend only on the
@@ -66,9 +67,10 @@ struct TileShape {
 
 /// Session-wide configuration, fixed at construction.
 struct SessionOptions {
-  /// Worker cap for this session's jobs (the calling thread plus up to
-  /// threads-1 process-pool workers). 0 = hardware concurrency. Output
-  /// bytes never depend on this value.
+  /// Worker cap for this session's jobs (the calling thread plus at most
+  /// threads-1 of the work queue's helper threads; the queue enforces
+  /// it). 0 = hardware concurrency. Output bytes never depend on this
+  /// value.
   std::size_t threads = 0;
   /// Codec, by registry name or alias ("sz-lorenzo"/"sz", "transform-haar"/
   /// "haar", "transform-dct"/"dct", "interp", "zfpr", "store", plus any
@@ -206,7 +208,7 @@ struct BatchReport {
 
 /// The facade. Construct once, reuse for any number of jobs; the handle is
 /// movable, and all job methods are const (safe to share across threads —
-/// jobs coordinate through the process-wide pool).
+/// each job drains a work queue of its own on shared helper threads).
 class Session {
  public:
   Session();

@@ -9,7 +9,6 @@
 
 #include "core/pipeline.h"
 #include "metrics/metrics.h"
-#include "parallel/shared_pool.h"
 #include "parallel/work_queue.h"
 
 namespace fpsnr::core {
@@ -175,20 +174,24 @@ BatchResult run_fixed_psnr_batch(std::span<const data::FieldView> fields,
     // Planning itself scans every value (range resolution; a second probe
     // pass under adaptive budgets), so the independent per-field plans
     // are fanned out too — otherwise a CESM-scale dataset pays an
-    // O(total values) serial prefix before the first block task runs.
+    // O(total values) serial prefix before the first block task runs. They
+    // go through the same queue Phase 2 uses, drained before any block is
+    // enqueued.
+    parallel::WorkQueue queue;
     std::vector<std::unique_ptr<FieldCompressor<float>>> jobs(wave_end -
                                                               wave_begin);
-    parallel::parallel_for_shared(
-        jobs.size(), options.threads, [&](std::size_t w) {
-          const std::size_t i = wave_begin + w;
-          const data::FieldView& field = fields[i];
-          jobs[w] = paths[i].empty()
-                        ? std::make_unique<FieldCompressor<float>>(
-                              field.span(), field.dims, request, copts)
-                        : std::make_unique<FieldCompressor<float>>(
-                              field.span(), field.dims, request, copts,
-                              paths[i]);
-        });
+    for (std::size_t w = 0; w < jobs.size(); ++w)
+      queue.push([&, w] {
+        const std::size_t i = wave_begin + w;
+        const data::FieldView& field = fields[i];
+        jobs[w] = paths[i].empty()
+                      ? std::make_unique<FieldCompressor<float>>(
+                            field.span(), field.dims, request, copts)
+                      : std::make_unique<FieldCompressor<float>>(
+                            field.span(), field.dims, request, copts,
+                            paths[i]);
+      });
+    queue.drain(options.threads);
     std::size_t max_blocks = 0;
     for (const auto& job : jobs)
       max_blocks = std::max(max_blocks, job->block_count());
@@ -197,7 +200,6 @@ BatchResult run_fixed_psnr_batch(std::span<const data::FieldView> fields,
     // round-robin across fields so small fields complete (and finalize,
     // freeing their writers) early instead of queueing behind a huge
     // field's tail.
-    parallel::WorkQueue queue;
     for (std::size_t r = 0; r < max_blocks; ++r) {
       for (std::size_t w = 0; w < jobs.size(); ++w) {
         if (r >= jobs[w]->block_count()) continue;

@@ -70,7 +70,8 @@ struct BatchOptions {
   /// every field's plan (the queue owns parallel.threads).
   CompressOptions compress = {};
   /// Concurrent executors draining the global queue (the calling thread
-  /// plus up to threads-1 shared-pool workers); <= 1 = fully sequential.
+  /// plus at most threads-1 of the queue's helper threads, a cap the
+  /// queue enforces); <= 1 = fully sequential.
   /// Per-field archives are byte-identical for every value — only
   /// wall-clock changes.
   std::size_t threads = 0;

@@ -13,7 +13,7 @@
 #include "io/archive.h"
 #include "io/streaming_archive.h"
 #include "metrics/metrics.h"
-#include "parallel/shared_pool.h"
+#include "parallel/work_queue.h"
 #include "sz/stream_format.h"
 #include "transform/fixed_rate.h"
 
@@ -38,13 +38,16 @@ double resolve_budget(const ControlRequest& request, double vr) {
   return eb;
 }
 
-/// Run fn(b) for every block, on the process-wide shared pool (the calling
-/// thread plus threads-1 shared workers) when threads > 1. No per-call
-/// pool spin-up: long-lived streaming jobs and many-small-field batches
-/// reuse the same workers.
+/// Run fn(b) for every block as one untagged (FIFO) WorkQueue task each,
+/// on the calling thread plus at most threads-1 of the queue's helper
+/// threads. No per-call thread spin-up: long-lived streaming jobs and
+/// many-small-field batches reuse the same helpers.
 void for_each_block(std::size_t block_count, std::size_t threads,
                     const std::function<void(std::size_t)>& fn) {
-  parallel::parallel_for_shared(block_count, threads, fn);
+  parallel::WorkQueue queue;
+  for (std::size_t b = 0; b < block_count; ++b)
+    queue.push([&fn, b] { fn(b); });
+  queue.drain(std::min(threads, block_count));
 }
 
 data::Dims dims_from_header(const io::BlockContainerHeader& h) {

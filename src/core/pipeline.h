@@ -4,7 +4,7 @@
 // shape — near-cubic by default, so neighborhood prediction stays compact
 // in every dimension — induces a C-order tile grid, and each tile runs the
 // full quantize -> Huffman -> lossless pipeline independently through a
-// BlockCodec (core/codec_registry.h) on a thread pool. The results are
+// BlockCodec (core/codec_registry.h) as a work-queue task. The results are
 // assembled into the FPBK block-indexed container (io/archive.h), which
 // tolerates out-of-order completion and supports random-access decode of
 // single blocks. Tiles that span the field on every axis but the first
@@ -111,9 +111,9 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream);
 ///   finalize  finalize() validates the budget accounting and finishes the
 ///             archive once every block has run.
 ///
-/// compress_blocked / compress_to_file are thin wrappers that run the
-/// blocks on parallel_for_shared; core/batch instead interleaves the
-/// blocks of MANY FieldCompressors onto one parallel::WorkQueue and
+/// compress_blocked / compress_to_file are thin wrappers that push the
+/// blocks onto a parallel::WorkQueue of their own; core/batch instead
+/// interleaves the blocks of MANY FieldCompressors onto one queue and
 /// finalizes each field as its last block completes. Because the plan and
 /// the per-block bytes depend only on the data and options, the archive is
 /// byte-identical however the blocks were scheduled.

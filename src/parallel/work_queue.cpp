@@ -1,17 +1,85 @@
 #include "parallel/work_queue.h"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <utility>
-
-#include "parallel/shared_pool.h"
+#include <vector>
 
 namespace fpsnr::parallel {
+
+namespace {
+
+/// The process-lifetime helper threads every drain borrows from. They run
+/// plain offers in FIFO order; nothing ever waits on an offer, so there is
+/// no result or future to hand back.
+class Helpers {
+ public:
+  Helpers() {
+    const std::size_t n =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads_.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+      threads_.emplace_back([this] { loop(); });
+  }
+
+  ~Helpers() {
+    {
+      std::lock_guard lock(mutex_);
+      stopping_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& t : threads_) t.join();
+  }
+
+  Helpers(const Helpers&) = delete;
+  Helpers& operator=(const Helpers&) = delete;
+
+  /// Queue `offer` for the next idle helper; dropped once shutdown began
+  /// (the drain's caller completes the work alone).
+  void offer(std::function<void()> offer) {
+    {
+      std::lock_guard lock(mutex_);
+      if (stopping_) return;
+      offers_.push_back(std::move(offer));
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void loop() {
+    for (;;) {
+      std::function<void()> offer;
+      {
+        std::unique_lock lock(mutex_);
+        cv_.wait(lock, [this] { return stopping_ || !offers_.empty(); });
+        if (offers_.empty()) return;  // stopping and drained
+        offer = std::move(offers_.front());
+        offers_.pop_front();
+      }
+      offer();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> offers_;  ///< guarded by mutex_
+  bool stopping_ = false;                     ///< guarded by mutex_
+  std::vector<std::thread> threads_;
+};
+
+Helpers& helpers() {
+  static Helpers instance;
+  return instance;
+}
+
+}  // namespace
 
 struct WorkQueue::State {
   /// One queued unit of work: the task plus its scheduling attributes.
@@ -40,7 +108,7 @@ struct WorkQueue::State {
   /// Guards the one-drain-at-a-time contract: set for the duration of a
   /// drain(), so an overlapping drain (another thread, or a task of the
   /// running drain draining its own queue) fails loudly instead of the two
-  /// drains stealing each other's error slot and helper offers.
+  /// drains stealing each other's error slot and executor budget.
   std::atomic<bool> draining{false};
   /// Locality placement state, all under `mutex`. Enabled only for the
   /// duration of a multi-worker drain (a single executor has nothing to
@@ -49,29 +117,52 @@ struct WorkQueue::State {
   bool locality_enabled = false;
   std::size_t executor_serial = 0;  ///< hands each run_tasks pass an id
   std::unordered_map<std::uint64_t, std::size_t> last_executor;
-  /// Set for the duration of a multi-worker drain: push() invokes it
-  /// (outside the lock) to offer the pool ONE more best-effort helper for
-  /// a task pushed mid-drain. Retired helpers never rejoin on their own,
-  /// so without this, a burst of follow-up tasks (e.g. the batch engine's
-  /// per-field verify decodes) pushed near the tail would serialize on
-  /// whichever executor pushed them.
-  std::function<void()> offer_helper;
-
-  /// Pop-and-run until the queue is empty — or, for helpers, until the
-  /// drain they belong to has ended. A helper may sit unscheduled in the
-  /// shared pool long past its drain() and wake at any later moment
+  /// The running drain's executor budget, all under `mutex`: `cap` is its
+  /// max_workers (0 between drains, so pushes then offer nothing),
+  /// `executors` counts the caller plus every admitted helper, `offered`
+  /// the helper offers not yet picked up. Each offer reserves a slot, so
+  /// executors + offered <= cap holds however many tasks are pushed
+  /// mid-drain, from whichever thread. Such a push offers a helper while a
+  /// slot is free: retired helpers never rejoin on their own, and a burst
+  /// of follow-up tasks (e.g. the batch engine's per-field verify decodes)
+  /// would otherwise serialize on whoever pushed them.
+  std::size_t cap = 0;
+  std::size_t executors = 0;
+  std::size_t offered = 0;
+  /// Per-drain identity, bumped the moment a drain ends. An offer may wait
+  /// for a helper thread long past its drain() and run at any later moment
   /// (between drains, or inside a later drain(1) that promises
-  /// strictly-inline execution), so each drain hands its helpers a
-  /// per-drain `active` flag that is cleared the moment that drain
-  /// returns: a stale helper retires without touching tasks it was never
-  /// budgeted for. The drain() caller passes nullptr (it is always
-  /// entitled to run) and loops back in whenever an in-flight task
-  /// repopulates the queue.
-  void run_tasks(const std::atomic<bool>* active) {
+  /// strictly-inline execution), so it carries the id of the drain it was
+  /// made for, and a stale one retires without touching tasks it was
+  /// never budgeted for.
+  std::uint64_t drain_id = 0;
+
+  bool has_work() const { return !priority_tasks.empty() || !tasks.empty(); }
+
+  /// Ask the helper threads to join drain `id` (the caller holds `mutex`).
+  static void offer_help(const std::shared_ptr<State>& state,
+                         std::uint64_t id) {
+    ++state->offered;
+    helpers().offer([state, id] { state->help(id); });
+  }
+
+  /// A helper's entry point: join drain `id`, on the slot its offer
+  /// reserved, if that drain is still running.
+  void help(std::uint64_t id) {
     std::unique_lock lock(mutex);
+    if (id != drain_id) return;  // stale: its drain already ended
+    --offered;
+    ++executors;
+    run_tasks(lock);
+    --executors;
+  }
+
+  /// Pop-and-run (with `lock` held on entry and exit) until the queue is
+  /// empty. A helper's drain cannot end while it runs: the drain waits for
+  /// an empty queue with nothing running.
+  void run_tasks(std::unique_lock<std::mutex>& lock) {
     const std::size_t me = ++executor_serial;
-    while ((!priority_tasks.empty() || !tasks.empty()) &&
-           (active == nullptr || active->load(std::memory_order_acquire))) {
+    while (has_work()) {
       auto& lane = priority_tasks.empty() ? tasks : priority_tasks;
       // Locality pass (FIFO lane only; the priority lane stays strict):
       // prefer a tagged task near the front whose neighborhood this
@@ -124,18 +215,17 @@ WorkQueue::~WorkQueue() = default;
 void WorkQueue::push(Task task) { push(std::move(task), TaskOptions{}); }
 
 void WorkQueue::push(Task task, TaskOptions options) {
-  std::function<void()> offer;
   {
     std::lock_guard lock(state_->mutex);
     auto& lane = options.priority ? state_->priority_tasks : state_->tasks;
     lane.push_back({std::move(task), std::move(options.on_expired),
                     options.deadline, options.locality});
-    offer = state_->offer_helper;  // copy: cleared asynchronously by drain
+    if (state_->executors + state_->offered < state_->cap)
+      State::offer_help(state_, state_->drain_id);
   }
   // Wake the drain() caller if it is parked: an in-flight task may have
   // produced follow-up work after the queue looked empty.
   state_->idle.notify_all();
-  if (offer) offer();
 }
 
 std::size_t WorkQueue::pending() const {
@@ -149,62 +239,43 @@ void WorkQueue::drain(std::size_t max_workers) {
     throw std::logic_error(
         "WorkQueue::drain: a drain is already running on this queue "
         "(one drain at a time — overlapping drains would steal each "
-        "other's tasks, exceptions, and helper offers)");
+        "other's tasks, exceptions, and executor budget)");
   struct DrainGuard {
     std::atomic<bool>& flag;
     ~DrainGuard() { flag.store(false, std::memory_order_release); }
   } drain_guard{state->draining};
-  // Shared with this drain's helpers (which may outlive both the drain
-  // and the WorkQueue); cleared on every exit path so stale helpers can
-  // never execute tasks pushed after this drain returned.
-  const auto active = std::make_shared<std::atomic<bool>>(true);
-  // Helpers are best effort, exactly as in parallel_for_shared: if the
-  // pool never schedules one, the caller's own loop below still drains
-  // everything, so nesting inside a pool worker cannot deadlock.
-  const auto spawn_helper = [state, active] {
-    try {
-      (void)shared_pool().submit(
-          [state, active] { state->run_tasks(active.get()); });
-    } catch (...) {
-      // pool shutting down: the caller completes the drain alone
-    }
-  };
-  if (max_workers > 1) {
-    for (std::size_t w = 1; w < max_workers; ++w) spawn_helper();
-    // Tasks pushed while the drain is running re-offer the pool one
-    // helper each (see State::offer_helper) — retired helpers never
-    // rejoin by themselves.
-    std::lock_guard lock(state->mutex);
-    state->offer_helper = spawn_helper;
-    // With more than one executor, honor locality tags; a drain(1) pops
-    // pure FIFO so replays match the queue order exactly.
-    state->locality_enabled = true;
-  }
-
-  state->run_tasks(nullptr);
   std::unique_lock lock(state->mutex);
+  state->cap = std::max<std::size_t>(max_workers, 1);
+  state->executors = 1;  // the caller
+  // With more than one executor, honor locality tags; a drain(1) pops
+  // pure FIFO so replays match the queue order exactly.
+  state->locality_enabled = state->cap > 1;
+  // Helpers are best effort: if none is ever scheduled, the caller's own
+  // loop below still drains everything, so a drain nested inside a helper
+  // cannot deadlock.
+  const std::size_t initial = std::min(
+      state->cap - 1, state->tasks.size() + state->priority_tasks.size());
+  for (std::size_t i = 0; i < initial; ++i)
+    State::offer_help(state, state->drain_id);
+
   for (;;) {
-    if (!state->tasks.empty() || !state->priority_tasks.empty()) {
-      // A task pushed follow-up work; its helper offer may lose the pool
-      // lottery, so the caller picks the work up itself.
-      lock.unlock();
-      state->run_tasks(nullptr);
-      lock.lock();
+    if (state->has_work()) {
+      // Also picks up follow-up work an in-flight task pushed after the
+      // queue looked empty, should its helper offer find no free thread.
+      state->run_tasks(lock);
       continue;
     }
     if (state->running == 0) break;
-    state->idle.wait(lock, [&] {
-      return !state->tasks.empty() || !state->priority_tasks.empty() ||
-             state->running == 0;
-    });
+    state->idle.wait(lock,
+                     [&] { return state->has_work() || state->running == 0; });
   }
-  state->offer_helper = nullptr;
+  // Retire this drain's outstanding offers BEFORE dropping the mutex: they
+  // check the id under the same lock, so none can pop a task pushed after
+  // this drain's completion was decided.
+  ++state->drain_id;
+  state->cap = state->executors = state->offered = 0;
   state->locality_enabled = false;
   state->last_executor.clear();
-  // Retire this drain's helpers BEFORE dropping the mutex: they re-check
-  // `active` under the same lock, so no helper can pop a task pushed
-  // after this drain's completion was decided.
-  active->store(false, std::memory_order_release);
   std::exception_ptr error = std::exchange(state->first_error, nullptr);
   lock.unlock();
   if (error) std::rethrow_exception(error);

@@ -1,13 +1,11 @@
-// Global MPMC work queue — the batch engine's task substrate.
+// Global MPMC work queue — the one scheduler of the library.
 //
-// parallel_for_shared (shared_pool.h) parallelizes ONE indexed loop; a
-// whole-dataset batch is many loops of very different lengths (CESM-ATM:
-// 79 fields from tiny 2-D slices to huge 3-D volumes). Running them one
-// loop at a time serializes the pool behind each field's stragglers: a
-// 4-block field can keep at most 4 of 8 cores busy, and every field ends
-// with a barrier. WorkQueue instead holds the blocks of *all* fields as
-// independent tasks in one multi-producer/multi-consumer queue, so workers
-// always have somewhere to go until the entire dataset is drained.
+// The block pipeline pushes one task per block and drains; a whole-dataset
+// batch instead holds the blocks of *all* fields (CESM-ATM: 79 fields from
+// tiny 2-D slices to huge 3-D volumes) as independent tasks in one queue,
+// so workers always have somewhere to go until the entire dataset is
+// drained and no field ends with a barrier; fpsnrd drains its request jobs
+// the same way.
 //
 // Tasks are coarse (one pipeline block: quantize -> Huffman -> lossless,
 // typically >= tens of microseconds), so a single lock-protected deque is
@@ -16,11 +14,16 @@
 // front, so an idle worker "steals" whatever is next regardless of which
 // field produced it.
 //
-// Nesting safety mirrors parallel_for_shared: drain() always executes tasks
-// on the calling thread too, and shared-pool helpers are best-effort, so a
-// drain issued from inside a pool worker can never deadlock. Tasks may push
-// further tasks (e.g. a field's finalize step) — drain() only returns when
-// the queue is empty AND no task is still running.
+// Executors: drain() always executes tasks on the calling thread, and
+// borrows best-effort helpers from a process-lifetime set of
+// hardware_concurrency threads owned by this file (created on first use,
+// joined at exit). Nobody ever waits for a helper to start, so a drain
+// issued from inside a helper (batch plans inside a drain, fpsnrd jobs run
+// whole pipelines) can never deadlock. drain(max_workers) counts its live
+// executors and never lets more than max_workers run tasks at once, also
+// when tasks are pushed mid-drain. Tasks may push further tasks (e.g. a
+// field's finalize step) — drain() only returns when the queue is empty
+// AND no task is still running.
 //
 // Locality-aware placement: producers may tag tasks with a locality key
 // (TaskOptions::locality) naming the data neighborhood the task touches —
@@ -90,17 +93,19 @@ class WorkQueue {
 
   /// Run tasks until the queue is empty and every started task has
   /// returned. The calling thread always participates; up to
-  /// max_workers - 1 shared-pool helpers join best-effort (max_workers
-  /// <= 1 drains everything inline on the caller). Rethrows the first
-  /// task exception after the drain completes — remaining tasks still
-  /// run, so producers with per-task cleanup always see every task
-  /// either executed or still queued, never silently dropped.
+  /// max_workers - 1 helper threads join best-effort, and at no moment do
+  /// more than max_workers executors run this drain's tasks (max_workers
+  /// <= 1 drains everything inline on the caller, in FIFO order).
+  /// Rethrows the first task exception after the drain completes —
+  /// remaining tasks still run, so producers with per-task cleanup always
+  /// see every task either executed or still queued, never silently
+  /// dropped.
   ///
   /// One drain at a time: pushes are MPMC-safe concurrently with a
   /// running drain, but overlapping drain() calls on the same queue are
-  /// not supported (the error slot and helper re-offer hook are
-  /// per-queue, so two concurrent drains would steal each other's
-  /// exceptions and helper offers). This is ENFORCED: an overlapping
+  /// not supported (the error slot and executor count are per-queue, so
+  /// two concurrent drains would steal each other's exceptions and
+  /// executor budget). This is ENFORCED: an overlapping
   /// drain — from another thread, or from inside a task of the running
   /// drain — throws std::logic_error immediately instead of silently
   /// corrupting task ownership. Drain sequentially, or use one queue per
@@ -109,8 +114,8 @@ class WorkQueue {
 
  private:
   struct State;
-  /// Heap-shared with helper tasks: a helper may still sit in the pool
-  /// queue after drain() returns (it finds the queue empty and exits), so
+  /// Heap-shared with helper offers: an offer may still wait for a helper
+  /// thread after drain() returns (it finds the queue empty and exits), so
   /// the state must be able to outlive the WorkQueue itself.
   std::shared_ptr<State> state_;
 };

@@ -1,40 +1,137 @@
-// Tests for the global MPMC work queue (parallel/work_queue.h).
+// Tests for the global MPMC work queue (parallel/work_queue.h) and the
+// helper threads it owns.
 #include "parallel/work_queue.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "parallel/shared_pool.h"
-
 namespace parallel = fpsnr::parallel;
+
+namespace {
+
+/// Size of the queue's helper set (hardware_concurrency, at least 1).
+std::size_t helper_count() {
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
+/// Occupies every helper thread until release(): a drain on its own
+/// std::thread whose helper_count() + 1 tasks block, returned once every
+/// one of them has started (so each helper is running one).
+class PinnedHelpers {
+ public:
+  PinnedHelpers() {
+    const std::size_t lanes = helper_count() + 1;
+    for (std::size_t i = 0; i < lanes; ++i)
+      queue_.push([this] {
+        started_.fetch_add(1);
+        while (!released_.load())
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      });
+    drainer_ = std::thread([this, lanes] { queue_.drain(lanes); });
+    while (started_.load() < lanes)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ~PinnedHelpers() {
+    release();
+    drainer_.join();
+  }
+  PinnedHelpers(const PinnedHelpers&) = delete;
+  PinnedHelpers& operator=(const PinnedHelpers&) = delete;
+  void release() { released_.store(true); }
+
+ private:
+  parallel::WorkQueue queue_;
+  std::atomic<std::size_t> started_{0};
+  std::atomic<bool> released_{false};
+  std::thread drainer_;
+};
+
+/// Tracks how many tasks run at once and the highest count seen.
+struct ConcurrencyProbe {
+  std::atomic<int> active{0}, peak{0};
+  void run_for(std::chrono::microseconds busy) {
+    const int now = active.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(busy);
+    active.fetch_sub(1);
+  }
+};
+
+}  // namespace
 
 TEST(WorkQueue, RunsEveryTask) {
   parallel::WorkQueue queue;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 1000; ++i)
-    queue.push([&] { ran.fetch_add(1, std::memory_order_relaxed); });
+  std::vector<std::atomic<int>> hits(1000);
+  for (auto& h : hits)
+    queue.push([&h] { h.fetch_add(1, std::memory_order_relaxed); });
   EXPECT_EQ(queue.pending(), 1000u);
   queue.drain(8);
-  EXPECT_EQ(ran.load(), 1000);
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
   EXPECT_EQ(queue.pending(), 0u);
 }
 
 TEST(WorkQueue, InlineDrainStaysOnCaller) {
+  // max_workers <= 1 runs inline on the caller — the deterministic serial
+  // path the pipeline uses for threads 0/1.
   parallel::WorkQueue queue;
   const auto caller = std::this_thread::get_id();
   std::atomic<int> off_thread{0};
-  for (int i = 0; i < 64; ++i)
-    queue.push([&] {
-      if (std::this_thread::get_id() != caller) ++off_thread;
-    });
-  queue.drain(1);  // <= 1 worker: everything runs inline
+  for (const std::size_t workers : {std::size_t{0}, std::size_t{1}}) {
+    for (int i = 0; i < 64; ++i)
+      queue.push([&] {
+        if (std::this_thread::get_id() != caller) ++off_thread;
+      });
+    queue.drain(workers);
+  }
   EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(WorkQueue, ConcurrencyStaysWithinRequestedCap) {
+  constexpr int kCap = 2;
+  // Tasks that each push one follow-up, as the batch engine's verify
+  // decodes do: every mid-drain push may offer a helper, but never past
+  // the cap.
+  {
+    parallel::WorkQueue queue;
+    ConcurrencyProbe probe;
+    for (int i = 0; i < 32; ++i)
+      queue.push([&] {
+        probe.run_for(std::chrono::microseconds(500));
+        queue.push([&] { probe.run_for(std::chrono::microseconds(500)); });
+      });
+    queue.drain(kCap);
+    EXPECT_LE(probe.peak.load(), kCap);
+    EXPECT_GE(probe.peak.load(), 1);
+  }
+  // A second thread pushing while the drain runs, as fpsnrd's connection
+  // handlers do.
+  {
+    parallel::WorkQueue queue;
+    ConcurrencyProbe probe;
+    std::atomic<bool> started{false};
+    queue.push([&] {
+      started.store(true);
+      probe.run_for(std::chrono::milliseconds(20));
+    });
+    std::thread producer([&] {
+      while (!started.load()) std::this_thread::yield();
+      for (int i = 0; i < 32; ++i)
+        queue.push([&] { probe.run_for(std::chrono::microseconds(500)); });
+    });
+    queue.drain(kCap);
+    producer.join();
+    queue.drain(kCap);  // whatever the producer pushed after the drain ended
+    EXPECT_LE(probe.peak.load(), kCap);
+  }
 }
 
 TEST(WorkQueue, TasksMayPushFollowUpTasks) {
@@ -67,6 +164,26 @@ TEST(WorkQueue, ExceptionRethrownAfterAllTasksRan) {
   EXPECT_EQ(queue.pending(), 0u);
 }
 
+TEST(WorkQueue, RethrowsTheFirstTaskError) {
+  parallel::WorkQueue queue;
+  for (int i = 0; i < 32; ++i)
+    queue.push([i] {
+      if (i % 7 == 3) throw std::logic_error("task " + std::to_string(i));
+    });
+  // drain(1) runs in push order, so "first" is the first failing task.
+  try {
+    queue.drain(1);
+    FAIL() << "drain(1) swallowed the task errors";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "task 3");
+  }
+  for (int i = 0; i < 32; ++i)
+    queue.push([i] {
+      if (i % 7 == 0) throw std::logic_error("x");
+    });
+  EXPECT_THROW(queue.drain(4), std::logic_error);
+}
+
 TEST(WorkQueue, ReusableAcrossDrains) {
   parallel::WorkQueue queue;
   std::atomic<int> ran{0};
@@ -93,11 +210,12 @@ TEST(WorkQueue, ConcurrentProducers) {
 }
 
 TEST(WorkQueue, NestedDrainInsidePoolWorkerDoesNotDeadlock) {
-  // A drain issued from inside a shared-pool worker must complete even
-  // when every pool worker is busy: the caller always participates.
+  // A drain issued from inside a helper thread must complete even when
+  // every helper is busy (here: running the outer tasks, each of which
+  // nests an inner drain): the caller always participates.
   parallel::WorkQueue outer;
   std::atomic<int> ran{0};
-  const std::size_t lanes = parallel::shared_pool().thread_count() + 2;
+  const std::size_t lanes = helper_count() + 2;
   for (std::size_t i = 0; i < lanes; ++i)
     outer.push([&ran] {
       parallel::WorkQueue inner;
@@ -110,23 +228,16 @@ TEST(WorkQueue, NestedDrainInsidePoolWorkerDoesNotDeadlock) {
 }
 
 TEST(WorkQueue, StaleHelpersCannotJoinALaterInlineDrain) {
-  // drain(8)'s best-effort helpers may still sit in the shared pool's
-  // queue after the drain returns. Pin the pool with blockers so that is
-  // guaranteed, then release the blockers DURING a later drain(1): the
-  // stale helpers wake mid-drain and must bow out (epoch check) instead
-  // of running tasks — drain(1) promises strictly-inline execution.
-  std::atomic<bool> release{false};
-  std::vector<std::future<void>> blockers;
-  const std::size_t pool_size = parallel::shared_pool().thread_count();
-  for (std::size_t i = 0; i < pool_size; ++i)
-    blockers.push_back(parallel::shared_pool().submit([&release] {
-      while (!release.load())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }));
+  // drain(8)'s best-effort helper offers may still wait for a helper
+  // thread after the drain returns. Pin every helper so that is
+  // guaranteed, then release them DURING a later drain(1): the stale
+  // offers run mid-drain and must bow out (drain id check) instead of
+  // running tasks — drain(1) promises strictly-inline execution.
+  PinnedHelpers pinned;
 
   parallel::WorkQueue queue;
-  queue.push([] {});
-  queue.drain(8);  // helpers enqueue behind the blockers and go stale
+  for (int i = 0; i < 8; ++i) queue.push([] {});
+  queue.drain(8);  // its offers queue behind the pinned helpers, go stale
 
   const auto caller = std::this_thread::get_id();
   std::atomic<int> off_thread{0};
@@ -136,9 +247,8 @@ TEST(WorkQueue, StaleHelpersCannotJoinALaterInlineDrain) {
         off_thread.fetch_add(1, std::memory_order_relaxed);
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     });
-  release.store(true);  // stale helpers wake while drain(1) is running
+  pinned.release();  // stale offers run while drain(1) is running
   queue.drain(1);
-  for (auto& b : blockers) b.get();
   EXPECT_EQ(off_thread.load(), 0);
 }
 
