@@ -1,7 +1,6 @@
 #include "core/codec_registry.h"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -323,9 +322,7 @@ class StoreBlockCodec final : public BlockCodec {
     out.put<std::uint8_t>(kStoreVersion);
     out.put<std::uint8_t>(std::is_same_v<T, double> ? 1 : 0);
     out.put_varint(values.size());
-    out.put_bytes(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(values.data()),
-        values.size() * sizeof(T)));
+    out.put_bytes(io::bytes_of(values));
     auto bytes = out.take();
     if (info) {
       info->value_count = values.size();
@@ -349,12 +346,10 @@ class StoreBlockCodec final : public BlockCodec {
     const std::uint8_t scalar = reader.get<std::uint8_t>();
     if (scalar != (std::is_same_v<T, double> ? 1 : 0))
       throw io::StreamError("fpst: scalar type mismatch");
-    const std::uint64_t count = reader.get_varint();
-    if (count != out.size())
+    if (reader.get_varint() != out.size())
       throw io::StreamError("block codec: slab size mismatch");
-    const auto raw = reader.get_bytes(count * sizeof(T));
-    if (!reader.exhausted()) throw io::StreamError("fpst: trailing bytes");
-    if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+    reader.get_into(out);
+    reader.expect_end();
   }
 };
 

@@ -1,6 +1,7 @@
 #include "huffman/huffman.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <queue>
 #include <stdexcept>
@@ -217,100 +218,121 @@ std::uint64_t Encoder::encoded_bits(std::span<const std::uint32_t> symbols) cons
   return bits;
 }
 
+// The table is (count, length) run-length pairs after the alphabet size.
 void Encoder::write_table(io::ByteWriter& out) const {
-  write_lengths_rle(lengths_, out);
-}
-
-void write_lengths_rle(std::span<const std::uint8_t> lengths, io::ByteWriter& out) {
-  out.put_varint(lengths.size());
+  out.put_varint(lengths_.size());
   std::size_t i = 0;
-  while (i < lengths.size()) {
+  while (i < lengths_.size()) {
     std::size_t j = i;
-    while (j < lengths.size() && lengths[j] == lengths[i]) ++j;
+    while (j < lengths_.size() && lengths_[j] == lengths_[i]) ++j;
     out.put_varint(j - i);
-    out.put<std::uint8_t>(lengths[i]);
+    out.put<std::uint8_t>(lengths_[i]);
     i = j;
   }
 }
 
-std::vector<std::uint8_t> read_lengths_rle(io::ByteReader& in) {
+Decoder Decoder::read_table(io::ByteReader& in) {
+  // Each nonzero run becomes one Run and a zero run only advances the
+  // symbol index, so nothing here grows with the counts the table claims.
   const std::uint64_t n = in.get_varint();
-  std::vector<std::uint8_t> lengths;
-  lengths.reserve(n);
-  while (lengths.size() < n) {
+  if (n >= (std::uint64_t{1} << 32))
+    throw io::StreamError("huffman: alphabet of 2^32 or more symbols");
+  std::vector<Run> runs;
+  std::uint64_t next = 0;
+  while (next < n) {
     const std::uint64_t run = in.get_varint();
     const auto L = in.get<std::uint8_t>();
     if (L > kMaxCodeLength)
       throw io::StreamError("huffman: serialized code length out of range");
-    if (lengths.size() + run > n)
+    if (run > n - next)
       throw io::StreamError("huffman: RLE run overflows declared alphabet");
-    lengths.insert(lengths.end(), run, L);
+    if (L > 0 && run > 0)
+      runs.push_back({static_cast<std::uint32_t>(next),
+                      static_cast<std::uint32_t>(run), L});
+    next += run;
   }
-  return lengths;
-}
-
-Decoder Decoder::read_table(io::ByteReader& in) {
-  auto lengths = read_lengths_rle(in);
-  return Decoder(lengths);
+  return Decoder(runs);
 }
 
 Decoder Decoder::from_lengths(std::span<const std::uint8_t> lengths) {
-  return Decoder(lengths);
+  std::vector<Run> runs;
+  for (std::uint32_t s = 0; s < lengths.size(); ++s) {
+    if (lengths[s] == 0) continue;
+    if (!runs.empty() && runs.back().length == lengths[s] &&
+        runs.back().symbol + runs.back().count == s)
+      ++runs.back().count;
+    else
+      runs.push_back({s, 1, lengths[s]});
+  }
+  return Decoder(runs);
 }
 
-Decoder::Decoder(std::span<const std::uint8_t> lengths)
-    : alphabet_size_(lengths.size()) {
-  for (std::uint8_t L : lengths) max_length_ = std::max<unsigned>(max_length_, L);
+Decoder::Decoder(std::span<const Run> runs) {
+  for (const Run& r : runs)
+    max_length_ = std::max<unsigned>(max_length_, r.length);
   if (max_length_ > kMaxCodeLength)
     throw io::StreamError("huffman: code length exceeds limit");
-  count_.assign(max_length_ + 1, 0);
-  for (std::uint8_t L : lengths)
-    if (L > 0) ++count_[L];
 
-  // Validate the Kraft inequality so corrupted tables cannot send
-  // decode_symbol into an infinite loop.
+  // Validate the Kraft inequality run by run, in units of 2^-kMaxCodeLength,
+  // before anything is sized per symbol: at most 2^L codes of length L fit.
+  // It also keeps corrupted tables from sending decode_symbol into an
+  // infinite loop.
+  constexpr std::uint64_t kKraftOne = std::uint64_t{1} << kMaxCodeLength;
   std::uint64_t kraft = 0;
-  for (unsigned L = 1; L <= max_length_; ++L)
-    kraft += static_cast<std::uint64_t>(count_[L])
-             << (kMaxCodeLength + 1 - L);
-  if (kraft > (std::uint64_t{1} << (kMaxCodeLength + 1)))
-    throw io::StreamError("huffman: code lengths violate Kraft inequality");
+  count_.assign(max_length_ + 1, 0);
+  std::vector<std::uint32_t> run_count(max_length_ + 1, 0);
+  for (const Run& r : runs) {
+    kraft += std::uint64_t{r.count} << (kMaxCodeLength - r.length);
+    if (kraft > kKraftOne)
+      throw io::StreamError("huffman: code lengths violate Kraft inequality");
+    count_[r.length] += r.count;
+    ++run_count[r.length];
+  }
 
-  first_code_.assign(max_length_ + 2, 0);
-  offset_.assign(max_length_ + 2, 0);
   // Same canonical recurrence as canonical_codes(): count_[0] == 0, so the
   // first length-1 code is 0.
-  std::uint32_t code = 0;
-  std::uint32_t sym_index = 0;
-  for (unsigned L = 1; L <= max_length_; ++L) {
+  first_code_.assign(max_length_ + 1, 0);
+  offset_.assign(max_length_ + 2, 0);
+  std::uint32_t code = 0, listed = 0, long_runs = 0;
+  for (unsigned L = 1; L <= max_length_ + 1; ++L) {
+    offset_[L] = L <= kListedLength ? listed : long_runs;
+    if (L > max_length_) break;
     code = (code + count_[L - 1]) << 1;
     first_code_[L] = code;
-    offset_[L] = sym_index;
-    sym_index += count_[L];
+    if (L <= kListedLength)
+      listed += count_[L];
+    else
+      long_runs += run_count[L];
   }
-  sorted_symbols_.resize(sym_index);
-  std::vector<std::uint32_t> fill(max_length_ + 1, 0);
-  for (std::uint32_t s = 0; s < lengths.size(); ++s) {
-    const std::uint8_t L = lengths[s];
-    if (L > 0) sorted_symbols_[offset_[L] + fill[L]++] = s;
-  }
+  sorted_symbols_.resize(listed);
+  runs_.resize(long_runs);
 
-  // Build the one-peek fast table. Codes are emitted bit-reversed into the
-  // LSB-first stream, so a W-bit peek holds reverse(code, L) in its low L
-  // bits; every high-bit filler pattern maps to the same symbol.
-  if (max_length_ > 0) {
-    constexpr unsigned kMaxTableWidth = 12;  // 4096 entries, fits L1
-    table_width_ = std::min(max_length_, kMaxTableWidth);
+  // Place the symbols, and build the one-peek fast table. Symbols of one
+  // length take consecutive canonical codes in symbol order, so the k-th
+  // symbol of length L has code first_code_[L] + k. Codes are emitted
+  // bit-reversed into the LSB-first stream, so a W-bit peek holds
+  // reverse(code, L) in its low L bits; every high-bit filler pattern maps
+  // to the same symbol.
+  constexpr unsigned kMaxTableWidth = 12;  // 4096 entries, fits L1
+  table_width_ = std::min(max_length_, kMaxTableWidth);
+  if (max_length_ > 0)
     fast_table_.assign(std::size_t{1} << table_width_, FastEntry{});
-    const auto codes = canonical_codes(lengths);
-    for (std::uint32_t s = 0; s < lengths.size(); ++s) {
-      const unsigned L = lengths[s];
-      if (L == 0 || L > table_width_) continue;
-      const std::uint32_t rc = reverse_bits(codes[s], L);
+  std::vector<std::uint32_t> rank(max_length_ + 1, 0);
+  std::vector<std::uint32_t> placed_runs(max_length_ + 1, 0);
+  for (const Run& r : runs) {
+    const unsigned L = r.length;
+    if (L > kListedLength)
+      runs_[offset_[L] + placed_runs[L]++] = {rank[L], r.symbol};
+    for (std::uint32_t k = 0; L <= kListedLength && k < r.count; ++k) {
+      sorted_symbols_[offset_[L] + rank[L] + k] = r.symbol + k;
+      if (L > table_width_) continue;
+      const std::uint32_t rc = reverse_bits(first_code_[L] + rank[L] + k, L);
       const std::size_t fillers = std::size_t{1} << (table_width_ - L);
       for (std::size_t f = 0; f < fillers; ++f)
-        fast_table_[rc | (f << L)] = {s, static_cast<std::uint8_t>(L)};
+        fast_table_[rc | (f << L)] = {r.symbol + k,
+                                      static_cast<std::uint8_t>(L)};
     }
+    rank[L] += r.count;
   }
 }
 
@@ -332,13 +354,23 @@ std::uint32_t Decoder::decode_symbol_slow(io::BitReader& in) const {
     code = (code << 1) | static_cast<std::uint32_t>(in.read_bits(1));
     if (count_[L] != 0 && code >= first_code_[L] &&
         code - first_code_[L] < count_[L]) {
-      return sorted_symbols_[offset_[L] + (code - first_code_[L])];
+      const std::uint32_t rank = code - first_code_[L];
+      if (L <= kListedLength) return sorted_symbols_[offset_[L] + rank];
+      // The last run of length L whose first rank is <= this code's rank.
+      const auto run = std::prev(std::upper_bound(
+          runs_.begin() + offset_[L], runs_.begin() + offset_[L + 1], rank,
+          [](std::uint32_t r, const RankedRun& x) { return r < x.rank; }));
+      return run->symbol + (rank - run->rank);
     }
   }
   throw io::StreamError("huffman: invalid code in stream");
 }
 
 std::vector<std::uint32_t> Decoder::decode(io::BitReader& in, std::size_t count) const {
+  // Every code is at least one bit (a lone symbol still gets one), so a
+  // count beyond the bits left is a lie; reject it before reserving.
+  if (count > in.bits_remaining())
+    throw io::StreamError("huffman: symbol count exceeds the bits left");
   std::vector<std::uint32_t> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) out.push_back(decode_symbol(in));

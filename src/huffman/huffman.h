@@ -92,19 +92,36 @@ class Decoder {
   /// Decode exactly `count` symbols.
   std::vector<std::uint32_t> decode(io::BitReader& in, std::size_t count) const;
 
-  std::size_t alphabet_size() const { return alphabet_size_; }
-
  private:
+  /// Consecutive symbols [symbol, symbol + count) sharing one code length.
+  struct Run {
+    std::uint32_t symbol;
+    std::uint32_t count;
+    std::uint8_t length;
+  };
+  /// A run in canonical order: `rank` is the index of its first symbol
+  /// among the symbols of its code length.
+  struct RankedRun {
+    std::uint32_t rank;
+    std::uint32_t symbol;
+  };
+
   // Canonical decoding state per code length L (1-indexed):
   //   first_code_[L] : canonical code value of the first symbol of length L
-  //   offset_[L]     : index into sorted_symbols_ of that first symbol
   //   count_[L]      : number of symbols with length L
-  std::size_t alphabet_size_ = 0;
+  //   offset_[L]     : where those symbols start, in canonical order: one
+  //                    per entry in sorted_symbols_ for L <= kListedLength,
+  //                    as runs in runs_ (through offset_[L + 1]) beyond
+  // Kraft caps the listed symbols at 2^kListedLength. Longer codes are kept
+  // as runs, so a table claiming billions of them costs memory in
+  // proportion to its own size, not to the claim.
+  static constexpr unsigned kListedLength = 20;
   unsigned max_length_ = 0;
   std::vector<std::uint32_t> first_code_;
-  std::vector<std::uint32_t> offset_;
   std::vector<std::uint32_t> count_;
+  std::vector<std::uint32_t> offset_;
   std::vector<std::uint32_t> sorted_symbols_;
+  std::vector<RankedRun> runs_;
 
   // Single-level lookup acceleration: peek `table_width_` stream bits and
   // resolve any code of length <= table_width_ in one step (the common
@@ -116,14 +133,9 @@ class Decoder {
   unsigned table_width_ = 0;
   std::vector<FastEntry> fast_table_;
 
-  explicit Decoder(std::span<const std::uint8_t> lengths);
+  /// `runs` lists the coded symbols (length >= 1) in ascending order.
+  explicit Decoder(std::span<const Run> runs);
   std::uint32_t decode_symbol_slow(io::BitReader& in) const;
 };
-
-/// Serialize code lengths with (count, length) run-length pairs.
-void write_lengths_rle(std::span<const std::uint8_t> lengths, io::ByteWriter& out);
-
-/// Inverse of write_lengths_rle.
-std::vector<std::uint8_t> read_lengths_rle(io::ByteReader& in);
 
 }  // namespace fpsnr::huffman

@@ -21,7 +21,8 @@ ByteReader open_archive(std::span<const std::uint8_t> archive,
     throw StreamError("archive: bad magic");
   if (reader.get<std::uint8_t>() != kVersion)
     throw StreamError("archive: unsupported version");
-  *count = reader.get_varint();
+  // Each entry is at least a name-length varint and a u64 blob length.
+  *count = reader.count(reader.get_varint(), 1 + sizeof(std::uint64_t));
   return reader;
 }
 
@@ -43,8 +44,7 @@ std::vector<std::uint8_t> write_archive(std::span<const ArchiveEntry> entries) {
     if (e.name.size() > kMaxNameLength)
       throw std::invalid_argument("archive: entry name too long");
     out.put_varint(e.name.size());
-    out.put_bytes(std::span<const std::uint8_t>(
-        reinterpret_cast<const std::uint8_t*>(e.name.data()), e.name.size()));
+    out.put_bytes(bytes_of(std::span<const char>(e.name)));
     out.put_blob(e.bytes);
   }
   return out.take();
@@ -61,7 +61,7 @@ std::vector<ArchiveEntry> read_archive(std::span<const std::uint8_t> archive) {
     e.bytes = reader.get_blob();
     entries.push_back(std::move(e));
   }
-  if (!reader.exhausted()) throw StreamError("archive: trailing bytes");
+  reader.expect_end();
   return entries;
 }
 
@@ -354,11 +354,8 @@ BlockContainerView open_block_container(std::span<const std::uint8_t> stream) {
   view.header = read_block_header(reader);
   const std::uint64_t count = view.header.block_count;
   const std::size_t entry_bytes = block_index_entry_bytes(view.header.version);
-  // Divide instead of multiplying so a crafted block_count cannot wrap the
-  // size computation past the truncation check.
-  if (count > reader.remaining() / entry_bytes)
-    throw StreamError("block container: truncated index");
-  const std::size_t index_bytes = count * entry_bytes;
+  const std::size_t index_bytes =
+      reader.count(count, entry_bytes) * entry_bytes;
   const std::size_t payload_bytes = reader.remaining() - index_bytes;
   auto index = read_block_index(reader, view.header, payload_bytes);
   const std::size_t payload_start = reader.position();

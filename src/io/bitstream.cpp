@@ -54,7 +54,7 @@ std::vector<std::uint8_t> BitWriter::take() {
 std::uint64_t BitReader::read_bits(unsigned nbits) {
   if (nbits > 64) throw StreamError("BitReader: nbits > 64");
   if (nbits == 0) return 0;
-  if (bit_pos_ + nbits > bit_size())
+  if (nbits > bits_remaining())
     throw StreamError("BitReader: read past end of stream");
   std::uint64_t out = 0;
   unsigned got = 0;
@@ -95,7 +95,7 @@ std::uint64_t BitReader::peek_bits(unsigned nbits) const {
 }
 
 void BitReader::skip_bits(std::size_t n) {
-  if (bit_pos_ + n > bit_size())
+  if (n > bits_remaining())
     throw StreamError("BitReader: skip past end of stream");
   bit_pos_ += n;
 }
@@ -103,7 +103,7 @@ void BitReader::skip_bits(std::size_t n) {
 void BitReader::align_to_byte() {
   std::size_t rem = bit_pos_ % 8;
   if (rem != 0) {
-    if (bit_pos_ + (8 - rem) > bit_size())
+    if (8 - rem > bits_remaining())
       throw StreamError("BitReader: align past end of stream");
     bit_pos_ += 8 - rem;
   }
@@ -113,7 +113,7 @@ std::vector<std::uint8_t> BitReader::read_bytes(std::size_t n) {
   if (bit_pos_ % 8 != 0)
     throw StreamError("BitReader: read_bytes requires byte alignment");
   std::size_t byte_idx = bit_pos_ >> 3;
-  if (byte_idx + n > data_.size())
+  if (n > data_.size() - byte_idx)
     throw StreamError("BitReader: read_bytes past end of stream");
   std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(byte_idx),
                                 data_.begin() + static_cast<std::ptrdiff_t>(byte_idx + n));

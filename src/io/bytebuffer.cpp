@@ -1,6 +1,8 @@
 #include "io/bytebuffer.h"
 
 #include <bit>
+#include <limits>
+#include <stdexcept>
 
 namespace fpsnr::io {
 
@@ -19,6 +21,19 @@ void ByteWriter::put_varint(std::uint64_t v) {
 void ByteWriter::put_blob(std::span<const std::uint8_t> bytes) {
   put<std::uint64_t>(bytes.size());
   put_bytes(bytes);
+}
+
+void ByteWriter::put_string(std::string_view s) {
+  if (s.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("ByteWriter: string longer than a u32 prefix");
+  put<std::uint32_t>(static_cast<std::uint32_t>(s.size()));
+  put_bytes(bytes_of(std::span<const char>(s)));
+}
+
+void ByteReader::past_end(std::uint64_t n) const {
+  throw StreamError("ByteReader: read of " + std::to_string(n) +
+                    " byte(s) past the end (" + std::to_string(remaining()) +
+                    " left)");
 }
 
 std::uint64_t ByteReader::get_varint() {
@@ -41,19 +56,41 @@ std::vector<std::uint8_t> ByteReader::get_blob() {
 }
 
 std::span<const std::uint8_t> ByteReader::get_blob_view() {
-  auto len = get<std::uint64_t>();
+  const auto len = get<std::uint64_t>();
   require(len);
   std::span<const std::uint8_t> view = data_.subspan(pos_, len);
   pos_ += len;
   return view;
 }
 
+std::string ByteReader::get_string() {
+  const auto len = get<std::uint32_t>();
+  require(len);
+  std::string out(reinterpret_cast<const char*>(data_.data() + pos_), len);
+  pos_ += len;
+  return out;
+}
+
 std::vector<std::uint8_t> ByteReader::get_bytes(std::size_t n) {
   require(n);
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const auto view = data_.subspan(pos_, n);
   pos_ += n;
-  return out;
+  return {view.begin(), view.end()};
+}
+
+std::size_t ByteReader::count(std::uint64_t n, std::size_t min_bytes) {
+  if (n > remaining() / min_bytes)
+    throw StreamError("ByteReader: count " + std::to_string(n) + " of " +
+                      std::to_string(min_bytes) +
+                      "-byte elements exceeds the " +
+                      std::to_string(remaining()) + " byte(s) left");
+  return static_cast<std::size_t>(n);
+}
+
+void ByteReader::expect_end() const {
+  if (!exhausted())
+    throw StreamError("ByteReader: " + std::to_string(remaining()) +
+                      " trailing byte(s) after the last field");
 }
 
 }  // namespace fpsnr::io

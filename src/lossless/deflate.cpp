@@ -118,6 +118,9 @@ std::vector<std::uint8_t> deflate_decompress(std::span<const std::uint8_t> compr
   const auto litlen_dec = huffman::Decoder::read_table(reader);
   const auto dist_dec = huffman::Decoder::read_table(reader);
   const auto payload = reader.get_blob_view();
+  // Every coded symbol takes at least one bit and yields at most 258 bytes.
+  if (original_size / 258 > std::uint64_t{payload.size()} * 8)
+    throw io::StreamError("deflate: declared size exceeds the payload");
 
   io::BitReader bits(payload);
   std::vector<std::uint8_t> out;

@@ -81,9 +81,9 @@ struct Client::Impl {
           !wire::read_exact(fd, body.data(), body.size()))
         throw ServiceError(ErrorCode::Internal, "truncated response frame");
       if (header.type == FrameType::Error) {
-        wire::Reader r(body);
-        const auto code = static_cast<ErrorCode>(r.u16());
-        throw ServiceError(code, r.str());
+        io::ByteReader r(body);
+        const auto code = static_cast<ErrorCode>(r.get<std::uint16_t>());
+        throw ServiceError(code, r.get_string());
       }
       if (header.type != FrameType::Reply)
         throw ServiceError(ErrorCode::BadFrame,
@@ -91,90 +91,103 @@ struct Client::Impl {
       return body;
     } catch (const wire::WireError& e) {
       throw ServiceError(ErrorCode::Internal, e.what());
+    } catch (const io::StreamError& e) {
+      throw ServiceError(ErrorCode::Internal, e.what());
     }
   }
 
-  static void scheduling_prefix(wire::Writer& w, const RequestOptions& options) {
-    w.u8(options.priority ? 1 : 0);
-    w.u32(options.deadline_ms);
+  /// Decode a whole Reply payload with `read`; a malformed one is Internal.
+  template <typename Read>
+  static auto decode_reply(const std::vector<std::uint8_t>& body, Read&& read) {
+    try {
+      io::ByteReader r(body);
+      auto out = read(r);
+      r.expect_end();
+      return out;
+    } catch (const io::StreamError& e) {
+      throw ServiceError(ErrorCode::Internal, e.what());
+    }
+  }
+
+  static void scheduling_prefix(io::ByteWriter& w,
+                                const RequestOptions& options) {
+    w.put<std::uint8_t>(options.priority ? 1 : 0);
+    w.put<std::uint32_t>(options.deadline_ms);
+  }
+
+  /// The job fields CompressSpec and SeriesSpec share, then the values.
+  template <typename T, typename Spec>
+  static void put_field_job(io::ByteWriter& w, std::span<const T> values,
+                            const Spec& spec) {
+    w.put_string(spec.engine);
+    w.put_string(spec.budget);
+    w.put_string(spec.mode);
+    w.put<double>(spec.value);
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(spec.tile.size()));
+    for (const std::size_t t : spec.tile) w.put<std::uint64_t>(t);
+    w.put<std::uint8_t>(std::is_same_v<T, double> ? 1 : 0);
+    w.put<std::uint8_t>(static_cast<std::uint8_t>(spec.dims.size()));
+    for (const std::size_t d : spec.dims) w.put<std::uint64_t>(d);
+    w.put_blob(io::bytes_of(values));
+  }
+
+  /// The report fields both compress Replies start with.
+  template <typename Result>
+  static void read_report(io::ByteReader& r, Result& result) {
+    result.value_count = r.get<std::uint64_t>();
+    result.compressed_bytes = r.get<std::uint64_t>();
+    result.achieved_psnr_db = r.get<double>();
+    result.bit_rate = r.get<double>();
+    result.block_count = r.get<std::uint64_t>();
+    const std::uint8_t tile_rank = r.get<std::uint8_t>();
+    result.tile.resize(tile_rank);
+    for (std::size_t& t : result.tile)
+      t = static_cast<std::size_t>(r.get<std::uint64_t>());
+    result.archive = r.get_blob();
   }
 
   template <typename T>
   CompressResult compress(std::span<const T> values, const CompressSpec& spec,
                           const RequestOptions& options) {
-    wire::Writer w;
+    io::ByteWriter w;
     scheduling_prefix(w, options);
-    w.str(spec.engine);
-    w.str(spec.budget);
-    w.str(spec.mode);
-    w.f64(spec.value);
-    w.u8(static_cast<std::uint8_t>(spec.tile.size()));
-    for (const std::size_t t : spec.tile) w.u64(t);
-    w.u8(std::is_same_v<T, double> ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(spec.dims.size()));
-    for (const std::size_t d : spec.dims) w.u64(d);
-    w.blob(values.data(), values.size_bytes());
-
-    const auto body = round_trip(FrameType::Compress, w.bytes());
-    wire::Reader r(body);
-    CompressResult result;
-    result.value_count = r.u64();
-    result.compressed_bytes = r.u64();
-    result.achieved_psnr_db = r.f64();
-    result.bit_rate = r.f64();
-    result.block_count = r.u64();
-    const std::uint8_t tile_rank = r.u8();
-    result.tile.resize(tile_rank);
-    for (std::uint8_t t = 0; t < tile_rank; ++t)
-      result.tile[t] = static_cast<std::size_t>(r.u64());
-    const auto [archive, archive_bytes] = r.blob();
-    r.expect_end();
-    result.archive.assign(archive, archive + archive_bytes);
-    return result;
+    put_field_job(w, values, spec);
+    return decode_reply(round_trip(FrameType::Compress, w.buffer()),
+                        [](io::ByteReader& r) {
+                          CompressResult result;
+                          read_report(r, result);
+                          return result;
+                        });
   }
 
   template <typename T>
   SeriesResult compress_series(std::span<const T> values,
                                const SeriesSpec& spec,
                                const RequestOptions& options) {
-    wire::Writer w;
+    io::ByteWriter w;
     scheduling_prefix(w, options);
-    w.str(spec.series);
-    w.u32(spec.keyframe_interval);
-    w.str(spec.engine);
-    w.str(spec.budget);
-    w.str(spec.mode);
-    w.f64(spec.value);
-    w.u8(static_cast<std::uint8_t>(spec.tile.size()));
-    for (const std::size_t t : spec.tile) w.u64(t);
-    w.u8(std::is_same_v<T, double> ? 1 : 0);
-    w.u8(static_cast<std::uint8_t>(spec.dims.size()));
-    for (const std::size_t d : spec.dims) w.u64(d);
-    w.blob(values.data(), values.size_bytes());
+    w.put_string(spec.series);
+    w.put<std::uint32_t>(spec.keyframe_interval);
+    put_field_job(w, values, spec);
+    return decode_reply(round_trip(FrameType::CompressSeries, w.buffer()),
+                        [](io::ByteReader& r) {
+                          SeriesResult result;
+                          read_report(r, result);
+                          result.timestep = r.get<std::uint64_t>();
+                          result.keyframe = r.get<std::uint8_t>() != 0;
+                          result.temporal_blocks = r.get<std::uint64_t>();
+                          return result;
+                        });
+  }
 
-    const auto body = round_trip(FrameType::CompressSeries, w.bytes());
-    try {
-      wire::Reader r(body);
-      SeriesResult result;
-      result.value_count = r.u64();
-      result.compressed_bytes = r.u64();
-      result.achieved_psnr_db = r.f64();
-      result.bit_rate = r.f64();
-      result.block_count = r.u64();
-      const std::uint8_t tile_rank = r.u8();
-      result.tile.resize(tile_rank);
-      for (std::uint8_t t = 0; t < tile_rank; ++t)
-        result.tile[t] = static_cast<std::size_t>(r.u64());
-      const auto [archive, archive_bytes] = r.blob();
-      result.archive.assign(archive, archive + archive_bytes);
-      result.timestep = r.u64();
-      result.keyframe = r.u8() != 0;
-      result.temporal_blocks = r.u64();
-      r.expect_end();
-      return result;
-    } catch (const wire::WireError& e) {
-      throw ServiceError(ErrorCode::Internal, e.what());
-    }
+  /// Send an archive-in job (Decompress/Inspect) and return the Reply body.
+  std::vector<std::uint8_t> archive_job(FrameType type,
+                                        std::span<const std::uint8_t> archive,
+                                        const RequestOptions& options) {
+    io::ByteWriter w;
+    scheduling_prefix(w, options);
+    w.put_blob(archive);
+    return round_trip(type, w.buffer());
   }
 };
 
@@ -214,59 +227,35 @@ SeriesResult Client::compress_series(std::span<const double> values,
 
 Field Client::decompress(std::span<const std::uint8_t> archive,
                          const RequestOptions& options) {
-  wire::Writer w;
-  Impl::scheduling_prefix(w, options);
-  w.blob(archive.data(), archive.size());
-  const auto body = impl_->round_trip(FrameType::Decompress, w.bytes());
-  try {
-    wire::Reader r(body);
-    Field field;
-    const bool is_double = r.u8() == 1;
-    const std::uint8_t rank = r.u8();
-    field.dims.resize(rank);
-    for (std::uint8_t d = 0; d < rank; ++d)
-      field.dims[d] = static_cast<std::size_t>(r.u64());
-    const auto [values, value_bytes] = r.blob();
-    r.expect_end();
-    if (is_double) {
-      field.f64.resize(value_bytes / sizeof(double));
-      if (value_bytes) std::memcpy(field.f64.data(), values, value_bytes);
-    } else {
-      field.f32.resize(value_bytes / sizeof(float));
-      if (value_bytes) std::memcpy(field.f32.data(), values, value_bytes);
-    }
-    return field;
-  } catch (const wire::WireError& e) {
-    throw ServiceError(ErrorCode::Internal, e.what());
-  }
+  return Impl::decode_reply(
+      impl_->archive_job(FrameType::Decompress, archive, options),
+      [](io::ByteReader& r) {
+        Field field;
+        const bool is_double = r.get<std::uint8_t>() == 1;
+        field.dims.resize(r.get<std::uint8_t>());
+        for (std::size_t& d : field.dims)
+          d = static_cast<std::size_t>(r.get<std::uint64_t>());
+        const auto values = r.get_blob_view();
+        io::ByteReader vr(values);
+        if (is_double)
+          field.f64 = vr.get_array<double>(values.size() / sizeof(double));
+        else
+          field.f32 = vr.get_array<float>(values.size() / sizeof(float));
+        vr.expect_end();  // a partial trailing value
+        return field;
+      });
 }
 
 std::string Client::inspect(std::span<const std::uint8_t> archive,
                             const RequestOptions& options) {
-  wire::Writer w;
-  Impl::scheduling_prefix(w, options);
-  w.blob(archive.data(), archive.size());
-  const auto body = impl_->round_trip(FrameType::Inspect, w.bytes());
-  try {
-    wire::Reader r(body);
-    std::string text = r.str();
-    r.expect_end();
-    return text;
-  } catch (const wire::WireError& e) {
-    throw ServiceError(ErrorCode::Internal, e.what());
-  }
+  return Impl::decode_reply(
+      impl_->archive_job(FrameType::Inspect, archive, options),
+      [](io::ByteReader& r) { return r.get_string(); });
 }
 
 std::string Client::stats() {
-  const auto body = impl_->round_trip(FrameType::Stats, {});
-  try {
-    wire::Reader r(body);
-    std::string text = r.str();
-    r.expect_end();
-    return text;
-  } catch (const wire::WireError& e) {
-    throw ServiceError(ErrorCode::Internal, e.what());
-  }
+  return Impl::decode_reply(impl_->round_trip(FrameType::Stats, {}),
+                            [](io::ByteReader& r) { return r.get_string(); });
 }
 
 void Client::shutdown_server() { impl_->round_trip(FrameType::Shutdown, {}); }

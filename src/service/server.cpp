@@ -74,6 +74,89 @@ struct JobResult {
 
 int close_quietly(int fd) { return fd >= 0 ? ::close(fd) : 0; }
 
+bool carries_field(FrameType type) {
+  return type == FrameType::Compress || type == FrameType::CompressSeries;
+}
+
+/// One job request, parsed off its frame. `spec` holds the Compress fields
+/// too (`series`/`keyframe_interval` are CompressSeries only). `data`
+/// borrows the payload: the field's values for the two compress types, the
+/// archive for Decompress/Inspect.
+struct JobRequest {
+  FrameType type = FrameType::Compress;
+  bool priority = false;
+  std::uint32_t deadline_ms = 0;
+  SeriesSpec spec;
+  std::uint8_t scalar = 0;  ///< 1 = f64, 0 = f32
+  std::uint64_t count = 0;  ///< product of spec.dims
+  std::span<const std::uint8_t> data;
+};
+
+/// The one place a job payload is decoded. A malformed frame throws
+/// io::StreamError (BadFrame); a well-formed frame that asks for something
+/// invalid throws std::invalid_argument (BadRequest).
+JobRequest parse_request(FrameType type,
+                         std::span<const std::uint8_t> payload) {
+  io::ByteReader r(payload);
+  JobRequest req;
+  req.type = type;
+  req.priority = r.get<std::uint8_t>() != 0;
+  req.deadline_ms = r.get<std::uint32_t>();
+  SeriesSpec& spec = req.spec;
+  if (carries_field(type)) {
+    if (type == FrameType::CompressSeries) {
+      spec.series = r.get_string();
+      spec.keyframe_interval = r.get<std::uint32_t>();
+    }
+    spec.engine = r.get_string();
+    spec.budget = r.get_string();
+    spec.mode = r.get_string();
+    spec.value = r.get<double>();
+    spec.tile.resize(r.get<std::uint8_t>());
+    for (std::size_t& t : spec.tile)
+      t = static_cast<std::size_t>(r.get<std::uint64_t>());
+    req.scalar = r.get<std::uint8_t>();
+    spec.dims.resize(r.get<std::uint8_t>());
+    req.count = 1;
+    for (std::size_t& d : spec.dims) {
+      const std::uint64_t extent = r.get<std::uint64_t>();
+      d = static_cast<std::size_t>(extent);
+      if (!checked_mul(req.count, extent, &req.count))
+        throw std::invalid_argument("dims product overflows");
+    }
+  }
+  req.data = r.get_blob_view();
+  r.expect_end();
+  if (carries_field(type)) {
+    if (req.scalar > 1) throw std::invalid_argument("unknown scalar type");
+    const std::size_t elem = req.scalar == 1 ? sizeof(double) : sizeof(float);
+    if (req.data.size() % elem != 0 || req.data.size() / elem != req.count)
+      throw std::invalid_argument("dims do not match the value payload size");
+    if (type == FrameType::CompressSeries && spec.series.empty())
+      throw std::invalid_argument("empty series name");
+  }
+  return req;
+}
+
+/// The request's values as a typed vector (the payload is only
+/// byte-aligned, and Source::memory borrows a typed span).
+template <typename T>
+std::vector<T> values_of(const JobRequest& req) {
+  return io::ByteReader(req.data).get_array<T>(req.count);
+}
+
+/// The report fields both compress Replies start with.
+void put_report(io::ByteWriter& w, const CompressReport& report) {
+  w.put<std::uint64_t>(report.value_count);
+  w.put<std::uint64_t>(report.compressed_bytes);
+  w.put<double>(report.achieved_psnr_db);
+  w.put<double>(report.bit_rate);
+  w.put<std::uint64_t>(report.block_count);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(report.tile.size()));
+  for (const std::size_t t : report.tile) w.put<std::uint64_t>(t);
+  w.put_blob(report.archive);
+}
+
 }  // namespace
 
 struct Server::Impl {
@@ -263,16 +346,15 @@ struct Server::Impl {
 
   // -- request handling ----------------------------------------------------
 
-  /// Read the scheduling prefix shared by all job requests.
-  static parallel::WorkQueue::TaskOptions read_scheduling(
-      wire::Reader& r, std::shared_ptr<std::promise<JobResult>> promise,
+  /// The scheduling attributes of a parsed job request.
+  static parallel::WorkQueue::TaskOptions scheduling_of(
+      const JobRequest& req, std::shared_ptr<std::promise<JobResult>> promise,
       Metrics& metrics) {
     parallel::WorkQueue::TaskOptions opts;
-    opts.priority = r.u8() != 0;
-    const std::uint32_t deadline_ms = r.u32();
-    if (deadline_ms > 0) {
+    opts.priority = req.priority;
+    if (req.deadline_ms > 0) {
       opts.deadline = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(deadline_ms);
+                      std::chrono::milliseconds(req.deadline_ms);
       opts.on_expired = [promise = std::move(promise), &metrics] {
         metrics.rejected_deadline.fetch_add(1, std::memory_order_relaxed);
         promise->set_value({false, ErrorCode::DeadlineExpired,
@@ -282,58 +364,24 @@ struct Server::Impl {
     return opts;
   }
 
-  JobResult run_compress(const std::vector<std::uint8_t>& payload) {
+  JobResult run_compress(const JobRequest& req) {
     try {
-      wire::Reader r(payload);
-      r.u8();   // priority: consumed by the handler
-      r.u32();  // deadline_ms
-      CompressSpec spec;
-      spec.engine = r.str();
-      spec.budget = r.str();
-      spec.mode = r.str();
-      spec.value = r.f64();
-      const std::uint8_t tile_rank = r.u8();
-      spec.tile.resize(tile_rank);
-      for (std::uint8_t t = 0; t < tile_rank; ++t)
-        spec.tile[t] = static_cast<std::size_t>(r.u64());
-      const std::uint8_t scalar = r.u8();
-      const std::uint8_t rank = r.u8();
-      std::uint64_t count = 1;
-      std::vector<std::size_t> dims(rank);
-      for (std::uint8_t d = 0; d < rank; ++d) {
-        const std::uint64_t extent = r.u64();
-        dims[d] = static_cast<std::size_t>(extent);
-        if (!checked_mul(count, extent, &count))
-          return {false, ErrorCode::BadRequest, "dims product overflows", {}};
-      }
-      const auto [values, value_bytes] = r.blob();
-      r.expect_end();
-      const std::size_t elem = scalar == 1 ? sizeof(double) : sizeof(float);
-      if (scalar > 1)
-        return {false, ErrorCode::BadRequest, "unknown scalar type", {}};
-      if (value_bytes % elem != 0 || value_bytes / elem != count)
-        return {false, ErrorCode::BadRequest,
-                "dims do not match the value payload size", {}};
-
+      const SeriesSpec& spec = req.spec;
       const Target target = make_target(spec.mode, spec.value);
       const Session& session =
           session_for(spec.engine, spec.budget, spec.tile);
       const auto start = std::chrono::steady_clock::now();
-      // The payload buffer is only byte-aligned; Source::memory borrows a
-      // typed span, so realign the values into a typed vector first.
       CompressReport report;
-      if (scalar == 1) {
-        std::vector<double> typed(count);
-        if (count) std::memcpy(typed.data(), values, value_bytes);
-        report = session.compress(Source::memory(std::span<const double>(typed),
-                                                 dims),
-                                  target, Sink::memory());
+      if (req.scalar == 1) {
+        const std::vector<double> typed = values_of<double>(req);
+        report = session.compress(
+            Source::memory(std::span<const double>(typed), spec.dims), target,
+            Sink::memory());
       } else {
-        std::vector<float> typed(count);
-        if (count) std::memcpy(typed.data(), values, value_bytes);
-        report = session.compress(Source::memory(std::span<const float>(typed),
-                                                 dims),
-                                  target, Sink::memory());
+        const std::vector<float> typed = values_of<float>(req);
+        report = session.compress(
+            Source::memory(std::span<const float>(typed), spec.dims), target,
+            Sink::memory());
       }
       const double micros =
           std::chrono::duration<double, std::micro>(
@@ -342,18 +390,9 @@ struct Server::Impl {
       metrics.record_latency(spec.engine, micros);
       metrics.record_psnr(report.achieved_psnr_db);
 
-      wire::Writer w;
-      w.u64(report.value_count);
-      w.u64(report.compressed_bytes);
-      w.f64(report.achieved_psnr_db);
-      w.f64(report.bit_rate);
-      w.u64(report.block_count);
-      w.u8(static_cast<std::uint8_t>(report.tile.size()));
-      for (const std::size_t t : report.tile) w.u64(t);
-      w.blob(report.archive.data(), report.archive.size());
+      io::ByteWriter w;
+      put_report(w, report);
       return {true, ErrorCode::Internal, "", w.take()};
-    } catch (const wire::WireError& e) {
-      return {false, ErrorCode::BadFrame, e.what(), {}};
     } catch (const std::invalid_argument& e) {
       return {false, ErrorCode::BadRequest, e.what(), {}};
     } catch (const std::exception& e) {
@@ -361,52 +400,18 @@ struct Server::Impl {
     }
   }
 
-  JobResult run_compress_series(const std::vector<std::uint8_t>& payload) {
+  JobResult run_compress_series(const JobRequest& req) {
     try {
-      wire::Reader r(payload);
-      r.u8();   // priority: consumed by the handler
-      r.u32();  // deadline_ms
-      SeriesSpec spec;
-      spec.series = r.str();
-      spec.keyframe_interval = r.u32();
-      spec.engine = r.str();
-      spec.budget = r.str();
-      spec.mode = r.str();
-      spec.value = r.f64();
-      const std::uint8_t tile_rank = r.u8();
-      spec.tile.resize(tile_rank);
-      for (std::uint8_t t = 0; t < tile_rank; ++t)
-        spec.tile[t] = static_cast<std::size_t>(r.u64());
-      const std::uint8_t scalar = r.u8();
-      const std::uint8_t rank = r.u8();
-      std::uint64_t count = 1;
-      spec.dims.resize(rank);
-      for (std::uint8_t d = 0; d < rank; ++d) {
-        const std::uint64_t extent = r.u64();
-        spec.dims[d] = static_cast<std::size_t>(extent);
-        if (!checked_mul(count, extent, &count))
-          return {false, ErrorCode::BadRequest, "dims product overflows", {}};
-      }
-      const auto [values, value_bytes] = r.blob();
-      r.expect_end();
-      if (scalar > 1)
-        return {false, ErrorCode::BadRequest, "unknown scalar type", {}};
-      const std::size_t elem = scalar == 1 ? sizeof(double) : sizeof(float);
-      if (value_bytes % elem != 0 || value_bytes / elem != count)
-        return {false, ErrorCode::BadRequest,
-                "dims do not match the value payload size", {}};
-      if (spec.series.empty())
-        return {false, ErrorCode::BadRequest, "empty series name", {}};
-
+      const SeriesSpec& spec = req.spec;
       // Everything but the snapshot values is fixed for a series' lifetime
       // — a mid-chain re-tile or retarget would desynchronize every
       // downstream decoder, so a mismatch is a request error, never a
       // silent new session.
-      std::string signature = spec.engine + '|' + spec.budget + '|' +
-                              spec.mode + '|' + std::to_string(spec.value) +
-                              '|' + std::to_string(spec.keyframe_interval) +
-                              '|' + std::to_string(static_cast<int>(scalar)) +
-                              '|';
+      std::string signature =
+          spec.engine + '|' + spec.budget + '|' + spec.mode + '|' +
+          std::to_string(spec.value) + '|' +
+          std::to_string(spec.keyframe_interval) + '|' +
+          std::to_string(static_cast<int>(req.scalar)) + '|';
       for (const std::size_t t : spec.tile)
         signature += std::to_string(t) + 'x';
       signature += '|';
@@ -452,13 +457,10 @@ struct Server::Impl {
 
       Field snapshot;
       snapshot.dims = spec.dims;
-      if (scalar == 1) {
-        snapshot.f64.resize(count);
-        if (count) std::memcpy(snapshot.f64.data(), values, value_bytes);
-      } else {
-        snapshot.f32.resize(count);
-        if (count) std::memcpy(snapshot.f32.data(), values, value_bytes);
-      }
+      if (req.scalar == 1)
+        snapshot.f64 = values_of<double>(req);
+      else
+        snapshot.f32 = values_of<float>(req);
       const auto start = std::chrono::steady_clock::now();
       const SnapshotRecord rec = entry->session.push(snapshot);
       const double micros =
@@ -468,21 +470,12 @@ struct Server::Impl {
       metrics.record_latency(spec.engine, micros);
       metrics.record_psnr(rec.report.achieved_psnr_db);
 
-      wire::Writer w;
-      w.u64(rec.report.value_count);
-      w.u64(rec.report.compressed_bytes);
-      w.f64(rec.report.achieved_psnr_db);
-      w.f64(rec.report.bit_rate);
-      w.u64(rec.report.block_count);
-      w.u8(static_cast<std::uint8_t>(rec.report.tile.size()));
-      for (const std::size_t t : rec.report.tile) w.u64(t);
-      w.blob(rec.report.archive.data(), rec.report.archive.size());
-      w.u64(rec.timestep);
-      w.u8(rec.keyframe ? 1 : 0);
-      w.u64(rec.temporal_blocks);
+      io::ByteWriter w;
+      put_report(w, rec.report);
+      w.put<std::uint64_t>(rec.timestep);
+      w.put<std::uint8_t>(rec.keyframe ? 1 : 0);
+      w.put<std::uint64_t>(rec.temporal_blocks);
       return {true, ErrorCode::Internal, "", w.take()};
-    } catch (const wire::WireError& e) {
-      return {false, ErrorCode::BadFrame, e.what(), {}};
     } catch (const std::invalid_argument& e) {
       return {false, ErrorCode::BadRequest, e.what(), {}};
     } catch (const std::exception& e) {
@@ -490,44 +483,30 @@ struct Server::Impl {
     }
   }
 
-  JobResult run_decompress(const std::vector<std::uint8_t>& payload) {
+  // A corrupt archive inside a well-formed frame is the job's fault:
+  // every failure below is BadRequest.
+  JobResult run_decompress(const JobRequest& req) {
     try {
-      wire::Reader r(payload);
-      r.u8();
-      r.u32();
-      const auto [archive, archive_bytes] = r.blob();
-      r.expect_end();
       const Session& session = session_for("sz-lorenzo", "uniform", {});
-      const Field field = session.decompress(
-          Source::memory(std::span<const std::uint8_t>(archive, archive_bytes)));
-      wire::Writer w;
-      w.u8(field.is_double() ? 1 : 0);
-      w.u8(static_cast<std::uint8_t>(field.dims.size()));
-      for (const std::size_t d : field.dims) w.u64(d);
+      const Field field = session.decompress(Source::memory(req.data));
+      io::ByteWriter w;
+      w.put<std::uint8_t>(field.is_double() ? 1 : 0);
+      w.put<std::uint8_t>(static_cast<std::uint8_t>(field.dims.size()));
+      for (const std::size_t d : field.dims) w.put<std::uint64_t>(d);
       if (field.is_double())
-        w.blob(field.f64.data(), field.f64.size() * sizeof(double));
+        w.put_blob(io::bytes_of(std::span<const double>(field.f64)));
       else
-        w.blob(field.f32.data(), field.f32.size() * sizeof(float));
+        w.put_blob(io::bytes_of(std::span<const float>(field.f32)));
       return {true, ErrorCode::Internal, "", w.take()};
-    } catch (const wire::WireError& e) {
-      return {false, ErrorCode::BadFrame, e.what(), {}};
-    } catch (const std::invalid_argument& e) {
-      return {false, ErrorCode::BadRequest, e.what(), {}};
     } catch (const std::exception& e) {
       return {false, ErrorCode::BadRequest, e.what(), {}};
     }
   }
 
-  JobResult run_inspect(const std::vector<std::uint8_t>& payload) {
+  JobResult run_inspect(const JobRequest& req) {
     try {
-      wire::Reader r(payload);
-      r.u8();
-      r.u32();
-      const auto [archive, archive_bytes] = r.blob();
-      r.expect_end();
       const Session& session = session_for("sz-lorenzo", "uniform", {});
-      const Inspection info = session.inspect(
-          Source::memory(std::span<const std::uint8_t>(archive, archive_bytes)));
+      const Inspection info = session.inspect(Source::memory(req.data));
       std::ostringstream out;
       out << "container: "
           << (info.block_container
@@ -549,11 +528,9 @@ struct Server::Impl {
         out << "achieved_psnr_db: " << std::fixed << std::setprecision(6)
             << info.achieved_psnr_db << "\n";
       out << "archive_bytes: " << info.archive_bytes << "\n";
-      wire::Writer w;
-      w.str(out.str());
+      io::ByteWriter w;
+      w.put_string(out.str());
       return {true, ErrorCode::Internal, "", w.take()};
-    } catch (const wire::WireError& e) {
-      return {false, ErrorCode::BadFrame, e.what(), {}};
     } catch (const std::exception& e) {
       return {false, ErrorCode::BadRequest, e.what(), {}};
     }
@@ -666,8 +643,8 @@ struct Server::Impl {
           break;
         case FrameType::Stats: {
           metrics.requests_stats.fetch_add(1, std::memory_order_relaxed);
-          wire::Writer w;
-          w.str(metrics.render(queue.pending()));
+          io::ByteWriter w;
+          w.put_string(metrics.render(queue.pending()));
           reply = w.take();
           break;
         }
@@ -704,39 +681,43 @@ struct Server::Impl {
     }
   }
 
-  /// Parse the scheduling prefix, admit the payload bytes, queue the job,
-  /// and wait for its result.
+  /// Parse the request, admit the payload bytes, queue the job, and wait
+  /// for its result.
   JobResult dispatch_job(FrameType type, std::vector<std::uint8_t> payload) {
-    const auto promise = std::make_shared<std::promise<JobResult>>();
-    auto future = promise->get_future();
-
-    parallel::WorkQueue::TaskOptions task_options;
+    const auto shared_payload =
+        std::make_shared<const std::vector<std::uint8_t>>(std::move(payload));
+    JobRequest request;
     try {
-      wire::Reader r(payload);
-      task_options = read_scheduling(r, promise, metrics);
-    } catch (const wire::WireError& e) {
+      request = parse_request(type, *shared_payload);
+    } catch (const io::StreamError& e) {
       return {false, ErrorCode::BadFrame, e.what(), {}};
+    } catch (const std::invalid_argument& e) {
+      return {false, ErrorCode::BadRequest, e.what(), {}};
     }
 
-    const std::uint64_t admitted = payload.size();
+    const auto promise = std::make_shared<std::promise<JobResult>>();
+    auto future = promise->get_future();
+    parallel::WorkQueue::TaskOptions task_options =
+        scheduling_of(request, promise, metrics);
+
+    const std::uint64_t admitted = shared_payload->size();
     metrics.in_flight_bytes.fetch_add(admitted, std::memory_order_relaxed);
-    const auto shared_payload =
-        std::make_shared<std::vector<std::uint8_t>>(std::move(payload));
     enqueue(
-        [this, type, shared_payload, promise] {
+        // `request` borrows from the payload the task keeps alive.
+        [this, shared_payload, request = std::move(request), promise] {
           JobResult result;
-          switch (type) {
+          switch (request.type) {
             case FrameType::Compress:
-              result = run_compress(*shared_payload);
+              result = run_compress(request);
               break;
             case FrameType::CompressSeries:
-              result = run_compress_series(*shared_payload);
+              result = run_compress_series(request);
               break;
             case FrameType::Decompress:
-              result = run_decompress(*shared_payload);
+              result = run_decompress(request);
               break;
             default:
-              result = run_inspect(*shared_payload);
+              result = run_inspect(request);
               break;
           }
           promise->set_value(std::move(result));

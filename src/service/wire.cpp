@@ -12,79 +12,6 @@
 
 namespace fpsnr::service::wire {
 
-void Writer::uint(std::uint64_t v, int width) {
-  for (int i = 0; i < width; ++i)
-    bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::f64(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  uint(bits, 8);
-}
-
-void Writer::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
-}
-
-void Writer::blob(const void* data, std::size_t size) {
-  u64(size);
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  bytes_.insert(bytes_.end(), p, p + size);
-}
-
-const std::uint8_t* Reader::need(std::size_t n) {
-  if (n > size_ - pos_)
-    throw WireError("truncated payload: wanted " + std::to_string(n) +
-                    " byte(s), have " + std::to_string(size_ - pos_));
-  const std::uint8_t* p = data_ + pos_;
-  pos_ += n;
-  return p;
-}
-
-std::uint64_t Reader::uint(int width) {
-  const std::uint8_t* p = need(static_cast<std::size_t>(width));
-  std::uint64_t v = 0;
-  for (int i = 0; i < width; ++i)
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint8_t Reader::u8() { return static_cast<std::uint8_t>(uint(1)); }
-std::uint16_t Reader::u16() { return static_cast<std::uint16_t>(uint(2)); }
-std::uint32_t Reader::u32() { return static_cast<std::uint32_t>(uint(4)); }
-std::uint64_t Reader::u64() { return uint(8); }
-
-double Reader::f64() {
-  const std::uint64_t bits = uint(8);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string Reader::str() {
-  const std::uint32_t n = u32();
-  const std::uint8_t* p = need(n);
-  return std::string(reinterpret_cast<const char*>(p), n);
-}
-
-std::pair<const std::uint8_t*, std::size_t> Reader::blob() {
-  const std::uint64_t n = u64();
-  if (n > size_ - pos_)
-    throw WireError("truncated payload: blob claims " + std::to_string(n) +
-                    " byte(s), have " + std::to_string(size_ - pos_));
-  const std::uint8_t* p = need(static_cast<std::size_t>(n));
-  return {p, static_cast<std::size_t>(n)};
-}
-
-void Reader::expect_end() const {
-  if (pos_ != size_)
-    throw WireError("trailing payload bytes: " + std::to_string(size_ - pos_) +
-                    " after the last field");
-}
-
 std::string_view error_code_name_impl(ErrorCode code) {
   switch (code) {
     case ErrorCode::BadMagic: return "bad-magic";
@@ -158,30 +85,30 @@ void set_socket_options(int fd, int recv_timeout_ms) {
 bool read_frame_header(int fd, FrameHeader* header) {
   std::uint8_t raw[kFrameHeaderBytes];
   if (!read_exact(fd, raw, sizeof(raw))) return false;
-  Reader r(raw, sizeof(raw));
-  header->magic = r.u32();
-  header->type = static_cast<FrameType>(r.u16());
-  header->flags = r.u16();
-  header->length = r.u64();
+  io::ByteReader r(raw);
+  header->magic = r.get<std::uint32_t>();
+  header->type = static_cast<FrameType>(r.get<std::uint16_t>());
+  header->flags = r.get<std::uint16_t>();
+  header->length = r.get<std::uint64_t>();
   return true;
 }
 
 void send_frame(int fd, FrameType type,
                 const std::vector<std::uint8_t>& payload) {
-  Writer head;
-  head.u32(kFrameMagic);
-  head.u16(static_cast<std::uint16_t>(type));
-  head.u16(0);
-  head.u64(payload.size());
-  write_all(fd, head.bytes().data(), head.bytes().size());
+  io::ByteWriter head;
+  head.put<std::uint32_t>(kFrameMagic);
+  head.put<std::uint16_t>(static_cast<std::uint16_t>(type));
+  head.put<std::uint16_t>(0);
+  head.put<std::uint64_t>(payload.size());
+  write_all(fd, head.buffer().data(), head.size());
   if (!payload.empty()) write_all(fd, payload.data(), payload.size());
 }
 
 void send_error(int fd, ErrorCode code, const std::string& message) {
-  Writer w;
-  w.u16(static_cast<std::uint16_t>(code));
-  w.str(message);
-  send_frame(fd, FrameType::Error, w.bytes());
+  io::ByteWriter w;
+  w.put<std::uint16_t>(static_cast<std::uint16_t>(code));
+  w.put_string(message);
+  send_frame(fd, FrameType::Error, w.buffer());
 }
 
 void discard_exact(int fd, std::uint64_t n) {

@@ -1,72 +1,24 @@
-// Wire-level plumbing shared by the fpsnrd server and client: bounded
-// binary serialization (little-endian, length-prefixed strings) and framed
-// socket I/O. Every read is bounds-checked — a truncated or lying payload
-// surfaces as a WireError for the caller to map to a typed protocol error,
-// never as an out-of-bounds access.
+// Socket framing shared by the fpsnrd server and client: frame headers,
+// exact reads and writes, error frames, and per-socket options. Payloads
+// are encoded and decoded with io::ByteWriter/io::ByteReader, whose
+// bounds-checked reads throw io::StreamError on a truncated or lying
+// payload; WireError is only for the socket itself failing.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fpsnr/service.h"
+#include "io/bytebuffer.h"
 
 namespace fpsnr::service::wire {
 
-/// Malformed payload (truncated field, oversized string, trailing junk).
+/// Socket I/O failure: EOF mid-frame, a timed-out read, a failed write.
 struct WireError : std::runtime_error {
   using std::runtime_error::runtime_error;
-};
-
-/// Append-only little-endian serializer.
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u16(std::uint16_t v) { uint(v, 2); }
-  void u32(std::uint32_t v) { uint(v, 4); }
-  void u64(std::uint64_t v) { uint(v, 8); }
-  void f64(double v);
-  void str(const std::string& s);
-  /// Raw bytes with a u64 length prefix.
-  void blob(const void* data, std::size_t size);
-
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  void uint(std::uint64_t v, int width);
-  std::vector<std::uint8_t> bytes_;
-};
-
-/// Bounds-checked little-endian deserializer over a borrowed buffer.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-  explicit Reader(const std::vector<std::uint8_t>& bytes)
-      : Reader(bytes.data(), bytes.size()) {}
-
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  std::string str();
-  /// A u64-length-prefixed byte run; returns a borrowed view.
-  std::pair<const std::uint8_t*, std::size_t> blob();
-
-  std::size_t remaining() const { return size_ - pos_; }
-  /// Throws unless the whole payload was consumed — trailing junk means
-  /// the two ends disagree about the layout.
-  void expect_end() const;
-
- private:
-  std::uint64_t uint(int width);
-  const std::uint8_t* need(std::size_t n);
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
 };
 
 /// Parsed frame header.

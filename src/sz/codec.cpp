@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -173,9 +172,10 @@ HybridPlan deserialize_plan(std::span<const std::uint8_t> blob) {
   if (!(plan.coeff_step > 0.0) || !std::isfinite(plan.coeff_step))
     throw io::StreamError("fpsz: invalid regression coefficient step");
   const std::uint64_t nblocks = in.get_varint();
+  // One bitmap bit per block, read before anything is sized by nblocks.
+  const auto bitmap = in.get_bytes(nblocks / 8 + (nblocks % 8 != 0));
   plan.use_regression.assign(nblocks, 0);
   plan.coeff_index.assign(nblocks, 0);
-  const auto bitmap = in.get_bytes((nblocks + 7) / 8);
   std::uint32_t next = 0;
   for (std::uint64_t i = 0; i < nblocks; ++i) {
     if ((bitmap[i >> 3] >> (i & 7)) & 1u) {
@@ -376,9 +376,7 @@ std::vector<std::uint8_t> encode_inner(const QuantizeOutput<T>& q,
                                        const Params& params) {
   io::ByteWriter inner;
   inner.put_varint(q.outliers.size());
-  inner.put_bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(q.outliers.data()),
-      q.outliers.size() * sizeof(T)));
+  inner.put_bytes(io::bytes_of(std::span<const T>(q.outliers)));
 
   const auto encoder = huffman::Encoder::from_symbols(q.codes, bins);
   encoder.write_table(inner);
@@ -403,14 +401,8 @@ DecodedInner<T> decode_inner(std::span<const std::uint8_t> payload,
   const std::uint64_t outlier_count = reader.get_varint();
   if (outlier_count > count)
     throw io::StreamError("fpsz: outlier count exceeds value count");
-  // Bound against the bytes actually present before allocating: a crafted
-  // header must fail with a StreamError, not an oversized alloc.
-  if (outlier_count > reader.remaining() / sizeof(T))
-    throw io::StreamError("fpsz: truncated outlier list");
   DecodedInner<T> out;
-  out.outliers.resize(outlier_count);
-  const auto raw = reader.get_bytes(outlier_count * sizeof(T));
-  if (!raw.empty()) std::memcpy(out.outliers.data(), raw.data(), raw.size());
+  out.outliers = reader.get_array<T>(outlier_count);
 
   const auto decoder = huffman::Decoder::read_table(reader);
   const auto payload_bits = reader.get_blob_view();

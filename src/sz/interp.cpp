@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "huffman/huffman.h"
@@ -145,9 +144,7 @@ std::vector<std::uint8_t> interp_compress(std::span<const T> values,
 
   io::ByteWriter inner;
   inner.put_varint(outliers.size());
-  inner.put_bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(outliers.data()),
-      outliers.size() * sizeof(T)));
+  inner.put_bytes(io::bytes_of(std::span<const T>(outliers)));
   const auto encoder =
       huffman::Encoder::from_symbols(codes, params.quantization_bins);
   encoder.write_table(inner);
@@ -188,21 +185,9 @@ Decompressed<T> interp_decompress(std::span<const std::uint8_t> stream) {
   io::ByteReader ir(inner);
   const std::uint64_t n_out = ir.get_varint();
   if (n_out > count) throw io::StreamError("fpin: outlier count exceeds values");
-  // Bound hostile sizes against the bytes actually present BEFORE any
-  // allocation sized by them — a crafted header must fail with a clean
-  // StreamError, never an oversized alloc.
-  if (n_out > ir.remaining() / sizeof(T))
-    throw io::StreamError("fpin: truncated outlier list");
-  std::vector<T> outliers(n_out);
-  const auto raw = ir.get_bytes(n_out * sizeof(T));
-  if (!raw.empty()) std::memcpy(outliers.data(), raw.data(), raw.size());
+  const std::vector<T> outliers = ir.get_array<T>(n_out);
   const auto decoder = huffman::Decoder::read_table(ir);
-  const auto code_bits = ir.get_blob_view();
-  // Every Huffman code is at least one bit (src/huffman enforces this even
-  // for a single-symbol alphabet), so `count` cannot exceed the bit count.
-  if (count > code_bits.size() * 8)
-    throw io::StreamError("fpin: truncated code stream");
-  io::BitReader bits(code_bits);
+  io::BitReader bits(ir.get_blob_view());
   const auto codes = decoder.decode(bits, count);
 
   const LinearQuantizer quant(header.eb_abs, header.quant_bins);

@@ -1,7 +1,6 @@
 #include "transform/transform_codec.h"
 
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "huffman/huffman.h"
@@ -150,9 +149,7 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
 
   io::ByteWriter inner;
   inner.put_varint(q.outliers.size());
-  inner.put_bytes(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(q.outliers.data()),
-      q.outliers.size() * sizeof(double)));
+  inner.put_bytes(io::bytes_of(std::span<const double>(q.outliers)));
   const auto encoder = huffman::Encoder::from_symbols(q.codes, params.quantization_bins);
   encoder.write_table(inner);
   io::BitWriter bits;
@@ -201,9 +198,7 @@ Decompressed<T> decompress(std::span<const std::uint8_t> stream) {
   io::ByteReader ir(inner);
   const std::uint64_t n_out = ir.get_varint();
   if (n_out > count) throw io::StreamError("fptc: outlier count exceeds values");
-  std::vector<double> outliers(n_out);
-  const auto raw = ir.get_bytes(n_out * sizeof(double));
-  if (!raw.empty()) std::memcpy(outliers.data(), raw.data(), raw.size());
+  const std::vector<double> outliers = ir.get_array<double>(n_out);
   const auto decoder = huffman::Decoder::read_table(ir);
   io::BitReader bits(ir.get_blob_view());
   const auto codes = decoder.decode(bits, count);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 namespace io = fpsnr::io;
 
@@ -84,6 +85,18 @@ TEST(BitStream, ReadPastEndThrows) {
   io::BitReader r(bytes);
   EXPECT_NO_THROW(r.read_bits(8));
   EXPECT_THROW(r.read_bits(1), io::StreamError);
+}
+
+TEST(BitStream, SkipAndReadBytesThatWrapAreRejected) {
+  // Lengths near 2^64 must not wrap the position past the end check.
+  const std::vector<std::uint8_t> bytes = {0xAB, 0xCD, 0xEF};
+  io::BitReader skip(bytes);
+  skip.skip_bits(8);
+  EXPECT_THROW(skip.skip_bits(~std::size_t{0} - 3), io::StreamError);
+  EXPECT_EQ(skip.bit_position(), 8u);
+  io::BitReader raw(bytes);
+  raw.skip_bits(8);
+  EXPECT_THROW((void)raw.read_bytes(~std::size_t{0}), io::StreamError);
 }
 
 TEST(BitStream, ReadBytesRoundTrip) {

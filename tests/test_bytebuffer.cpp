@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
+#include <vector>
 
 namespace io = fpsnr::io;
 
@@ -133,4 +136,86 @@ TEST(ByteBuffer, RandomizedVarintRoundTrip) {
   const auto buf = w.take();
   io::ByteReader r(buf);
   for (std::uint64_t v : values) ASSERT_EQ(r.get_varint(), v);
+}
+
+TEST(ByteBuffer, BlobLengthThatWrapsIsRejected) {
+  // A u64 blob length of 2^64-16 at offset 8 of a 24-byte buffer: with a
+  // `pos + n > size` check the sum wraps and the read is accepted.
+  io::ByteWriter w;
+  w.put<std::uint64_t>(1);
+  w.put<std::uint64_t>(~std::uint64_t{0} - 15);
+  w.put<std::uint64_t>(2);
+  const auto buf = w.take();
+  ASSERT_EQ(buf.size(), 24u);
+  io::ByteReader r(buf);
+  EXPECT_EQ(r.get<std::uint64_t>(), 1u);
+  EXPECT_THROW((void)r.get_blob_view(), io::StreamError);
+  io::ByteReader again(buf);
+  again.get<std::uint64_t>();
+  EXPECT_THROW((void)again.get_blob(), io::StreamError);
+  io::ByteReader raw(buf);
+  raw.get<std::uint64_t>();
+  EXPECT_THROW((void)raw.get_bytes(~std::size_t{0} - 7), io::StreamError);
+}
+
+TEST(ByteBuffer, StringRoundTripWithU32Prefix) {
+  io::ByteWriter w;
+  w.put_string("abc");
+  w.put_string("");
+  const auto buf = w.take();
+  const std::vector<std::uint8_t> expected = {3, 0, 0, 0, 'a', 'b', 'c',
+                                              0, 0, 0, 0};
+  EXPECT_EQ(buf, expected);
+  io::ByteReader r(buf);
+  EXPECT_EQ(r.get_string(), "abc");
+  EXPECT_EQ(r.get_string(), "");
+  EXPECT_NO_THROW(r.expect_end());
+}
+
+TEST(ByteBuffer, TruncatedStringThrows) {
+  io::ByteWriter w;
+  w.put<std::uint32_t>(0xFFFFFFFFu);  // claims 4 GiB, carries 2 bytes
+  w.put<std::uint16_t>(0x4141);
+  const auto buf = w.take();
+  io::ByteReader r(buf);
+  EXPECT_THROW((void)r.get_string(), io::StreamError);
+}
+
+TEST(ByteBuffer, CountRejectsClaimsLargerThanTheInput) {
+  const std::vector<std::uint8_t> buf(16, 0);
+  io::ByteReader r(buf);
+  EXPECT_EQ(r.count(0, 8), 0u);
+  EXPECT_EQ(r.count(2, 8), 2u);
+  EXPECT_EQ(r.count(16, 1), 16u);
+  EXPECT_THROW((void)r.count(3, 8), io::StreamError);
+  // n * 8 wraps to 8 here; the check must not multiply.
+  EXPECT_THROW((void)r.count((std::uint64_t{1} << 61) + 1, 8), io::StreamError);
+  EXPECT_THROW((void)r.count(std::numeric_limits<std::uint64_t>::max(), 1),
+               io::StreamError);
+  EXPECT_EQ(r.position(), 0u);  // count() reads nothing
+}
+
+TEST(ByteBuffer, ArrayRoundTripAndHugeArrayClaimRejected) {
+  const std::vector<double> values = {1.5, -2.25, 1e300};
+  io::ByteWriter w;
+  w.put_bytes(io::bytes_of(std::span<const double>(values)));
+  const auto buf = w.take();
+  io::ByteReader r(buf);
+  EXPECT_EQ(r.get_array<double>(3), values);
+  EXPECT_NO_THROW(r.expect_end());
+
+  io::ByteReader short_read(buf);
+  EXPECT_THROW((void)short_read.get_array<double>(4), io::StreamError);
+  io::ByteReader huge(buf);
+  EXPECT_THROW((void)huge.get_array<double>(std::uint64_t{1} << 59),
+               io::StreamError);
+}
+
+TEST(ByteBuffer, ExpectEndRejectsTrailingBytes) {
+  const std::vector<std::uint8_t> buf = {1, 2, 3};
+  io::ByteReader r(buf);
+  r.get<std::uint16_t>();
+  EXPECT_THROW(r.expect_end(), io::StreamError);
+  r.get<std::uint8_t>();
+  EXPECT_NO_THROW(r.expect_end());
 }

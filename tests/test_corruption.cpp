@@ -17,8 +17,11 @@
 #include "io/bitstream.h"
 #include "io/bytebuffer.h"
 #include "io/streaming_archive.h"
+#include "sz/codec.h"
 #include "sz/interp.h"
+#include "sz/stream_format.h"
 #include "transform/fixed_rate.h"
+#include "transform/transform_codec.h"
 
 namespace core = fpsnr::core;
 namespace data = fpsnr::data;
@@ -318,6 +321,99 @@ TEST(Corruption, FixedRateBlockWithHugeDeclaredSizesRejectedBeforeAllocating) {
   const auto s = w.take();
   EXPECT_THROW((void)fpsnr::transform::fixed_rate_decompress<float>(s),
                io::StreamError);
+}
+
+namespace {
+
+/// An FPTC (transform codec) header whose dims claim 2^60 float values.
+io::ByteWriter fptc_header_claiming_2_60_values() {
+  io::ByteWriter w;
+  const std::uint8_t magic[4] = {'F', 'P', 'T', 'C'};
+  w.put_bytes(std::span<const std::uint8_t>(magic, 4));
+  w.put<std::uint8_t>(1);                  // version
+  w.put<std::uint8_t>(0);                  // scalar = float32
+  w.put<std::uint8_t>(0);                  // kind = Haar
+  w.put<std::uint8_t>(3);                  // rank
+  for (int d = 0; d < 3; ++d) w.put_varint(std::uint64_t{1} << 20);
+  w.put<double>(1e-3);                     // bin width
+  w.put<double>(1.0);                      // value range
+  w.put_varint(65536);                     // quant bins
+  w.put_varint(1);                         // haar levels
+  w.put_varint(8);                         // dct block
+  return w;
+}
+
+}  // namespace
+
+TEST(Corruption, TransformBlockWithHugeDeclaredSizesRejectedBeforeAllocating) {
+  // An FPTC block declaring 2^60 values whose outlier list claims 2^59
+  // doubles over an empty inner stream.
+  io::ByteWriter w = fptc_header_claiming_2_60_values();
+  {
+    io::ByteWriter blob;
+    blob.put<std::uint8_t>(0);  // lossless::Method::Store tag
+    blob.put_varint(std::uint64_t{1} << 59);
+    w.put_blob(blob.buffer());
+  }
+  const auto s = w.take();
+  EXPECT_THROW((void)fpsnr::transform::decompress<float>(s), io::StreamError);
+}
+
+TEST(Corruption, TransformBlockWithHugeValueCountAndEmptyPayloadRejected) {
+  // An FPTC block declaring 2^60 values with no outliers, a one-symbol
+  // code table and an empty bit payload: the value count is checked
+  // against the bits present before the code array is sized.
+  io::ByteWriter w = fptc_header_claiming_2_60_values();
+  {
+    io::ByteWriter blob;
+    blob.put<std::uint8_t>(0);   // lossless::Method::Store tag
+    blob.put_varint(0);          // no outliers
+    blob.put_varint(2);          // code table: alphabet 2,
+    blob.put_varint(1);          //   symbol 0 has a 1-bit code,
+    blob.put<std::uint8_t>(1);
+    blob.put_varint(1);          //   symbol 1 has none
+    blob.put<std::uint8_t>(0);
+    blob.put<std::uint64_t>(0);  // empty bit payload
+    w.put_blob(blob.buffer());
+  }
+  const auto s = w.take();
+  EXPECT_THROW((void)fpsnr::transform::decompress<float>(s), io::StreamError);
+}
+
+TEST(Corruption, HybridPlanWithHugeBlockCountRejectedBeforeAllocating) {
+  // An sz hybrid-regression plan that claims 2^64-1 blocks: the bitmap
+  // size must not wrap, and nothing may be sized before it is read.
+  namespace sz = fpsnr::sz;
+  sz::StreamHeader h;
+  h.predictor = sz::Predictor::HybridRegression;
+  h.dims = data::Dims{4, 4};
+  h.eb_abs = 1e-3;
+  h.user_bound = 1e-3;
+  h.value_range = 1.0;
+  h.quant_bins = 65536;
+  io::ByteWriter w;
+  sz::write_header(h, w);
+  {
+    io::ByteWriter plan;
+    plan.put<std::uint8_t>(0);  // lossless::Method::Store tag
+    plan.put<double>(1.0);      // coefficient step
+    plan.put_varint(~std::uint64_t{0});
+    w.put_blob(plan.buffer());
+  }
+  const auto s = w.take();
+  EXPECT_THROW((void)sz::decompress<float>(s), io::StreamError);
+}
+
+TEST(Corruption, ArchiveWithHugeEntryCountRejectedBeforeAllocating) {
+  // An FPAR archive that claims 2^40 entries and carries none.
+  io::ByteWriter w;
+  const std::uint8_t magic[4] = {'F', 'P', 'A', 'R'};
+  w.put_bytes(std::span<const std::uint8_t>(magic, 4));
+  w.put<std::uint8_t>(1);  // version
+  w.put_varint(std::uint64_t{1} << 40);
+  const auto s = w.take();
+  EXPECT_THROW((void)io::read_archive(s), io::StreamError);
+  EXPECT_THROW((void)io::list_archive(s), io::StreamError);
 }
 
 // --- payload corruption -----------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <random>
@@ -202,6 +203,103 @@ TEST(Huffman, OverlongCodeLengthRejected) {
   const auto buf = w.take();
   io::ByteReader r(buf);
   EXPECT_THROW(huffman::Decoder::read_table(r), io::StreamError);
+}
+
+TEST(Huffman, HugeAlphabetClaimRejectedBeforeAllocating) {
+  // Eight bytes that claim 2^40 code lengths: a StreamError, not an
+  // attempt to reserve a terabyte.
+  io::ByteWriter w;
+  w.put_varint(std::uint64_t{1} << 40);
+  w.put_varint(1);
+  w.put<std::uint8_t>(3);
+  const auto buf = w.take();
+  ASSERT_EQ(buf.size(), 8u);
+  io::ByteReader r(buf);
+  EXPECT_THROW(huffman::Decoder::read_table(r), io::StreamError);
+}
+
+TEST(Huffman, RunPastTheKraftBudgetRejected) {
+  // 2^32-1 codes of length 5: only 32 fit. Rejected from the run itself,
+  // before anything is sized per symbol.
+  io::ByteWriter w;
+  w.put_varint((std::uint64_t{1} << 32) - 1);
+  w.put_varint((std::uint64_t{1} << 32) - 1);
+  w.put<std::uint8_t>(5);
+  const auto buf = w.take();
+  io::ByteReader r(buf);
+  EXPECT_THROW(huffman::Decoder::read_table(r), io::StreamError);
+}
+
+TEST(Huffman, LongZeroRunIsNotMaterialised) {
+  // One coded symbol after a zero run of 2^32-2: a valid table whose only
+  // code is '0' for the last symbol.
+  const std::uint32_t last = 0xFFFFFFFEu;
+  io::ByteWriter w;
+  w.put_varint(std::uint64_t{last} + 1);
+  w.put_varint(last);
+  w.put<std::uint8_t>(0);
+  w.put_varint(1);
+  w.put<std::uint8_t>(1);
+  const auto buf = w.take();
+  io::ByteReader r(buf);
+  const auto dec = huffman::Decoder::read_table(r);
+  EXPECT_TRUE(r.exhausted());
+  const std::vector<std::uint8_t> zeros = {0x00};
+  io::BitReader br(zeros);
+  EXPECT_EQ(dec.decode_symbol(br), last);
+}
+
+TEST(Huffman, DecodeCountBeyondTheBitsLeftRejected) {
+  // Every code is at least one bit: 2^60 symbols cannot come out of one
+  // byte, and the claim must fail before the output is reserved.
+  const std::vector<std::uint8_t> lengths = {1, 1};
+  const auto dec = huffman::Decoder::from_lengths(lengths);
+  const std::vector<std::uint8_t> one_byte = {0x5a};
+  io::BitReader br(one_byte);
+  EXPECT_THROW((void)dec.decode(br, std::size_t{1} << 60), io::StreamError);
+  io::BitReader again(one_byte);
+  EXPECT_EQ(dec.decode(again, 8).size(), 8u);
+}
+
+TEST(Huffman, LongCodesDecodeThroughRuns) {
+  // Symbols 0..19 get lengths 1..20, leaving 2^-20 of the Kraft budget for
+  // four length-22 codes split into runs by zero gaps (100-101, 200, 300).
+  // Codes longer than the decoder's listed range resolve through runs.
+  std::vector<std::uint8_t> lengths(301, 0);
+  for (std::uint32_t s = 0; s < 20; ++s)
+    lengths[s] = static_cast<std::uint8_t>(s + 1);
+  for (const std::uint32_t s : {100u, 101u, 200u, 300u}) lengths[s] = 22;
+  const auto codes = huffman::canonical_codes(lengths);
+  std::vector<std::uint32_t> symbols;
+  for (std::uint32_t s = 0; s < lengths.size(); ++s)
+    if (lengths[s] > 0) symbols.push_back(s);
+  std::reverse(symbols.begin(), symbols.end());
+  io::BitWriter bits;
+  for (const std::uint32_t s : symbols) {
+    std::uint32_t reversed = 0;  // codes go out bit-reversed, LSB first
+    for (unsigned b = 0; b < lengths[s]; ++b)
+      reversed |= ((codes[s] >> b) & 1u) << (lengths[s] - 1 - b);
+    bits.write_bits(reversed, lengths[s]);
+  }
+  const auto payload = bits.take();
+
+  io::BitReader direct(payload);
+  EXPECT_EQ(huffman::Decoder::from_lengths(lengths).decode(direct,
+                                                            symbols.size()),
+            symbols);
+  io::ByteWriter rle;  // the same lengths as a serialized table
+  rle.put_varint(lengths.size());
+  for (std::size_t i = 0; i < lengths.size();) {
+    std::size_t j = i;
+    while (j < lengths.size() && lengths[j] == lengths[i]) ++j;
+    rle.put_varint(j - i);
+    rle.put<std::uint8_t>(lengths[i]);
+    i = j;
+  }
+  io::ByteReader r(rle.buffer());
+  io::BitReader from_table(payload);
+  EXPECT_EQ(huffman::Decoder::read_table(r).decode(from_table, symbols.size()),
+            symbols);
 }
 
 TEST(Huffman, KraftViolationRejected) {

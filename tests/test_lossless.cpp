@@ -1,6 +1,7 @@
 // Unit and property tests for the lossless substrates: LZ77, DEFLATE-like
 // coder, RLE, and the self-describing backend.
 #include "io/bitstream.h"
+#include "io/bytebuffer.h"
 #include "lossless/backend.h"
 #include "lossless/deflate.h"
 #include "lossless/lz77.h"
@@ -196,6 +197,20 @@ TEST(Deflate, SizeMismatchDetected) {
   // Corrupt the declared size varint (first byte, small value).
   c[0] = static_cast<std::uint8_t>(c[0] ^ 0x01);
   EXPECT_THROW(lossless::deflate_decompress(c), io::StreamError);
+}
+
+TEST(Deflate, HugeDeclaredSizeRejectedBeforeAllocating) {
+  // A valid stream whose original_size varint is rewritten to 2^50: more
+  // than its payload could expand to (258 bytes per coded bit).
+  const auto input = repetitive_bytes(1000, 3);
+  const auto c = lossless::deflate_compress(input);
+  std::size_t varint_bytes = 0;
+  while (c[varint_bytes] & 0x80u) ++varint_bytes;
+  ++varint_bytes;
+  io::ByteWriter w;
+  w.put_varint(std::uint64_t{1} << 50);
+  w.put_bytes(std::span<const std::uint8_t>(c).subspan(varint_bytes));
+  EXPECT_THROW(lossless::deflate_decompress(w.buffer()), io::StreamError);
 }
 
 class DeflatePropertyTest : public ::testing::TestWithParam<int> {};

@@ -110,11 +110,11 @@ struct RawConn {
 
 std::vector<std::uint8_t> frame_header(std::uint32_t magic, std::uint16_t type,
                                        std::uint64_t length) {
-  service::wire::Writer w;
-  w.u32(magic);
-  w.u16(type);
-  w.u16(0);
-  w.u64(length);
+  io::ByteWriter w;
+  w.put<std::uint32_t>(magic);
+  w.put<std::uint16_t>(type);
+  w.put<std::uint16_t>(0);
+  w.put<std::uint64_t>(length);
   return w.take();
 }
 
@@ -129,8 +129,8 @@ std::vector<float> make_values(std::size_t n) {
 }
 
 service::ErrorCode code_of(const std::vector<std::uint8_t>& body) {
-  service::wire::Reader r(body);
-  return static_cast<service::ErrorCode>(r.u16());
+  io::ByteReader r(body);
+  return static_cast<service::ErrorCode>(r.get<std::uint16_t>());
 }
 
 /// The server's stats() text once it contains `line`, polled for up to
@@ -149,6 +149,66 @@ std::string stats_once_they_contain(const service::Server& server,
   }
   return stats;
 }
+
+/// Lower-case hex of a byte run, for pinning wire layouts.
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char digits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
+}
+
+/// A one-connection stand-in for fpsnrd: it records the first frame a
+/// client sends (header and payload, as raw bytes) and answers it with a
+/// Reply frame carrying `reply`.
+struct FakeServer {
+  std::string path;
+  int listen_fd = -1;
+  std::thread runner;
+  std::vector<std::uint8_t> request;
+
+  FakeServer(const std::string& tag, std::vector<std::uint8_t> reply) {
+    path = unique_socket_path(tag);
+    ::unlink(path.c_str());
+    listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    if (listen_fd < 0 ||
+        ::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+            0 ||
+        ::listen(listen_fd, 1) != 0)
+      throw std::runtime_error("fake server: cannot listen");
+    runner = std::thread([this, reply = std::move(reply)] {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      try {
+        request.resize(service::kFrameHeaderBytes);
+        if (service::wire::read_exact(fd, request.data(), request.size())) {
+          std::uint64_t length = 0;
+          std::memcpy(&length, request.data() + 8, sizeof(length));
+          request.resize(request.size() + length);
+          if (length > 0)
+            service::wire::read_exact(fd, request.data() + 16, length);
+          service::wire::send_frame(fd, service::FrameType::Reply, reply);
+        }
+      } catch (const service::wire::WireError&) {
+        // The test's checks on `request` report what arrived.
+      }
+      ::close(fd);
+    });
+  }
+  FakeServer(const FakeServer&) = delete;
+  FakeServer& operator=(const FakeServer&) = delete;
+  ~FakeServer() {
+    if (runner.joinable()) runner.join();
+    ::close(listen_fd);
+    ::unlink(path.c_str());
+  }
+};
 
 }  // namespace
 
@@ -523,7 +583,7 @@ TEST(Service, MidPayloadDisconnectDoesNotKillTheServer) {
 TEST(Service, MalformedJobPayloadGetsTypedErrorNotACrash) {
   // A complete frame whose payload lies about its own layout (truncated
   // fields, bogus blob lengths) must come back as a typed error with the
-  // connection still usable — every Reader access is bounds-checked.
+  // connection still usable — every ByteReader access is bounds-checked.
   TestServer ts;
   ts.start("payload");
   RawConn conn(ts.path);
@@ -545,6 +605,118 @@ TEST(Service, MalformedJobPayloadGetsTypedErrorNotACrash) {
   const auto pong = conn.read_frame();
   ASSERT_TRUE(pong.has_value());
   EXPECT_EQ(pong->first.type, service::FrameType::Reply);
+}
+
+TEST(Service, WireBytesArePinned) {
+  // The request a Client puts on the wire and the Reply layout it reads
+  // back, byte for byte. Any change here breaks every deployed peer.
+  io::ByteWriter w;
+  w.put<std::uint64_t>(4);     // value_count
+  w.put<std::uint64_t>(3);     // compressed_bytes
+  w.put<double>(61.5);         // achieved_psnr_db
+  w.put<double>(6.0);          // bit_rate
+  w.put<std::uint64_t>(1);     // block_count
+  w.put<std::uint8_t>(1);      // tile rank
+  w.put<std::uint64_t>(2);     // tile extent
+  const std::vector<std::uint8_t> archive = {0xaa, 0xbb, 0xcc};
+  w.put_blob(archive);
+  const std::vector<std::uint8_t> reply = w.take();
+  EXPECT_EQ(hex(reply),
+            "0400000000000000"  // value_count
+            "0300000000000000"  // compressed_bytes
+            "0000000000c04e40"  // achieved_psnr_db 61.5
+            "0000000000001840"  // bit_rate 6.0
+            "0100000000000000"  // block_count
+            "01" "0200000000000000"           // tile {2}
+            "0300000000000000" "aabbcc");     // archive blob
+
+  FakeServer fake("pin", reply);
+  service::CompressResult result;
+  {
+    service::Client client({fake.path});
+    service::CompressSpec spec;
+    spec.mode = "psnr";
+    spec.value = 60.0;
+    spec.tile = {2};
+    spec.dims = {2, 2};
+    const std::vector<float> values = {1.0f, -2.0f, 0.5f, 4.0f};
+    service::RequestOptions options;
+    options.priority = true;
+    options.deadline_ms = 250;
+    result = client.compress(std::span<const float>(values), spec, options);
+  }
+  fake.runner.join();
+  EXPECT_EQ(hex(fake.request),
+            "46505344" "0200" "0000" "6100000000000000"  // FPSD Compress, 97 B
+            "01" "fa000000"                       // priority, deadline 250 ms
+            "0a000000" "737a2d6c6f72656e7a6f"     // engine "sz-lorenzo"
+            "07000000" "756e69666f726d"           // budget "uniform"
+            "04000000" "70736e72"                 // mode "psnr"
+            "0000000000004e40"                    // value 60.0
+            "01" "0200000000000000"               // tile {2}
+            "00" "02" "0200000000000000" "0200000000000000"  // f32, dims 2x2
+            "1000000000000000"                    // values blob, 16 B
+            "0000803f" "000000c0" "0000003f" "00008040");
+  EXPECT_EQ(result.value_count, 4u);
+  EXPECT_EQ(result.compressed_bytes, 3u);
+  EXPECT_EQ(result.achieved_psnr_db, 61.5);
+  EXPECT_EQ(result.bit_rate, 6.0);
+  EXPECT_EQ(result.block_count, 1u);
+  EXPECT_EQ(result.tile, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(result.archive, (std::vector<std::uint8_t>{0xaa, 0xbb, 0xcc}));
+}
+
+TEST(Service, BlobLengthThatWrapsIsBadFrame) {
+  // A Decompress frame whose archive blob claims 2^64-16 bytes: the length
+  // check must not wrap, and a malformed frame is BadFrame, with the
+  // connection left frame-aligned.
+  TestServer ts;
+  ts.start("wrapblob");
+  RawConn conn(ts.path);
+  io::ByteWriter w;
+  w.put<std::uint8_t>(0);                        // priority
+  w.put<std::uint32_t>(0);                       // deadline_ms
+  w.put<std::uint64_t>(~std::uint64_t{0} - 15);  // blob length 2^64-16
+  w.put<std::uint64_t>(0x5a5a5a5a5a5a5a5aull);   // 8 bytes where it starts
+  const std::vector<std::uint8_t> payload = w.take();
+  conn.send_bytes(frame_header(
+      service::kFrameMagic,
+      static_cast<std::uint16_t>(service::FrameType::Decompress),
+      payload.size()));
+  conn.send_bytes(payload);
+  const auto reply = conn.read_frame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->first.type, service::FrameType::Error);
+  EXPECT_EQ(code_of(reply->second), service::ErrorCode::BadFrame);
+  conn.send_bytes(frame_header(
+      service::kFrameMagic,
+      static_cast<std::uint16_t>(service::FrameType::Ping), 0));
+  const auto pong = conn.read_frame();
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_EQ(pong->first.type, service::FrameType::Reply);
+}
+
+TEST(Service, GarbageArchiveInAWellFormedFrameIsBadRequest) {
+  // The frame parses; the archive inside it does not. That is the job's
+  // fault, not the protocol's: BadRequest, not BadFrame.
+  TestServer ts;
+  ts.start("garbage");
+  RawConn conn(ts.path);
+  io::ByteWriter w;
+  w.put<std::uint8_t>(0);
+  w.put<std::uint32_t>(0);
+  const std::vector<std::uint8_t> garbage(32, 0x5a);
+  w.put_blob(garbage);
+  const std::vector<std::uint8_t> payload = w.take();
+  conn.send_bytes(frame_header(
+      service::kFrameMagic,
+      static_cast<std::uint16_t>(service::FrameType::Decompress),
+      payload.size()));
+  conn.send_bytes(payload);
+  const auto reply = conn.read_frame();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->first.type, service::FrameType::Error);
+  EXPECT_EQ(code_of(reply->second), service::ErrorCode::BadRequest);
 }
 
 TEST(Service, OverloadedRequestsAreRejectedAndTheConnectionSurvives) {
