@@ -10,6 +10,11 @@
 // two frame copies, one scheduler handoff, and the unix-socket hop. The
 // expectation to sanity-check here is that the overhead is O(bytes) and
 // amortizes to noise for real snapshot-sized fields.
+//
+// Every benchmark here is timed in wall-clock time (UseRealTime), and its
+// bytes/s is computed from it: the work happens on the daemon's and the
+// Session's worker threads, so the calling thread's CPU time would leave
+// it out.
 #include <benchmark/benchmark.h>
 
 #if !defined(_WIN32)
@@ -80,7 +85,7 @@ void BM_ServicePing(benchmark::State& state) {
   service::Client client({BenchServer::instance().path()});
   for (auto _ : state) client.ping();
 }
-BENCHMARK(BM_ServicePing);
+BENCHMARK(BM_ServicePing)->UseRealTime();
 
 void BM_ServiceCompress(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
@@ -101,7 +106,7 @@ void BM_ServiceCompress(benchmark::State& state) {
                                                     sizeof(float)));
   state.counters["compressed_bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_ServiceCompress)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_ServiceCompress)->Arg(16)->Arg(128)->Arg(1024)->UseRealTime();
 
 void BM_InProcessCompress(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
@@ -121,7 +126,7 @@ void BM_InProcessCompress(benchmark::State& state) {
                                                     sizeof(float)));
   state.counters["compressed_bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_InProcessCompress)->Arg(16)->Arg(128)->Arg(1024);
+BENCHMARK(BM_InProcessCompress)->Arg(16)->Arg(128)->Arg(1024)->UseRealTime();
 
 }  // namespace
 

@@ -127,6 +127,26 @@ void bm_lorenzo2(benchmark::State& state, const simd::KernelTable& kt) {
                           static_cast<std::int64_t>(n0 * n1 * sizeof(float)));
 }
 
+void bm_lorenzo3(benchmark::State& state, const simd::KernelTable& kt) {
+  // One 64^3 field: the shape of the pipeline's rank-3 tiles, scaled up so
+  // a call is long enough to time.
+  constexpr std::size_t n0 = 64, n1 = 64, n2 = 64;
+  const auto f64 = smooth_field(n0 * n1 * n2, 37);
+  const simd::aligned_vector<float> values(f64.begin(), f64.end());
+  simd::aligned_vector<std::uint32_t> codes(n0 * n1 * n2);
+  simd::aligned_vector<float> recon(n0 * n1 * n2);
+  for (auto _ : state) {
+    kt.lorenzo3_quant_f32(values.data(), n0, n1, n2, 1e-3, 65536,
+                          codes.data(), recon.data());
+    benchmark::DoNotOptimize(codes.data());
+    benchmark::DoNotOptimize(recon.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(n0 * n1 * n2 * sizeof(float)));
+}
+
 void bm_huffman_pack(benchmark::State& state, const simd::KernelTable& kt) {
   // Realistic post-quantization symbol skew: geometric around the zero
   // code, canonical table built by the production coder.
@@ -159,8 +179,8 @@ void bm_huffman_pack(benchmark::State& state, const simd::KernelTable& kt) {
     unsigned carry_bits = 0;
     std::size_t bad = simd::kNoBadSymbol;
     const std::size_t nw =
-        kt.huffman_pack(syms.data(), syms.size(), entries.data(), alphabet,
-                        words.data(), &carry, &carry_bits, &bad);
+        kt.huffman_pack(syms.data(), syms.size(), entries.data(), 0,
+                        alphabet, words.data(), &carry, &carry_bits, &bad);
     benchmark::DoNotOptimize(nw);
     benchmark::ClobberMemory();
   }
@@ -190,6 +210,7 @@ void register_arm_pairs() {
   const Kernel kernels[] = {
       {"BM_SimdHaarFwd", bm_haar_fwd},     {"BM_SimdDct2", bm_dct2_lines},
       {"BM_SimdZfprQuant", bm_zfpr_quant}, {"BM_SimdLorenzo2", bm_lorenzo2},
+      {"BM_SimdLorenzo3", bm_lorenzo3},
       {"BM_SimdHuffmanPack", bm_huffman_pack}, {"BM_SimdSse", bm_sse_f64},
   };
   for (const Kernel& k : kernels) {

@@ -144,14 +144,18 @@ std::vector<std::uint32_t> canonical_codes(std::span<const std::uint8_t> lengths
   return codes;
 }
 
-Encoder::Encoder(std::vector<std::uint8_t> lengths,
+Encoder::Encoder(std::size_t alphabet, std::uint32_t base,
+                 std::vector<std::uint8_t> lengths,
                  std::vector<std::uint32_t> codes)
-    : lengths_(std::move(lengths)), codes_(std::move(codes)) {
+    : alphabet_(alphabet),
+      base_(base),
+      lengths_(std::move(lengths)),
+      codes_(std::move(codes)) {
   entries_.resize(lengths_.size(), 0);
-  for (std::size_t s = 0; s < lengths_.size(); ++s) {
-    const unsigned len = lengths_[s];
+  for (std::size_t r = 0; r < lengths_.size(); ++r) {
+    const unsigned len = lengths_[r];
     if (len == 0) continue;
-    entries_[s] = static_cast<std::uint64_t>(reverse_bits(codes_[s], len)) |
+    entries_[r] = static_cast<std::uint64_t>(reverse_bits(codes_[r], len)) |
                   (static_cast<std::uint64_t>(len) << 32);
   }
 }
@@ -160,25 +164,53 @@ Encoder Encoder::from_frequencies(std::span<const std::uint64_t> freq,
                                   unsigned max_length) {
   auto lengths = build_code_lengths(freq, max_length);
   auto codes = canonical_codes(lengths);
-  return Encoder(std::move(lengths), std::move(codes));
+  return Encoder(freq.size(), 0, std::move(lengths), std::move(codes));
 }
 
 Encoder Encoder::from_symbols(std::span<const std::uint32_t> symbols,
                               std::uint32_t alphabet_size, unsigned max_length) {
-  std::vector<std::uint64_t> freq(alphabet_size, 0);
-  for (std::uint32_t s : symbols) {
-    if (s >= alphabet_size)
+  // Only the used range [lo, hi] can have a code. build_code_lengths
+  // orders and breaks ties by position among the used symbols, which the
+  // shift by lo keeps, so the lengths (and canonical codes) equal a build
+  // over the whole alphabet.
+  std::uint32_t lo = 0;
+  std::vector<std::uint64_t> freq;
+  if (!symbols.empty()) {
+    lo = symbols[0];
+    std::uint32_t hi = symbols[0];
+    for (const std::uint32_t s : symbols) {
+      lo = std::min(lo, s);
+      hi = std::max(hi, s);
+    }
+    if (hi >= alphabet_size)
       throw std::invalid_argument("Encoder::from_symbols: symbol out of alphabet");
-    ++freq[s];
+    freq.assign(std::size_t{hi} - lo + 1, 0);
+    for (const std::uint32_t s : symbols) ++freq[s - lo];
   }
-  return from_frequencies(freq, max_length);
+  auto lengths = build_code_lengths(freq, max_length);
+  auto codes = canonical_codes(lengths);
+  return Encoder(alphabet_size, lo, std::move(lengths), std::move(codes));
+}
+
+unsigned Encoder::code_length(std::uint32_t symbol) const {
+  if (symbol >= alphabet_)
+    throw std::out_of_range("Encoder::code_length: symbol out of alphabet");
+  const std::uint32_t r = symbol - base_;  // wraps below the range
+  return r < lengths_.size() ? lengths_[r] : 0u;
+}
+
+std::vector<std::uint8_t> Encoder::lengths() const {
+  std::vector<std::uint8_t> dense(alphabet_, 0);
+  std::copy(lengths_.begin(), lengths_.end(), dense.begin() + base_);
+  return dense;
 }
 
 void Encoder::encode_symbol(std::uint32_t symbol, io::BitWriter& out) const {
-  if (symbol >= lengths_.size() || lengths_[symbol] == 0)
+  const std::uint32_t r = symbol - base_;
+  if (r >= lengths_.size() || lengths_[r] == 0)
     throw std::invalid_argument("Encoder: symbol has no code");
-  const unsigned len = lengths_[symbol];
-  out.write_bits(reverse_bits(codes_[symbol], len), len);
+  const unsigned len = lengths_[r];
+  out.write_bits(reverse_bits(codes_[r], len), len);
 }
 
 void Encoder::encode(std::span<const std::uint32_t> symbols, io::BitWriter& out) const {
@@ -197,7 +229,7 @@ void Encoder::encode(std::span<const std::uint32_t> symbols, io::BitWriter& out)
     const std::size_t n = std::min(kChunk, symbols.size() - i);
     std::size_t bad = simd::kNoBadSymbol;
     const std::size_t nw =
-        kt.huffman_pack(symbols.data() + i, n, entries_.data(),
+        kt.huffman_pack(symbols.data() + i, n, entries_.data(), base_,
                         entries_.size(), words.data(), &carry, &carry_bits,
                         &bad);
     for (std::size_t w = 0; w < nw; ++w) out.write_bits(words[w], 64);
@@ -211,24 +243,51 @@ void Encoder::encode(std::span<const std::uint32_t> symbols, io::BitWriter& out)
 std::uint64_t Encoder::encoded_bits(std::span<const std::uint32_t> symbols) const {
   std::uint64_t bits = 0;
   for (std::uint32_t s : symbols) {
-    if (s >= lengths_.size() || lengths_[s] == 0)
+    const std::uint32_t r = s - base_;
+    if (r >= lengths_.size() || lengths_[r] == 0)
       throw std::invalid_argument("Encoder: symbol has no code");
-    bits += lengths_[s];
+    bits += lengths_[r];
   }
   return bits;
 }
 
-// The table is (count, length) run-length pairs after the alphabet size.
+// The table is (count, length) run-length pairs after the alphabet size,
+// over the dense alphabet: the zeros below base_ and above the coded range
+// are runs of their own, exactly as a dense table would write them.
 void Encoder::write_table(io::ByteWriter& out) const {
-  out.put_varint(lengths_.size());
+  out.put_varint(alphabet_);
+  std::size_t zeros = base_;
   std::size_t i = 0;
   while (i < lengths_.size()) {
     std::size_t j = i;
     while (j < lengths_.size() && lengths_[j] == lengths_[i]) ++j;
-    out.put_varint(j - i);
-    out.put<std::uint8_t>(lengths_[i]);
+    if (lengths_[i] == 0) {
+      zeros += j - i;
+    } else {
+      if (zeros > 0) {
+        out.put_varint(zeros);
+        out.put<std::uint8_t>(0);
+        zeros = 0;
+      }
+      out.put_varint(j - i);
+      out.put<std::uint8_t>(lengths_[i]);
+    }
     i = j;
   }
+  zeros += alphabet_ - base_ - lengths_.size();
+  if (zeros > 0) {
+    out.put_varint(zeros);
+    out.put<std::uint8_t>(0);
+  }
+}
+
+void encode_stream(std::span<const std::uint32_t> symbols,
+                   std::uint32_t alphabet_size, io::ByteWriter& out) {
+  const Encoder encoder = Encoder::from_symbols(symbols, alphabet_size);
+  encoder.write_table(out);
+  io::BitWriter bits;
+  encoder.encode(symbols, bits);
+  out.put_blob(bits.take());
 }
 
 Decoder Decoder::read_table(io::ByteReader& in) {

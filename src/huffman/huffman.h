@@ -1,9 +1,14 @@
-// Canonical Huffman coding over a dense unsigned-integer alphabet.
+// Canonical Huffman coding over an unsigned-integer alphabet [0, n).
 //
 // This is SZ's step (2) substrate: the quantization-code array (alphabet
 // 0..2n, typically 2^16 codes) is entropy-coded with a Huffman code built
 // from the empirical symbol frequencies. The same coder doubles as the
 // entropy stage of the DEFLATE-like lossless backend (src/lossless).
+//
+// The encoder is not dense over the alphabet: it holds tables only for the
+// range of symbols its input uses (a tile of quantization codes typically
+// spans a few hundred of the 65,536). The serialized table still describes
+// the whole alphabet, byte for byte what a dense build would write.
 //
 // Properties:
 //  * Length-limited codes (default cap 32 bits) via the zlib-style
@@ -36,14 +41,17 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
 /// Canonical (MSB-first) code values for the given lengths.
 std::vector<std::uint32_t> canonical_codes(std::span<const std::uint8_t> lengths);
 
-/// Huffman encoder for a dense alphabet [0, alphabet_size).
+/// Huffman encoder for the alphabet [0, alphabet_size), with tables over
+/// the coded range [base, base + range) only.
 class Encoder {
  public:
   /// Build from frequencies (freq.size() == alphabet size).
   static Encoder from_frequencies(std::span<const std::uint64_t> freq,
                                   unsigned max_length = kMaxCodeLength);
 
-  /// Build from an explicit symbol stream (counts frequencies internally).
+  /// Build from an explicit symbol stream, over the range of symbols it
+  /// uses; the lengths equal a build from the dense histogram. Throws
+  /// std::invalid_argument for a symbol >= alphabet_size.
   static Encoder from_symbols(std::span<const std::uint32_t> symbols,
                               std::uint32_t alphabet_size,
                               unsigned max_length = kMaxCodeLength);
@@ -54,28 +62,39 @@ class Encoder {
   /// Append codes for a whole symbol stream.
   void encode(std::span<const std::uint32_t> symbols, io::BitWriter& out) const;
 
-  /// Serialize the code table (lengths only, RLE) so a Decoder can rebuild it.
+  /// Serialize the code table (lengths only, RLE over the whole alphabet)
+  /// so a Decoder can rebuild it.
   void write_table(io::ByteWriter& out) const;
 
-  /// Code length of `symbol` (0 = symbol has no code).
-  unsigned code_length(std::uint32_t symbol) const { return lengths_.at(symbol); }
+  /// Code length of `symbol` (0 = symbol has no code). Throws
+  /// std::out_of_range for a symbol >= alphabet_size().
+  unsigned code_length(std::uint32_t symbol) const;
 
-  std::size_t alphabet_size() const { return lengths_.size(); }
+  std::size_t alphabet_size() const { return alphabet_; }
 
   /// Exact size in bits of encoding `symbols` with this table.
   std::uint64_t encoded_bits(std::span<const std::uint32_t> symbols) const;
 
-  const std::vector<std::uint8_t>& lengths() const { return lengths_; }
+  /// Code lengths over the whole alphabet (built on demand).
+  std::vector<std::uint8_t> lengths() const;
 
  private:
-  std::vector<std::uint8_t> lengths_;
-  std::vector<std::uint32_t> codes_;  // canonical, MSB-first
+  std::size_t alphabet_ = 0;
+  std::uint32_t base_ = 0;            // first symbol of the coded range
+  std::vector<std::uint8_t> lengths_;  // of symbols base_, base_ + 1, ...
+  std::vector<std::uint32_t> codes_;   // canonical, MSB-first
   // Packed encode table for the bulk path: bit-reversed (LSB-first) code in
   // the low word, code length in the high word; 0 for symbols with no code.
   std::vector<std::uint64_t> entries_;
 
-  Encoder(std::vector<std::uint8_t> lengths, std::vector<std::uint32_t> codes);
+  Encoder(std::size_t alphabet, std::uint32_t base,
+          std::vector<std::uint8_t> lengths, std::vector<std::uint32_t> codes);
 };
+
+/// Entropy-code `symbols` as every quantizing codec lays it out: the
+/// Encoder::from_symbols code table, then the encoded bits as one blob.
+void encode_stream(std::span<const std::uint32_t> symbols,
+                   std::uint32_t alphabet_size, io::ByteWriter& out);
 
 /// Huffman decoder built from serialized or in-memory code lengths.
 class Decoder {

@@ -81,18 +81,19 @@ struct KernelTable {
   unsigned (*zfpr_census_group)(const double* c, std::size_t n, double bin);
 
   // --- Huffman pack (src/huffman/huffman.cpp) ----------------------------
-  // entries[s] = reversed_code(s) | uint64(code_length(s)) << 32, for the
-  // dense alphabet [0, alphabet). Packs the LSB-first codes of syms[0..n)
-  // starting from the (*carry, *carry_bits) accumulator state, emits every
-  // completed 64-bit word into words[] (caller guarantees capacity
-  // >= (n*32 + 63)/64 + 1) and returns the word count; the <64-bit
-  // remainder is left in the carry state. Writing the words with
-  // BitWriter::write_bits(w, 64) followed by the final carry reproduces
-  // the per-symbol encode_symbol stream bit for bit. A symbol outside the
-  // alphabet or with length 0 stops the pack and reports its position via
-  // *bad_index (kNoBadSymbol otherwise).
+  // entries[s - base] = reversed_code(s) | uint64(code_length(s)) << 32,
+  // for the symbol range [base, base + alphabet). Packs the LSB-first
+  // codes of syms[0..n) starting from the (*carry, *carry_bits)
+  // accumulator state, emits every completed 64-bit word into words[]
+  // (caller guarantees capacity >= (n*32 + 63)/64 + 1) and returns the
+  // word count; the <64-bit remainder is left in the carry state. Writing
+  // the words with BitWriter::write_bits(w, 64) followed by the final carry
+  // reproduces the per-symbol encode_symbol stream bit for bit. A symbol
+  // outside the range (s - base >= alphabet, unsigned) or with length 0
+  // stops the pack and reports its position via *bad_index (kNoBadSymbol
+  // otherwise).
   std::size_t (*huffman_pack)(const std::uint32_t* syms, std::size_t n,
-                              const std::uint64_t* entries,
+                              const std::uint64_t* entries, std::uint32_t base,
                               std::size_t alphabet, std::uint64_t* words,
                               std::uint64_t* carry, unsigned* carry_bits,
                               std::size_t* bad_index);
@@ -115,6 +116,29 @@ struct KernelTable {
                                     std::size_t n1, double eb,
                                     std::uint32_t bins, std::uint32_t* codes,
                                     double* recon, double* outliers);
+
+  // --- Lorenzo 3-D predict + quantize (src/sz/codec.cpp) -----------------
+  // The rank-3 counterpart of lorenzo2: whole-field pass over an
+  // n0 x n1 x n2 C-order field with the exact semantics of quantize_pass +
+  // LorenzoPredictor rank 3 + LinearQuantizer. Per point the prediction is
+  //   pred = f100 + f010 + f001 - f110 - f101 - f011 + f111
+  // evaluated left to right, where fabc is the reconstruction at
+  // (i0 - a, i1 - b, i2 - c) and a missing neighbour reads 0.0; then the
+  // same quantize + T-cast guard as lorenzo2. codes/recon are written in C
+  // scan order. Unlike lorenzo2 there is no outlier list: code 0 marks an
+  // outlier (its recon is the value itself) and the caller collects them,
+  // so no value-sized outlier buffer is allocated per call. Vector backends
+  // run the lorenzo2 wavefront within each i0 plane; the previous plane is
+  // finished by then, so its four terms are read from memory rather than
+  // fed back through the wavefront.
+  void (*lorenzo3_quant_f32)(const float* values, std::size_t n0,
+                             std::size_t n1, std::size_t n2, double eb,
+                             std::uint32_t bins, std::uint32_t* codes,
+                             float* recon);
+  void (*lorenzo3_quant_f64)(const double* values, std::size_t n0,
+                             std::size_t n1, std::size_t n2, double eb,
+                             std::uint32_t bins, std::uint32_t* codes,
+                             double* recon);
 
   // --- Sum of squared errors (achieved-SSE accounting) -------------------
   // DEFINED summation order shared by all backends: four virtual lanes

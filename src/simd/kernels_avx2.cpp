@@ -9,8 +9,9 @@
 //  * zfpr:    4 coefficients per iteration with an exact llround emulation;
 //             magnitudes >= 2^50 replay the whole group through the
 //             reference (the magic-number trick is only proven below that).
-//  * lorenzo: 4 rows in a skewed anti-diagonal pipeline; each point's
-//             serial arithmetic is reproduced exactly, lanes only ever span
+//  * lorenzo: 4 rows in a skewed anti-diagonal pipeline (rank 2 over the
+//             field, rank 3 within each i0 plane); each point's serial
+//             arithmetic is reproduced exactly, lanes only ever span
 //             points whose dependencies were produced in earlier steps.
 //  * sse:     one vector accumulator IS the defined virtual-4-lane order.
 //  * huffman: shared scalar pack (the bit-offset merge is inherently
@@ -234,7 +235,7 @@ unsigned zfpr_census_group_avx2(const double* c, std::size_t n, double bin) {
   return all == 0 ? 0u : static_cast<unsigned>(std::bit_width(all));
 }
 
-// --- Lorenzo 2-D predict + quantize ---------------------------------------
+// --- Lorenzo predict + quantize -------------------------------------------
 
 /// Lane l gets lane l-1's value; lane 0 gets s.
 inline __m256d shift_lanes_up(__m256d v, double s) {
@@ -242,59 +243,30 @@ inline __m256d shift_lanes_up(__m256d v, double s) {
   return _mm256_blend_pd(rot, _mm256_set1_pd(s), 0x1);
 }
 
-/// Serial reference pass over a single row with i0 >= 1 (used for the
-/// n0 % 4 remainder rows; the caller sweeps code==0 points into the
-/// outlier list afterwards).
+/// row[col] widened, or 0.0 when the row is missing or col is past its end.
 template <typename T>
-void lorenzo2_row_serial(const T* values, std::size_t i0, std::size_t n1,
-                         double eb, std::uint32_t bins, std::uint32_t* codes,
-                         T* recon) {
-  const std::uint32_t radius = bins / 2;
-  const double lo = 1.0 - static_cast<double>(radius);
-  const double hi = static_cast<double>(bins - 1 - radius);
-  const double inv_bin = 2.0 * eb;
-  std::size_t idx = i0 * n1;
-  for (std::size_t i1 = 0; i1 < n1; ++i1, ++idx) {
-    const double west = i1 > 0 ? static_cast<double>(recon[idx - 1]) : 0.0;
-    const double north = static_cast<double>(recon[idx - n1]);
-    const double nw =
-        i1 > 0 ? static_cast<double>(recon[idx - n1 - 1]) : 0.0;
-    const double pred = west + north - nw;
-    const double orig = static_cast<double>(values[idx]);
-    const double scaled = (orig - pred) / inv_bin;
-    std::uint32_t code = 0;
-    if (std::isfinite(scaled)) {
-      const double rounded = std::round(scaled);
-      if (!(rounded < lo || rounded > hi))
-        code = static_cast<std::uint32_t>(static_cast<std::int64_t>(rounded) +
-                                          static_cast<std::int64_t>(radius));
-    }
-    if (code != 0) {
-      const double deq =
-          (static_cast<double>(code) - static_cast<double>(radius)) * 2.0 * eb;
-      const T rec = static_cast<T>(pred + deq);
-      if (std::abs(static_cast<double>(rec) - orig) <= eb) {
-        codes[idx] = code;
-        recon[idx] = rec;
-        continue;
-      }
-    }
-    codes[idx] = 0;
-    recon[idx] = values[idx];
-  }
+inline double at_or_zero(const T* row, std::size_t col, std::size_t n) {
+  return (row != nullptr && col < n) ? static_cast<double>(row[col]) : 0.0;
 }
 
-/// One block of 4 consecutive rows (ib..ib+3) as a skewed anti-diagonal
-/// pipeline: at step t, lane l handles column t-l of row ib+l. west is the
-/// lane's own previous step, north/nw are lane shifts of the previous two
-/// steps (lane 0 reads the finished row ib-1 from memory), so every
-/// dependency is available the step it is needed and each point's
-/// arithmetic matches the serial reference bit for bit. Inactive fill and
-/// drain lanes compute garbage that provably never feeds an active lane.
-template <typename T>
-void lorenzo2_block4(const T* values, std::size_t ib, std::size_t n1,
-                     double eb, std::uint32_t bins, std::uint32_t* codes,
-                     T* recon) {
+/// One block of 4 consecutive rows (ib..ib+3) of a plane with n1 columns,
+/// as a skewed anti-diagonal pipeline: at step t, lane l handles column
+/// t-l of row ib+l. west is the lane's own previous step, north/nw are
+/// lane shifts of the previous two steps (lane 0 reads the finished row
+/// ib-1 from memory), so every dependency is available the step it is
+/// needed and each point's arithmetic matches the serial reference bit for
+/// bit. Inactive fill and drain lanes compute garbage that provably never
+/// feeds an active lane.
+///
+/// Rank 3 adds the finished previous i0 plane `prev` (nullptr for plane
+/// 0, whose terms read 0.0). f100 is a per-lane load at the lane's own
+/// point; f101, f110 and f111 are that load's previous step and lane
+/// shifts of its previous two steps, the same pattern as west, north and
+/// nw. The terms are summed in the reference's left-to-right order.
+template <int Rank, typename T>
+void lorenzo_block4(const T* values, const T* prev, std::size_t ib,
+                    std::size_t n1, double eb, std::uint32_t bins,
+                    std::uint32_t* codes, T* recon) {
   const std::uint32_t radius = bins / 2;
   const __m256d v_lo = _mm256_set1_pd(1.0 - static_cast<double>(radius));
   const __m256d v_hi = _mm256_set1_pd(static_cast<double>(bins - 1 - radius));
@@ -310,23 +282,27 @@ void lorenzo2_block4(const T* values, std::size_t ib, std::size_t n1,
       {~0ull, ~0ull, 0, ~0ull},
       {~0ull, ~0ull, ~0ull, 0}};
   const T* above = ib > 0 ? recon + (ib - 1) * n1 : nullptr;
+  const T* prev_row = prev != nullptr ? prev + ib * n1 : nullptr;
+  const T* prev_above = (prev != nullptr && ib > 0) ? prev_row - n1 : nullptr;
   __m256d rec_prev1 = _mm256_setzero_pd();
   __m256d rec_prev2 = _mm256_setzero_pd();
+  __m256d f100_prev1 = _mm256_setzero_pd();
+  __m256d f100_prev2 = _mm256_setzero_pd();
   for (std::size_t t = 0; t < n1 + 3; ++t) {
     const std::size_t l_min = t >= n1 ? t - n1 + 1 : 0;
     const std::size_t l_max = t < 3 ? t : 3;
     alignas(32) double o[4] = {0.0, 0.0, 0.0, 0.0};
-    for (std::size_t l = l_min; l <= l_max; ++l)
+    alignas(32) double p[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t l = l_min; l <= l_max; ++l) {
       o[l] = static_cast<double>(values[(ib + l) * n1 + (t - l)]);
+      if (Rank == 3 && prev_row != nullptr)
+        p[l] = static_cast<double>(prev_row[l * n1 + (t - l)]);
+    }
     const __m256d orig = _mm256_load_pd(o);
-    const double north0 =
-        (above != nullptr && t < n1) ? static_cast<double>(above[t]) : 0.0;
-    const double nw0 = (above != nullptr && t >= 1 && t - 1 < n1)
-                           ? static_cast<double>(above[t - 1])
-                           : 0.0;
     __m256d west = rec_prev1;
-    __m256d north = shift_lanes_up(rec_prev1, north0);
-    __m256d nw = shift_lanes_up(rec_prev2, nw0);
+    const __m256d north = shift_lanes_up(rec_prev1, at_or_zero(above, t, n1));
+    __m256d nw = shift_lanes_up(rec_prev2, t >= 1 ? at_or_zero(above, t - 1, n1)
+                                                  : 0.0);
     if (t < 4) {
       // Column 0 lane: west and nw neighbours do not exist.
       const __m256d kill = _mm256_castsi256_pd(_mm256_load_si256(
@@ -334,7 +310,28 @@ void lorenzo2_block4(const T* values, std::size_t ib, std::size_t n1,
       west = _mm256_and_pd(west, kill);
       nw = _mm256_and_pd(nw, kill);
     }
-    const __m256d pred = _mm256_sub_pd(_mm256_add_pd(west, north), nw);
+    __m256d pred;
+    if constexpr (Rank == 2) {
+      pred = _mm256_sub_pd(_mm256_add_pd(west, north), nw);
+    } else {
+      // Inactive lanes load f100 = 0.0, so the column-0 lane's f101 and
+      // f111, taken from steps where its column was -1, are 0.0 unmasked.
+      const __m256d f100 = _mm256_load_pd(p);
+      const __m256d f110 =
+          shift_lanes_up(f100_prev1, at_or_zero(prev_above, t, n1));
+      const __m256d f101 = f100_prev1;
+      const __m256d f111 = shift_lanes_up(
+          f100_prev2, t >= 1 ? at_or_zero(prev_above, t - 1, n1) : 0.0);
+      // f100 + f010 + f001 - f110 - f101 - f011 + f111, left to right.
+      pred = _mm256_add_pd(f100, north);
+      pred = _mm256_add_pd(pred, west);
+      pred = _mm256_sub_pd(pred, f110);
+      pred = _mm256_sub_pd(pred, f101);
+      pred = _mm256_sub_pd(pred, nw);
+      pred = _mm256_add_pd(pred, f111);
+      f100_prev2 = f100_prev1;
+      f100_prev1 = f100;
+    }
     const __m256d scaled =
         _mm256_div_pd(_mm256_sub_pd(orig, pred), v_inv_bin);
     // One mask covers NaN, Inf and the >= 2^50 rounding domain: all of
@@ -385,16 +382,32 @@ std::size_t lorenzo2_quant_avx2(const T* values, std::size_t n0,
                               outliers);
   const std::size_t blocks = n0 / 4;
   for (std::size_t b = 0; b < blocks; ++b)
-    lorenzo2_block4(values, b * 4, n1, eb, bins, codes, recon);
+    lorenzo_block4<2>(values, static_cast<const T*>(nullptr), b * 4, n1, eb,
+                      bins, codes, recon);
   for (std::size_t i0 = blocks * 4; i0 < n0; ++i0)
-    lorenzo2_row_serial(values, i0, n1, eb, bins, codes, recon);
-  // code 0 <=> outlier, so one sweep recovers the scan-order outlier list
-  // regardless of the order the wavefront visited points in.
-  std::size_t n_out = 0;
-  const std::size_t total = n0 * n1;
-  for (std::size_t idx = 0; idx < total; ++idx)
-    if (codes[idx] == 0) outliers[n_out++] = values[idx];
-  return n_out;
+    lorenzo2_row_ref(values, i0, n1, eb, bins, codes, recon);
+  return lorenzo_collect_outliers(values, codes, n0 * n1, outliers);
+}
+
+/// Plane by plane: the 4-row wavefront over each i0 plane, then its
+/// leftover rows serially.
+template <typename T>
+void lorenzo3_quant_avx2(const T* values, std::size_t n0, std::size_t n1,
+                         std::size_t n2, double eb, std::uint32_t bins,
+                         std::uint32_t* codes, T* recon) {
+  if (n1 < 4 || n2 < 8)
+    return lorenzo3_quant_ref(values, n0, n1, n2, eb, bins, codes, recon);
+  const std::size_t plane = n1 * n2;
+  const std::size_t blocks = n1 / 4;
+  for (std::size_t i0 = 0; i0 < n0; ++i0) {
+    const std::size_t off = i0 * plane;
+    const T* prev = i0 > 0 ? recon + off - plane : nullptr;
+    for (std::size_t b = 0; b < blocks; ++b)
+      lorenzo_block4<3>(values + off, prev, b * 4, n2, eb, bins, codes + off,
+                        recon + off);
+    for (std::size_t i1 = blocks * 4; i1 < n1; ++i1)
+      lorenzo3_row_ref(values, i0, i1, n1, n2, eb, bins, codes, recon);
+  }
 }
 
 // --- SSE accumulators ------------------------------------------------------
@@ -471,6 +484,8 @@ const KernelTable* avx2_kernel_table() {
       &huffman_pack_ref,
       &lorenzo2_quant_avx2<float>,
       &lorenzo2_quant_avx2<double>,
+      &lorenzo3_quant_avx2<float>,
+      &lorenzo3_quant_avx2<double>,
       &sse_f32_avx2,
       &sse_f64_avx2,
       &sse_cast_f32_avx2,

@@ -106,15 +106,16 @@ inline unsigned zfpr_census_group_ref(const double* c, std::size_t n,
 
 inline std::size_t huffman_pack_ref(const std::uint32_t* syms, std::size_t n,
                                     const std::uint64_t* entries,
-                                    std::size_t alphabet, std::uint64_t* words,
-                                    std::uint64_t* carry, unsigned* carry_bits,
+                                    std::uint32_t base, std::size_t alphabet,
+                                    std::uint64_t* words, std::uint64_t* carry,
+                                    unsigned* carry_bits,
                                     std::size_t* bad_index) {
   std::uint64_t acc = *carry;
   unsigned bits = *carry_bits;
   std::size_t nw = 0;
   *bad_index = kNoBadSymbol;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t s = syms[i];
+    const std::uint32_t s = syms[i] - base;  // wraps for syms[i] < base
     if (s >= alphabet) { *bad_index = i; break; }
     const std::uint64_t e = entries[s];
     const unsigned len = static_cast<unsigned>(e >> 32);
@@ -134,7 +135,98 @@ inline std::size_t huffman_pack_ref(const std::uint32_t* syms, std::size_t n,
   return nw;
 }
 
-// --- Lorenzo 2-D predict + quantize ---------------------------------------
+// --- Lorenzo predict + quantize -------------------------------------------
+
+/// The quantize step every Lorenzo kernel shares: LinearQuantizer on
+/// value - pred, then the T-cast bound guard. Writes the code (0 = outlier)
+/// and the reconstruction the decoder will rebuild (the value itself for an
+/// outlier).
+template <typename T>
+inline void lorenzo_point_ref(T value, double pred, double eb,
+                              std::uint32_t bins, std::uint32_t* code_out,
+                              T* rec_out) {
+  const std::uint32_t radius = bins / 2;
+  const double orig = static_cast<double>(value);
+  const double scaled = (orig - pred) / (2.0 * eb);
+  if (std::isfinite(scaled)) {
+    const double rounded = std::round(scaled);
+    if (!(rounded < 1.0 - static_cast<double>(radius) ||
+          rounded > static_cast<double>(bins - 1 - radius))) {
+      const std::uint32_t code = static_cast<std::uint32_t>(
+          static_cast<std::int64_t>(rounded) +
+          static_cast<std::int64_t>(radius));
+      const double deq =
+          (static_cast<double>(code) - static_cast<double>(radius)) * 2.0 *
+          eb;
+      const T rec = static_cast<T>(pred + deq);
+      if (std::abs(static_cast<double>(rec) - orig) <= eb) {
+        *code_out = code;
+        *rec_out = rec;
+        return;
+      }
+    }
+  }
+  *code_out = 0;
+  *rec_out = value;
+}
+
+/// code 0 <=> outlier, so one sweep recovers the scan-order outlier list
+/// whatever order the points were visited in.
+template <typename T>
+inline std::size_t lorenzo_collect_outliers(const T* values,
+                                            const std::uint32_t* codes,
+                                            std::size_t n, T* outliers) {
+  std::size_t n_out = 0;
+  for (std::size_t idx = 0; idx < n; ++idx)
+    if (codes[idx] == 0) outliers[n_out++] = values[idx];
+  return n_out;
+}
+
+/// Row i0 of the rank-2 pass (LorenzoPredictor rank 2).
+template <typename T>
+inline void lorenzo2_row_ref(const T* values, std::size_t i0, std::size_t n1,
+                             double eb, std::uint32_t bins,
+                             std::uint32_t* codes, T* recon) {
+  std::size_t idx = i0 * n1;
+  for (std::size_t i1 = 0; i1 < n1; ++i1, ++idx) {
+    const double west = i1 > 0 ? static_cast<double>(recon[idx - 1]) : 0.0;
+    const double north = i0 > 0 ? static_cast<double>(recon[idx - n1]) : 0.0;
+    const double nw = (i0 > 0 && i1 > 0)
+                          ? static_cast<double>(recon[idx - n1 - 1])
+                          : 0.0;
+    lorenzo_point_ref(values[idx], west + north - nw, eb, bins, codes + idx,
+                      recon + idx);
+  }
+}
+
+/// Row (i0, i1) of the rank-3 pass (LorenzoPredictor rank 3, same
+/// left-to-right sum).
+template <typename T>
+inline void lorenzo3_row_ref(const T* values, std::size_t i0, std::size_t i1,
+                             std::size_t n1, std::size_t n2, double eb,
+                             std::uint32_t bins, std::uint32_t* codes,
+                             T* recon) {
+  const std::size_t sz = n1 * n2;  // stride along axis 0
+  const std::size_t sy = n2;       // stride along axis 1
+  const bool a = i0 > 0, b = i1 > 0;
+  std::size_t idx = i0 * sz + i1 * sy;
+  for (std::size_t i2 = 0; i2 < n2; ++i2, ++idx) {
+    const bool c = i2 > 0;
+    const double f100 = a ? static_cast<double>(recon[idx - sz]) : 0.0;
+    const double f010 = b ? static_cast<double>(recon[idx - sy]) : 0.0;
+    const double f001 = c ? static_cast<double>(recon[idx - 1]) : 0.0;
+    const double f110 =
+        (a && b) ? static_cast<double>(recon[idx - sz - sy]) : 0.0;
+    const double f101 =
+        (a && c) ? static_cast<double>(recon[idx - sz - 1]) : 0.0;
+    const double f011 =
+        (b && c) ? static_cast<double>(recon[idx - sy - 1]) : 0.0;
+    const double f111 =
+        (a && b && c) ? static_cast<double>(recon[idx - sz - sy - 1]) : 0.0;
+    const double pred = f100 + f010 + f001 - f110 - f101 - f011 + f111;
+    lorenzo_point_ref(values[idx], pred, eb, bins, codes + idx, recon + idx);
+  }
+}
 
 /// Exact semantics of sz::quantize_pass + LorenzoPredictor rank 2 +
 /// LinearQuantizer, fused into one rank-specialized pass.
@@ -143,49 +235,21 @@ inline std::size_t lorenzo2_quant_ref(const T* values, std::size_t n0,
                                       std::size_t n1, double eb,
                                       std::uint32_t bins, std::uint32_t* codes,
                                       T* recon, T* outliers) {
-  const std::uint32_t radius = bins / 2;
-  const double lo = 1.0 - static_cast<double>(radius);
-  const double hi = static_cast<double>(bins - 1 - radius);
-  const double inv_bin = 2.0 * eb;
-  std::size_t n_out = 0;
-  std::size_t idx = 0;
-  for (std::size_t i0 = 0; i0 < n0; ++i0) {
-    for (std::size_t i1 = 0; i1 < n1; ++i1, ++idx) {
-      const double west =
-          i1 > 0 ? static_cast<double>(recon[idx - 1]) : 0.0;
-      const double north =
-          i0 > 0 ? static_cast<double>(recon[idx - n1]) : 0.0;
-      const double nw = (i0 > 0 && i1 > 0)
-                            ? static_cast<double>(recon[idx - n1 - 1])
-                            : 0.0;
-      const double pred = west + north - nw;
-      const double orig = static_cast<double>(values[idx]);
-      const double scaled = (orig - pred) / inv_bin;
-      std::uint32_t code = 0;
-      if (std::isfinite(scaled)) {
-        const double rounded = std::round(scaled);
-        if (!(rounded < lo || rounded > hi))
-          code = static_cast<std::uint32_t>(
-              static_cast<std::int64_t>(rounded) +
-              static_cast<std::int64_t>(radius));
-      }
-      if (code != 0) {
-        const double deq =
-            (static_cast<double>(code) - static_cast<double>(radius)) * 2.0 *
-            eb;
-        const T rec = static_cast<T>(pred + deq);
-        if (std::abs(static_cast<double>(rec) - orig) <= eb) {
-          codes[idx] = code;
-          recon[idx] = rec;
-          continue;
-        }
-      }
-      codes[idx] = 0;
-      outliers[n_out++] = values[idx];
-      recon[idx] = values[idx];
-    }
-  }
-  return n_out;
+  for (std::size_t i0 = 0; i0 < n0; ++i0)
+    lorenzo2_row_ref(values, i0, n1, eb, bins, codes, recon);
+  return lorenzo_collect_outliers(values, codes, n0 * n1, outliers);
+}
+
+/// The rank-3 counterpart of lorenzo2_quant_ref (outliers stay marked by
+/// code 0; see kernels.h).
+template <typename T>
+inline void lorenzo3_quant_ref(const T* values, std::size_t n0,
+                               std::size_t n1, std::size_t n2, double eb,
+                               std::uint32_t bins, std::uint32_t* codes,
+                               T* recon) {
+  for (std::size_t i0 = 0; i0 < n0; ++i0)
+    for (std::size_t i1 = 0; i1 < n1; ++i1)
+      lorenzo3_row_ref(values, i0, i1, n1, n2, eb, bins, codes, recon);
 }
 
 // --- SSE accumulators ------------------------------------------------------

@@ -18,6 +18,8 @@ const KernelTable& scalar_kernel_table() {
       &huffman_pack_ref,
       &lorenzo2_quant_ref<float>,
       &lorenzo2_quant_ref<double>,
+      &lorenzo3_quant_ref<float>,
+      &lorenzo3_quant_ref<double>,
       &sse_f32_ref,
       &sse_f64_ref,
       &sse_cast_f32_ref,

@@ -302,6 +302,21 @@ QuantizeOutput<T> quantize_pass(std::span<const T> values, const data::Dims& dim
     out.outliers.resize(n_out);
     return out;
   }
+  if (trace == nullptr && dims.rank() == 3) {
+    // Rank-3 fast path, the same kernel family. It marks outliers with
+    // code 0 and leaves collecting them here, so no value-sized outlier
+    // buffer is allocated per tile.
+    const simd::KernelTable& kt = simd::kernels();
+    if constexpr (std::is_same_v<T, float>)
+      kt.lorenzo3_quant_f32(values.data(), dims[0], dims[1], dims[2], eb_abs,
+                            bins, out.codes.data(), out.recon.data());
+    else
+      kt.lorenzo3_quant_f64(values.data(), dims[0], dims[1], dims[2], eb_abs,
+                            bins, out.codes.data(), out.recon.data());
+    for (std::size_t i = 0; i < values.size(); ++i)
+      if (out.codes[i] == 0) out.outliers.push_back(values[i]);
+    return out;
+  }
   if (trace) {
     trace->pe.reserve(values.size());
     trace->pe_recon.reserve(values.size());
@@ -378,11 +393,7 @@ std::vector<std::uint8_t> encode_inner(const QuantizeOutput<T>& q,
   inner.put_varint(q.outliers.size());
   inner.put_bytes(io::bytes_of(std::span<const T>(q.outliers)));
 
-  const auto encoder = huffman::Encoder::from_symbols(q.codes, bins);
-  encoder.write_table(inner);
-  io::BitWriter bits;
-  encoder.encode(q.codes, bits);
-  inner.put_blob(bits.take());
+  huffman::encode_stream(q.codes, bins, inner);
 
   return lossless::backend_compress(inner.buffer(), params.backend);
 }

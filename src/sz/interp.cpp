@@ -145,12 +145,7 @@ std::vector<std::uint8_t> interp_compress(std::span<const T> values,
   io::ByteWriter inner;
   inner.put_varint(outliers.size());
   inner.put_bytes(io::bytes_of(std::span<const T>(outliers)));
-  const auto encoder =
-      huffman::Encoder::from_symbols(codes, params.quantization_bins);
-  encoder.write_table(inner);
-  io::BitWriter bits;
-  encoder.encode(codes, bits);
-  inner.put_blob(bits.take());
+  huffman::encode_stream(codes, params.quantization_bins, inner);
 
   io::ByteWriter out;
   write_in_header(header, out);

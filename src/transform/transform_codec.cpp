@@ -150,11 +150,7 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
   io::ByteWriter inner;
   inner.put_varint(q.outliers.size());
   inner.put_bytes(io::bytes_of(std::span<const double>(q.outliers)));
-  const auto encoder = huffman::Encoder::from_symbols(q.codes, params.quantization_bins);
-  encoder.write_table(inner);
-  io::BitWriter bits;
-  encoder.encode(q.codes, bits);
-  inner.put_blob(bits.take());
+  huffman::encode_stream(q.codes, params.quantization_bins, inner);
 
   io::ByteWriter out;
   write_tc_header(header, out);

@@ -173,6 +173,103 @@ TEST(Huffman, SymbolOutOfAlphabetThrows) {
   EXPECT_THROW(huffman::Encoder::from_symbols(symbols, 4), std::invalid_argument);
 }
 
+namespace {
+
+/// from_symbols builds over the used range only; its table bytes, code
+/// lengths and encoded bits must equal a dense from_frequencies build.
+void expect_range_build_matches_dense(std::span<const std::uint32_t> symbols,
+                                      std::uint32_t alphabet,
+                                      unsigned max_length) {
+  std::vector<std::uint64_t> freq(alphabet, 0);
+  for (const std::uint32_t s : symbols) ++freq[s];
+  const auto dense = huffman::Encoder::from_frequencies(freq, max_length);
+  const auto range = huffman::Encoder::from_symbols(symbols, alphabet,
+                                                    max_length);
+  EXPECT_EQ(range.alphabet_size(), dense.alphabet_size());
+  EXPECT_EQ(range.lengths(), dense.lengths());
+  io::ByteWriter dense_table, range_table;
+  dense.write_table(dense_table);
+  range.write_table(range_table);
+  EXPECT_EQ(range_table.buffer(), dense_table.buffer());
+  // Start both streams at a non-zero bit offset.
+  io::BitWriter dense_bits, range_bits;
+  dense_bits.write_bits(0x5, 3);
+  range_bits.write_bits(0x5, 3);
+  dense.encode(symbols, dense_bits);
+  range.encode(symbols, range_bits);
+  EXPECT_EQ(range_bits.take(), dense_bits.take());
+  EXPECT_EQ(range.encoded_bits(symbols), dense.encoded_bits(symbols));
+  for (const std::uint32_t s : {0u, alphabet / 2, alphabet - 1}) {
+    if (s < alphabet) {
+      EXPECT_EQ(range.code_length(s), dense.code_length(s));
+    }
+  }
+  EXPECT_THROW((void)range.code_length(alphabet), std::out_of_range);
+}
+
+}  // namespace
+
+TEST(Huffman, RangeBuildAtTheAlphabetEdges) {
+  std::mt19937_64 rng(41);
+  std::vector<std::uint32_t> low, high, both;
+  for (int i = 0; i < 3000; ++i) {
+    const auto s = static_cast<std::uint32_t>(rng() % 40);
+    low.push_back(s);                 // lo == 0
+    high.push_back(65535u - s);       // hi == alphabet - 1
+    both.push_back(i % 2 ? s : 65535u - s);
+  }
+  expect_range_build_matches_dense(low, 65536, huffman::kMaxCodeLength);
+  expect_range_build_matches_dense(high, 65536, huffman::kMaxCodeLength);
+  expect_range_build_matches_dense(both, 65536, huffman::kMaxCodeLength);
+}
+
+TEST(Huffman, RangeBuildOfFewSymbols) {
+  const std::vector<std::uint32_t> one(17, 32768);
+  const std::vector<std::uint32_t> two = {32768, 32770, 32770, 32768, 32770};
+  const std::vector<std::uint32_t> none;
+  expect_range_build_matches_dense(one, 65536, huffman::kMaxCodeLength);
+  expect_range_build_matches_dense(two, 65536, huffman::kMaxCodeLength);
+  expect_range_build_matches_dense(none, 65536, huffman::kMaxCodeLength);
+  expect_range_build_matches_dense(none, 1, huffman::kMaxCodeLength);
+}
+
+TEST(Huffman, RangeBuildUnderLengthLimitRepair) {
+  // Fibonacci counts on 30 symbols from 1000 up: the optimal code is far
+  // deeper than 10 bits, so the cap forces the length-limit repair.
+  std::vector<std::uint32_t> symbols;
+  std::uint64_t a = 1, b = 1;
+  for (std::uint32_t k = 0; k < 30; ++k) {
+    for (std::uint64_t i = 0; i < a; ++i) symbols.push_back(1000 + k);
+    const std::uint64_t c = a + b;
+    a = b;
+    b = c;
+  }
+  const auto uncapped = huffman::Encoder::from_symbols(symbols, 65536);
+  EXPECT_GT(uncapped.code_length(1000), 10u);
+  const auto capped = huffman::Encoder::from_symbols(symbols, 65536, 10);
+  EXPECT_EQ(capped.code_length(1000), 10u);
+  expect_range_build_matches_dense(symbols, 65536, 10);
+}
+
+TEST(Huffman, RangeBuildUnusedSymbolsHaveNoCode) {
+  const std::vector<std::uint32_t> symbols = {200, 205, 205, 300};
+  const auto enc = huffman::Encoder::from_symbols(symbols, 1024);
+  EXPECT_EQ(enc.alphabet_size(), 1024u);
+  EXPECT_EQ(enc.code_length(0), 0u);      // below the used range
+  EXPECT_EQ(enc.code_length(201), 0u);    // a gap inside it
+  EXPECT_EQ(enc.code_length(1023), 0u);   // above it
+  EXPECT_GT(enc.code_length(205), 0u);
+  EXPECT_THROW((void)enc.code_length(1024), std::out_of_range);
+  io::BitWriter bits;
+  for (const std::uint32_t s : {0u, 199u, 201u, 301u, 5000u})
+    EXPECT_THROW(enc.encode_symbol(s, bits), std::invalid_argument);
+  for (const std::uint32_t bad : {199u, 201u, 301u}) {
+    const std::vector<std::uint32_t> stream = {205, bad};
+    EXPECT_THROW(enc.encode(stream, bits), std::invalid_argument);
+    EXPECT_THROW((void)enc.encoded_bits(stream), std::invalid_argument);
+  }
+}
+
 TEST(Huffman, TableSerializationIsCompact) {
   // A dense run of equal lengths should RLE well: alphabet 65536 with two
   // used symbols must serialize to a handful of bytes, not 65 KB.

@@ -366,12 +366,12 @@ TEST_P(SimdKernelParity, HuffmanPackMatchesPerSymbolWrites) {
     std::uint64_t carry = 0;
     unsigned carry_bits = 0;
     const std::size_t half = n / 2;
-    for (const auto [off, len] :
+    for (const auto& [off, len] :
          {std::pair<std::size_t, std::size_t>{0, half},
           std::pair<std::size_t, std::size_t>{half, n - half}}) {
       std::size_t bad = simd::kNoBadSymbol;
       const std::size_t nw =
-          kt().huffman_pack(syms.data() + off, len, entries.data(),
+          kt().huffman_pack(syms.data() + off, len, entries.data(), 0,
                             entries.size(), words.data(), &carry,
                             &carry_bits, &bad);
       EXPECT_EQ(bad, simd::kNoBadSymbol);
@@ -394,7 +394,7 @@ TEST_P(SimdKernelParity, HuffmanPackReportsBadSymbols) {
     std::uint64_t carry = 0;
     unsigned carry_bits = 0;
     std::size_t bad = simd::kNoBadSymbol;
-    kt().huffman_pack(syms.data(), syms.size(), entries.data(),
+    kt().huffman_pack(syms.data(), syms.size(), entries.data(), 0,
                       entries.size(), words.data(), &carry, &carry_bits,
                       &bad);
     EXPECT_EQ(bad, 2u);  // both streams break at index 2
@@ -487,6 +487,143 @@ TEST_P(SimdKernelParity, Lorenzo2dGoldenVector) {
   EXPECT_EQ(r.recon[2], 10.0f);
 }
 
+namespace {
+
+/// The rank-3 kernel marks outliers with code 0; collect them the way
+/// sz::quantize_pass does, in scan order.
+template <typename T>
+LorenzoRun<T> run_lorenzo3(const simd::KernelTable& kt,
+                           const simd::aligned_vector<T>& values,
+                           std::size_t n0, std::size_t n1, std::size_t n2,
+                           double eb, std::uint32_t bins) {
+  LorenzoRun<T> r;
+  r.codes.resize(values.size());
+  r.recon.resize(values.size());
+  if constexpr (std::is_same_v<T, float>)
+    kt.lorenzo3_quant_f32(values.data(), n0, n1, n2, eb, bins,
+                          r.codes.data(), r.recon.data());
+  else
+    kt.lorenzo3_quant_f64(values.data(), n0, n1, n2, eb, bins,
+                          r.codes.data(), r.recon.data());
+  for (std::size_t i = 0; i < values.size(); ++i)
+    if (r.codes[i] == 0) r.outliers.push_back(values[i]);
+  return r;
+}
+
+/// Shapes cover the thin-shape fallback (n1 < 4 or n2 < 8), whole 4-row
+/// blocks, and leftover rows after them, in one and several planes.
+template <typename T>
+void lorenzo3_parity_sweep(const simd::KernelTable& ref,
+                           const simd::KernelTable& kt) {
+  std::size_t guard_outliers = 0;
+  for (const std::size_t n0 : {1, 2, 5}) {
+    for (const std::size_t n1 : {1, 3, 4, 5, 9}) {
+      for (const std::size_t n2 : {1, 7, 8, 33}) {
+        SCOPED_TRACE(std::to_string(n0) + "x" + std::to_string(n1) + "x" +
+                     std::to_string(n2));
+        const std::size_t n = n0 * n1 * n2;
+        for (int block = 0; block < 5; ++block) {
+          SCOPED_TRACE("block " + std::to_string(block));
+          auto src = block == 0   ? random_block(n, 97 + n)
+                     : block == 1 ? tie_block(n)
+                     : block == 2 ? simd::aligned_vector<double>(n, 1.5)
+                     : block == 3 ? poisoned_block(n, 101 + n)
+                                  : random_block(n, 103 + n);
+          // Block 4 sits near 1e6, where float spacing is 0.0625: with
+          // eb = 0.04 a float reconstruction can round a whole spacing
+          // away, so the T-cast guard demotes points to outliers.
+          if (block == 4)
+            for (double& x : src) x += 1.0e6;
+          simd::aligned_vector<T> values(src.begin(), src.end());
+          // eb = 0.25 against the tie block's multiples of 0.25 puts every
+          // prediction residual on a half-integer quantization tie; 16
+          // bins push most random residuals outside the radius.
+          for (const double eb : {0.25, 0.04, 1e-3}) {
+            for (const std::uint32_t bins : {16u, 65536u}) {
+              const auto a = run_lorenzo3<T>(ref, values, n0, n1, n2, eb,
+                                             bins);
+              const auto b = run_lorenzo3<T>(kt, values, n0, n1, n2, eb,
+                                             bins);
+              EXPECT_TRUE(bits_equal(a.codes, b.codes, "lorenzo3 codes"));
+              EXPECT_TRUE(bits_equal(a.recon, b.recon, "lorenzo3 recon"));
+              EXPECT_TRUE(
+                  bits_equal(a.outliers, b.outliers, "lorenzo3 outliers"));
+              // Residuals here stay far inside 65536 bins, so every
+              // outlier is a cast-guard demotion.
+              if (block == 4 && eb == 0.04 && bins == 65536u)
+                guard_outliers += a.outliers.size();
+            }
+          }
+        }
+      }
+    }
+  }
+  if constexpr (std::is_same_v<T, float>) {
+    EXPECT_GT(guard_outliers, 0u);
+  }
+}
+
+}  // namespace
+
+TEST_P(SimdKernelParity, Lorenzo3dFloat) {
+  lorenzo3_parity_sweep<float>(ref(), kt());
+}
+
+TEST_P(SimdKernelParity, Lorenzo3dDouble) {
+  lorenzo3_parity_sweep<double>(ref(), kt());
+}
+
+TEST_P(SimdKernelParity, Lorenzo3dGoldenVector) {
+  // A trilinear field v = 0.5 + i0 - 1.5 i1 + 0.5 i2, on the 0.5 bin grid
+  // of eb = 0.25: the 3-D Lorenzo stencil predicts it exactly wherever all
+  // seven neighbours exist, and in plane 0 / row 0 / column 0 the missing
+  // neighbours leave residuals of +0.5 (row 0 of plane 0), -1.5 (column 0
+  // of plane 0, i1 > 0) and +1.0 ((i0, 0, 0), i0 > 0). One NaN at (1,2,3)
+  // is an outlier and poisons the prediction of exactly the seven points
+  // whose stencil holds it; those eight are stored verbatim, and their
+  // exact values keep every later prediction exact.
+  constexpr std::size_t n0 = 3, n1 = 5, n2 = 9;  // a 4-row block + 1 row
+  constexpr std::uint32_t bins = 65536, radius = bins / 2;
+  simd::aligned_vector<float> values(n0 * n1 * n2);
+  for (std::size_t i0 = 0; i0 < n0; ++i0)
+    for (std::size_t i1 = 0; i1 < n1; ++i1)
+      for (std::size_t i2 = 0; i2 < n2; ++i2)
+        values[(i0 * n1 + i1) * n2 + i2] = static_cast<float>(
+            0.5 + static_cast<double>(i0) - 1.5 * static_cast<double>(i1) +
+            0.5 * static_cast<double>(i2));
+  const std::size_t nan_at = (1 * n1 + 2) * n2 + 3;
+  values[nan_at] = std::numeric_limits<float>::quiet_NaN();
+  const auto r = run_lorenzo3<float>(kt(), values, n0, n1, n2, 0.25, bins);
+
+  std::vector<float> expect_outliers;
+  for (std::size_t i0 = 0; i0 < n0; ++i0) {
+    for (std::size_t i1 = 0; i1 < n1; ++i1) {
+      for (std::size_t i2 = 0; i2 < n2; ++i2) {
+        SCOPED_TRACE(std::to_string(i0) + "," + std::to_string(i1) + "," +
+                     std::to_string(i2));
+        const std::size_t idx = (i0 * n1 + i1) * n2 + i2;
+        const bool poisoned = i0 >= 1 && (i1 == 2 || i1 == 3) &&
+                              (i2 == 3 || i2 == 4);
+        if (poisoned) {
+          EXPECT_EQ(r.codes[idx], 0u);
+          expect_outliers.push_back(values[idx]);
+          continue;
+        }
+        int k = 0;
+        if (i0 == 0 && i1 == 0) k = 1;
+        else if (i0 == 0 && i2 == 0) k = -3;
+        else if (i1 == 0 && i2 == 0) k = 2;
+        EXPECT_EQ(r.codes[idx], static_cast<std::uint32_t>(radius + k));
+        EXPECT_EQ(r.recon[idx], values[idx]);
+      }
+    }
+  }
+  ASSERT_EQ(expect_outliers.size(), 8u);
+  EXPECT_TRUE(bits_equal(std::vector<float>(r.outliers.begin(),
+                                            r.outliers.end()),
+                         expect_outliers, "outliers"));
+}
+
 TEST_P(SimdKernelParity, SseAccumulators) {
   for (const std::size_t n : kSizes) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -524,8 +661,12 @@ TEST_P(SimdKernelParity, SseGoldenVector) {
 // Whole-archive identity across forced backends
 // ---------------------------------------------------------------------------
 
-TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytes) {
-  const data::Dims dims{48, 40};
+namespace {
+
+/// Every engine, fixed-PSNR and fixed-rate, on every supported backend:
+/// the archive bytes must equal the scalar backend's.
+void expect_same_bytes_on_every_backend(const data::Dims& dims,
+                                        std::vector<std::size_t> tile) {
   auto values = data::smoothed_noise(dims, 17, 2, 2);
   data::rescale(values, -3.0f, 6.0f);
   const std::span<const float> span(values);
@@ -542,6 +683,7 @@ TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytes) {
       core::CompressOptions opts;
       opts.engine = engine;
       opts.parallel.threads = 2;
+      opts.parallel.tile = tile;
       std::vector<std::uint8_t> reference;
       for (const simd::Backend b : simd::supported_backends()) {
         BackendPin pin(b);
@@ -559,4 +701,17 @@ TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytes) {
       }
     }
   }
+}
+
+}  // namespace
+
+TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytes) {
+  expect_same_bytes_on_every_backend(data::Dims{48, 40}, {});
+}
+
+TEST(SimdArchiveIdentity, EveryEngineEveryBackendSameBytesRank3) {
+  // 16^3 tiles leave partial tiles on every axis (20 = 16 + 4,
+  // 36 = 2*16 + 4, 44 = 2*16 + 12), so the rank-3 Lorenzo kernel meets its
+  // thin-shape fallback as well as the wavefront.
+  expect_same_bytes_on_every_backend(data::Dims{20, 36, 44}, {16, 16, 16});
 }

@@ -4,16 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
 #include <tuple>
 
 #include "data/synth.h"
 #include "metrics/metrics.h"
+#include "simd/dispatch.h"
+#include "sz/quantizer.h"
 
 namespace sz = fpsnr::sz;
 namespace data = fpsnr::data;
 namespace metrics = fpsnr::metrics;
 namespace io = fpsnr::io;
+namespace simd = fpsnr::simd;
 
 namespace {
 
@@ -304,4 +309,47 @@ TEST(SzCodec, PredictionTraceShape) {
   // Quantized reconstruction error never exceeds the bound.
   for (std::size_t i = 0; i < trace.pe.size(); ++i)
     ASSERT_LE(std::abs(trace.pe[i] - trace.pe_recon[i]), 1e-3 * (1.0 + 1e-9));
+}
+
+TEST(SzCodec, Rank3KernelMatchesTracedGenericLoop) {
+  // An untraced rank-3 quantize pass runs the Lorenzo kernel, while
+  // prediction_trace runs the generic loop. The codes and outliers the
+  // trace implies (a point is coded exactly when its recorded
+  // reconstruction is the midpoint of its bin) must equal the kernel's on
+  // every backend. 13 rows = three 4-row blocks + one leftover row.
+  const data::Dims dims{9, 13, 21};
+  auto values = make_test_field(dims, 0, 23);
+  values[100] = std::numeric_limits<float>::quiet_NaN();
+  values[500] = 1.0e4f;  // outside the radius of 1024 bins
+  const double eb = 1e-3;
+  const std::uint32_t bins = 1024;
+  const auto trace = sz::prediction_trace<float>(values, dims, eb, bins);
+  const sz::LinearQuantizer quant(eb, bins);
+  std::vector<std::uint32_t> codes(values.size());
+  std::vector<float> outliers;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::uint32_t code = quant.quantize(trace.pe[i]);
+    if (code != 0 && quant.dequantize(code) == trace.pe_recon[i]) {
+      codes[i] = code;
+    } else {
+      outliers.push_back(values[i]);
+    }
+  }
+  ASSERT_GE(outliers.size(), 2u);
+
+  for (const simd::Backend b : simd::supported_backends()) {
+    SCOPED_TRACE(simd::backend_name(b));
+    std::vector<std::uint32_t> k_codes(values.size());
+    std::vector<float> k_recon(values.size()), k_outliers;
+    simd::kernels_for(b).lorenzo3_quant_f32(values.data(), dims[0], dims[1],
+                                            dims[2], eb, bins, k_codes.data(),
+                                            k_recon.data());
+    for (std::size_t i = 0; i < values.size(); ++i)
+      if (k_codes[i] == 0) k_outliers.push_back(values[i]);
+    EXPECT_EQ(k_codes, codes);
+    ASSERT_EQ(k_outliers.size(), outliers.size());
+    EXPECT_EQ(std::memcmp(k_outliers.data(), outliers.data(),
+                          outliers.size() * sizeof(float)),
+              0);
+  }
 }

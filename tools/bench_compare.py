@@ -77,6 +77,7 @@ SIMD_KERNELS = [
     ("dct", "BM_SimdDct2/scalar", "BM_SimdDct2/dispatch"),
     ("zfpr", "BM_SimdZfprQuant/scalar", "BM_SimdZfprQuant/dispatch"),
     ("lorenzo", "BM_SimdLorenzo2/scalar", "BM_SimdLorenzo2/dispatch"),
+    ("lorenzo3", "BM_SimdLorenzo3/scalar", "BM_SimdLorenzo3/dispatch"),
     ("huffman", "BM_SimdHuffmanPack/scalar", "BM_SimdHuffmanPack/dispatch"),
     ("sse", "BM_SimdSse/scalar", "BM_SimdSse/dispatch"),
 ]
