@@ -2,8 +2,8 @@
 //
 // fpsnrd is the library's long-lived, in-situ shape: simulations emit
 // snapshot streams continuously, so compression runs as a resident daemon
-// beside them instead of one-shot batch invocations. A Server wraps a
-// persistent fpsnr::Session pool behind a length-framed request/response
+// beside them instead of one-shot batch invocations. A Server runs each
+// request on an fpsnr::Session behind a length-framed request/response
 // protocol on a unix-domain socket (loopback TCP optional), with admission
 // control, per-request priority + deadline scheduling, live metrics, and
 // graceful drain on shutdown. A Client is the matching blocking connection.
@@ -146,7 +146,7 @@ struct RequestOptions {
 };
 
 /// Compression job parameters, mirroring SessionOptions + Target by value
-/// (the server resolves them against its Session pool).
+/// (the server builds one Session from them per request).
 struct CompressSpec {
   std::string engine = "sz-lorenzo";
   std::string budget = "uniform";

@@ -2,10 +2,10 @@
 //
 // Engine-specific knobs (prediction scheme, transform depth, DCT block
 // edge, quantizer resolution, lossless backend) never appear as Session
-// fields: they live in a CodecTuning store keyed by engine name, validated
-// against a per-engine key schema. Adding a codec therefore never widens
-// the facade — it registers its knobs here and its name in the codec
-// registry, and every caller keeps compiling.
+// fields: they live in a CodecTuning store keyed by engine name. Each
+// engine's codec declares the keys it reads and validates their values,
+// so adding a codec never widens the facade — it registers its name and
+// its keys in the codec registry, and every caller keeps compiling.
 //
 // Self-contained: installed under <prefix>/include/fpsnr and includes only
 // the C++ standard library.
@@ -30,16 +30,19 @@ struct TuningKey {
   std::string default_value;
 };
 
-/// The knobs `engine` understands (registry name or alias; every engine
-/// also accepts the generic "quantization-bins" and "lossless" keys).
-/// Throws std::out_of_range for an unknown engine, listing the registry.
+/// The knobs `engine` reads (registry name or alias), and only those: an
+/// engine without a quantizer or lossless stage (zfpr, store) lists no
+/// "quantization-bins" or "lossless". Throws std::out_of_range for an
+/// unknown engine, listing the registry.
 std::vector<TuningKey> tuning_keys(std::string_view engine);
 
-/// A set of per-engine knob overrides. Keys are validated lazily — at
+/// A set of per-engine knob overrides. Entries are validated lazily — at
 /// set() time against nothing (so a tuning block can be built before the
-/// engine is chosen), and strictly when a Session job resolves them, where
-/// an unknown engine/key pair throws std::invalid_argument naming the
-/// valid keys.
+/// engine is chosen), and strictly when a Session is constructed, where an
+/// unknown engine throws std::out_of_range, and an unknown key or a bad
+/// value throws std::invalid_argument (naming the valid keys, or the
+/// values the key takes). Entries for engines other than the session's are
+/// validated too but not applied.
 class CodecTuning {
  public:
   CodecTuning& set(std::string_view engine, std::string_view key,

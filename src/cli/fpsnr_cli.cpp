@@ -370,8 +370,9 @@ std::string resolve_engine(const std::string& name) {
   }
 }
 
-/// Build the Session every subcommand shares from the parsed flags.
-Session make_session(const Args& a) {
+/// The engine/budget/threads/tile/predictor options every subcommand
+/// shares, from the parsed flags (series frames included).
+SessionOptions session_options(const Args& a) {
   SessionOptions opts;
   opts.engine = resolve_engine(a.engine);
   if (a.budget != "uniform" && a.budget != "adaptive")
@@ -391,8 +392,10 @@ Session make_session(const Args& a) {
   // per-engine, so it is only set where it applies).
   if (opts.engine == "sz-lorenzo")
     opts.tuning.set("sz-lorenzo", "predictor", a.predictor);
-  return Session(std::move(opts));
+  return opts;
 }
+
+Session make_session(const Args& a) { return Session(session_options(a)); }
 
 /// Load raw little-endian float32 values and wrap them as a named field.
 data::Field load_field(const std::string& name, const std::string& path,
@@ -736,24 +739,9 @@ int cmd_compress_series(const Args& a) {
   const std::vector<std::string> files = read_series_manifest(a.input);
 
   TimeSeriesOptions topts;
-  // Frame options resolve exactly as make_session resolves them for a
-  // Session, so a series frame and a spatial archive of the same snapshot
-  // use the same engine stack.
-  topts.session.engine = resolve_engine(a.engine);
-  if (a.budget != "uniform" && a.budget != "adaptive")
-    usage("unknown budget mode (want uniform|adaptive)");
-  topts.session.budget = a.budget;
-  topts.session.threads = a.threads;
-  if (!a.tile.empty() && a.block_size)
-    usage("--tile and --block-size are mutually exclusive");
-  if (!a.tile.empty())
-    topts.session.tile = TileShape(parse_tile(a.tile));
-  else if (a.block_size)
-    topts.session.tile = TileShape::slab(a.block_size);
-  if (a.predictor != "lorenzo" && a.predictor != "hybrid")
-    usage("unknown predictor (want lorenzo|hybrid)");
-  if (topts.session.engine == "sz-lorenzo")
-    topts.session.tuning.set("sz-lorenzo", "predictor", a.predictor);
+  // A series frame and a spatial archive of the same snapshot use the
+  // same engine stack.
+  topts.session = session_options(a);
   topts.series = a.series.empty()
                      ? std::filesystem::path(a.input).stem().string()
                      : a.series;

@@ -1,9 +1,12 @@
 #include "core/codec_registry.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
+#include "core/compressor.h"
 #include "io/bitstream.h"
 #include "io/bytebuffer.h"
 #include "sz/codec.h"
@@ -22,41 +25,105 @@ double sse_budget_for(std::size_t value_count, double eb_abs) {
   return static_cast<double>(value_count) * eb_abs * eb_abs / 3.0;
 }
 
+// --- Tuning keys ------------------------------------------------------------
+//
+// A knob's apply() throws a bare "must be ..." message; BlockCodec::configure
+// prefixes the engine and key.
+
+[[noreturn]] void bad_value(std::string_view value, const std::string& want) {
+  throw std::invalid_argument("must be " + want + ", got '" +
+                              std::string(value) + "'");
+}
+
+/// `value` as an integer in [lo, hi]. Takes the "16.000000" spelling
+/// CodecTuning::set(double) writes, and surrounding blanks.
+std::uint64_t parse_integer(std::string_view value, std::uint64_t lo,
+                            std::uint64_t hi) {
+  const std::string text(value);
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  const bool converted = end != text.c_str();
+  while (*end == ' ' || *end == '\t') ++end;
+  if (!converted || end != text.c_str() + text.size() ||
+      !(v >= static_cast<double>(lo)) || v > static_cast<double>(hi) ||
+      v != std::floor(v))
+    bad_value(value, "an integer in " + std::to_string(lo) + ".." +
+                         std::to_string(hi));
+  return static_cast<std::uint64_t>(v);
+}
+
+constexpr TuningKnob kBinsKnob{
+    "quantization-bins", "quantizer bins (2n in the paper's notation)",
+    [](const CompressOptions& o) { return std::to_string(o.quantization_bins); },
+    [](std::string_view v, CompressOptions& o) {
+      const std::uint64_t bins = parse_integer(v, 4, 4294967294u);
+      if (bins % 2 != 0) bad_value(v, "even");
+      o.quantization_bins = static_cast<std::uint32_t>(bins);
+    }};
+
+constexpr TuningKnob kLosslessKnob{
+    "lossless", "final lossless stage: store|rle|deflate|auto",
+    [](const CompressOptions& o) {
+      return std::string(lossless::method_name(o.backend));
+    },
+    [](std::string_view v, CompressOptions& o) {
+      using lossless::Method;
+      for (const Method m :
+           {Method::Store, Method::Rle, Method::Deflate, Method::Auto})
+        if (lossless::method_name(m) == v) {
+          o.backend = m;
+          return;
+        }
+      bad_value(v, "store|rle|deflate|auto");
+    }};
+
+constexpr TuningKnob kPredictorKnob{
+    "predictor", "prediction scheme: lorenzo|hybrid",
+    [](const CompressOptions& o) {
+      return std::string(o.sz_predictor == sz::Predictor::HybridRegression
+                             ? "hybrid"
+                             : "lorenzo");
+    },
+    [](std::string_view v, CompressOptions& o) {
+      if (v == "lorenzo") o.sz_predictor = sz::Predictor::Lorenzo;
+      else if (v == "hybrid") o.sz_predictor = sz::Predictor::HybridRegression;
+      else bad_value(v, "lorenzo|hybrid");
+    }};
+
+constexpr TuningKnob kLevelsKnob{
+    "levels", "Haar decomposition levels",
+    [](const CompressOptions& o) { return std::to_string(o.haar_levels); },
+    [](std::string_view v, CompressOptions& o) {
+      o.haar_levels = static_cast<unsigned>(parse_integer(v, 1, 32));
+    }};
+
+constexpr TuningKnob kDctBlockKnob{
+    "dct-block", "DCT tile edge length",
+    [](const CompressOptions& o) { return std::to_string(o.dct_block); },
+    [](std::string_view v, CompressOptions& o) {
+      o.dct_block = static_cast<std::size_t>(parse_integer(v, 2, 4096));
+    }};
+
+// --- Codec policies ---------------------------------------------------------
+//
+// Each policy names a codec family, lists the tuning keys it reads, and
+// gives its typed encode (which fills BlockInfo's outlier_count and
+// achieved_sse) and decode. PolicyCodec below turns one into a BlockCodec.
+
 /// Predictor path: Lorenzo / hybrid-regression SZ codec with an absolute
 /// bound (pointwise |err| <= eb_abs holds in addition to the budget) or a
 /// pointwise-relative one (|err| <= eps * |x| via the log2 domain).
-class SzBlockCodec final : public BlockCodec {
- public:
-  std::string_view name() const override { return "sz-lorenzo"; }
-  bool pointwise_bounded() const override { return true; }
+struct SzPolicy {
+  static constexpr std::string_view kName = "sz-lorenzo";
+  static constexpr bool kPointwise = true;
+  static constexpr const TuningKnob* kKeys[] = {&kBinsKnob, &kLosslessKnob,
+                                                &kPredictorKnob};
 
-  std::vector<std::uint8_t> compress(std::span<const float> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<float> out) const override {
-    decompress_impl(block, out);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<double> out) const override {
-    decompress_impl(block, out);
-  }
-
- private:
   template <typename T>
-  std::vector<std::uint8_t> compress_impl(std::span<const T> values,
+  static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo* info) const {
+                                          BlockInfo& info) {
     sz::Params p;
     p.mode = params.mode;
     p.bound = params.eb_abs;
@@ -65,67 +132,35 @@ class SzBlockCodec final : public BlockCodec {
     p.backend = params.backend;
     sz::CompressionInfo ci;
     auto bytes = sz::compress<T>(values, dims, p, &ci);
-    if (info) {
-      info->value_count = values.size();
-      info->outlier_count = ci.outlier_count;
-      info->compressed_bytes = bytes.size();
-      info->sse_budget = sse_budget_for(values.size(), params.eb_abs);
-      info->achieved_sse = ci.achieved_sse;
-    }
+    info.outlier_count = ci.outlier_count;
+    info.achieved_sse = ci.achieved_sse;
     return bytes;
   }
 
   template <typename T>
-  void decompress_impl(std::span<const std::uint8_t> block,
-                       std::span<T> out) const {
-    auto d = sz::decompress<T>(block);
-    if (d.values.size() != out.size())
-      throw io::StreamError("block codec: slab size mismatch");
-    std::copy(d.values.begin(), d.values.end(), out.begin());
+  static std::vector<T> decode(std::span<const std::uint8_t> block) {
+    return sz::decompress<T>(block).values;
   }
 };
 
 /// Transform path: orthogonal Haar DWT or block DCT with coefficient bin
 /// width 2*eb_abs. Only the aggregate (PSNR) budget is guaranteed.
-class TransformBlockCodec final : public BlockCodec {
- public:
-  explicit TransformBlockCodec(transform::Kind kind) : kind_(kind) {}
+template <transform::Kind K>
+struct TransformPolicy {
+  static constexpr bool kHaar = K == transform::Kind::HaarMultiLevel;
+  static constexpr std::string_view kName =
+      kHaar ? "transform-haar" : "transform-dct";
+  static constexpr bool kPointwise = false;
+  static constexpr const TuningKnob* kKeys[] = {
+      &kBinsKnob, &kLosslessKnob, kHaar ? &kLevelsKnob : &kDctBlockKnob};
 
-  std::string_view name() const override {
-    return kind_ == transform::Kind::HaarMultiLevel ? "transform-haar"
-                                                    : "transform-dct";
-  }
-  bool pointwise_bounded() const override { return false; }
-
-  std::vector<std::uint8_t> compress(std::span<const float> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<float> out) const override {
-    decompress_impl(block, out);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<double> out) const override {
-    decompress_impl(block, out);
-  }
-
- private:
   template <typename T>
-  std::vector<std::uint8_t> compress_impl(std::span<const T> values,
+  static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo* info) const {
+                                          BlockInfo& info) {
     transform::Params p;
-    p.kind = kind_;
+    p.kind = K;
     p.bin_width = 2.0 * params.eb_abs;
     p.quantization_bins = params.quantization_bins;
     p.haar_levels = params.haar_levels;
@@ -133,188 +168,91 @@ class TransformBlockCodec final : public BlockCodec {
     p.backend = params.backend;
     transform::Info ti;
     auto bytes = transform::compress<T>(values, dims, p, &ti);
-    if (info) {
-      info->value_count = values.size();
-      info->outlier_count = ti.outlier_count;
-      info->compressed_bytes = bytes.size();
-      info->sse_budget = sse_budget_for(values.size(), params.eb_abs);
-      info->achieved_sse = ti.achieved_sse;
-    }
+    info.outlier_count = ti.outlier_count;
+    info.achieved_sse = ti.achieved_sse;
     return bytes;
   }
 
   template <typename T>
-  void decompress_impl(std::span<const std::uint8_t> block,
-                       std::span<T> out) const {
-    auto d = transform::decompress<T>(block);
-    if (d.values.size() != out.size())
-      throw io::StreamError("block codec: slab size mismatch");
-    std::copy(d.values.begin(), d.values.end(), out.begin());
+  static std::vector<T> decode(std::span<const std::uint8_t> block) {
+    return transform::decompress<T>(block).values;
   }
-
-  transform::Kind kind_;
 };
 
 /// SZ3-style multi-level interpolation predictor (pointwise bounded).
-class InterpBlockCodec final : public BlockCodec {
- public:
-  std::string_view name() const override { return "interp"; }
-  bool pointwise_bounded() const override { return true; }
+struct InterpPolicy {
+  static constexpr std::string_view kName = "interp";
+  static constexpr bool kPointwise = true;
+  static constexpr const TuningKnob* kKeys[] = {&kBinsKnob, &kLosslessKnob};
 
-  std::vector<std::uint8_t> compress(std::span<const float> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<float> out) const override {
-    decompress_impl(block, out);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<double> out) const override {
-    decompress_impl(block, out);
-  }
-
- private:
   template <typename T>
-  std::vector<std::uint8_t> compress_impl(std::span<const T> values,
+  static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo* info) const {
+                                          BlockInfo& info) {
     sz::InterpParams p;
     p.eb_abs = params.eb_abs;
     p.quantization_bins = params.quantization_bins;
     p.backend = params.backend;
     sz::InterpInfo ii;
     auto bytes = sz::interp_compress<T>(values, dims, p, &ii);
-    if (info) {
-      info->value_count = values.size();
-      info->outlier_count = ii.outlier_count;
-      info->compressed_bytes = bytes.size();
-      info->sse_budget = sse_budget_for(values.size(), params.eb_abs);
-      info->achieved_sse = ii.achieved_sse;
-    }
+    info.outlier_count = ii.outlier_count;
+    info.achieved_sse = ii.achieved_sse;
     return bytes;
   }
 
   template <typename T>
-  void decompress_impl(std::span<const std::uint8_t> block,
-                       std::span<T> out) const {
-    auto d = sz::interp_decompress<T>(block);
-    if (d.values.size() != out.size())
-      throw io::StreamError("block codec: slab size mismatch");
-    std::copy(d.values.begin(), d.values.end(), out.begin());
+  static std::vector<T> decode(std::span<const std::uint8_t> block) {
+    return sz::interp_decompress<T>(block).values;
   }
 };
 
-/// ZFP-style fixed-rate bit-packed DCT (aggregate budget only).
-class ZfpRateBlockCodec final : public BlockCodec {
- public:
-  std::string_view name() const override { return "zfpr"; }
-  bool pointwise_bounded() const override { return false; }
+/// ZFP-style fixed-rate bit-packed DCT (aggregate budget only). It has no
+/// quantizer bins and no lossless stage.
+struct ZfpRatePolicy {
+  static constexpr std::string_view kName = "zfpr";
+  static constexpr bool kPointwise = false;
+  static constexpr const TuningKnob* kKeys[] = {&kDctBlockKnob};
 
-  std::vector<std::uint8_t> compress(std::span<const float> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<float> out) const override {
-    decompress_impl(block, out);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<double> out) const override {
-    decompress_impl(block, out);
-  }
-
- private:
   template <typename T>
-  std::vector<std::uint8_t> compress_impl(std::span<const T> values,
+  static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo* info) const {
+                                          BlockInfo& info) {
     transform::FixedRateParams p;
     p.eb_abs = params.eb_abs;
     p.dct_block = params.dct_block;
     transform::FixedRateInfo fi;
     auto bytes = transform::fixed_rate_compress<T>(values, dims, p, &fi);
-    if (info) {
-      info->value_count = values.size();
-      info->outlier_count = fi.escaped_groups;
-      info->compressed_bytes = bytes.size();
-      info->sse_budget = sse_budget_for(values.size(), params.eb_abs);
-      info->achieved_sse = fi.achieved_sse;
-    }
+    info.outlier_count = fi.escaped_groups;
+    info.achieved_sse = fi.achieved_sse;
     return bytes;
   }
 
   template <typename T>
-  void decompress_impl(std::span<const std::uint8_t> block,
-                       std::span<T> out) const {
-    auto d = transform::fixed_rate_decompress<T>(block);
-    if (d.values.size() != out.size())
-      throw io::StreamError("block codec: slab size mismatch");
-    std::copy(d.values.begin(), d.values.end(), out.begin());
+  static std::vector<T> decode(std::span<const std::uint8_t> block) {
+    return transform::fixed_rate_decompress<T>(block).values;
   }
 };
 
-// --- Store passthrough ------------------------------------------------------
-//
-// Raw IEEE bytes behind a tiny self-describing header. Lossless, so its
-// achieved SSE is exactly zero and any error budget is trivially met. The
-// engine falls back to it per block when the primary codec's output is not
-// smaller than this encoding — white-noise fields therefore never expand
-// beyond raw size plus the fixed header overhead.
+// Store passthrough: raw IEEE bytes behind a tiny self-describing header.
+// Lossless, so its achieved SSE is exactly zero and any error budget is
+// trivially met. The engine falls back to it per block when the primary
+// codec's output is not smaller than this encoding — white-noise fields
+// therefore never expand beyond raw size plus the fixed header overhead.
 
 constexpr std::uint8_t kStoreMagic[4] = {'F', 'P', 'S', 'T'};
 constexpr std::uint8_t kStoreVersion = 1;
 
-class StoreBlockCodec final : public BlockCodec {
- public:
-  std::string_view name() const override { return "store"; }
-  bool pointwise_bounded() const override { return true; }
+struct StorePolicy {
+  static constexpr std::string_view kName = "store";
+  static constexpr bool kPointwise = true;
+  static constexpr std::span<const TuningKnob* const> kKeys{};
 
-  std::vector<std::uint8_t> compress(std::span<const float> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  std::vector<std::uint8_t> compress(std::span<const double> values,
-                                     const data::Dims& dims,
-                                     const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<float> out) const override {
-    decompress_impl(block, out);
-  }
-  void decompress(std::span<const std::uint8_t> block,
-                  std::span<double> out) const override {
-    decompress_impl(block, out);
-  }
-
- private:
   template <typename T>
-  std::vector<std::uint8_t> compress_impl(std::span<const T> values,
+  static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
-                                          const BlockParams& params,
-                                          BlockInfo* info) const {
+                                          const BlockParams&, BlockInfo&) {
     if (values.size() != dims.count())
       throw std::invalid_argument("fpst: value count does not match dims");
     io::ByteWriter out;
@@ -323,37 +261,104 @@ class StoreBlockCodec final : public BlockCodec {
     out.put<std::uint8_t>(std::is_same_v<T, double> ? 1 : 0);
     out.put_varint(values.size());
     out.put_bytes(io::bytes_of(values));
-    auto bytes = out.take();
-    if (info) {
-      info->value_count = values.size();
-      info->outlier_count = 0;
-      info->compressed_bytes = bytes.size();
-      info->sse_budget = sse_budget_for(values.size(), params.eb_abs);
-      info->achieved_sse = 0.0;
-    }
-    return bytes;
+    return out.take();
   }
 
   template <typename T>
-  void decompress_impl(std::span<const std::uint8_t> block,
-                       std::span<T> out) const {
+  static std::vector<T> decode(std::span<const std::uint8_t> block) {
     io::ByteReader reader(block);
     const auto magic = reader.get_bytes(4);
     if (!std::equal(magic.begin(), magic.end(), kStoreMagic))
       throw io::StreamError("fpst: bad magic");
     if (reader.get<std::uint8_t>() != kStoreVersion)
       throw io::StreamError("fpst: unsupported version");
-    const std::uint8_t scalar = reader.get<std::uint8_t>();
-    if (scalar != (std::is_same_v<T, double> ? 1 : 0))
+    if (reader.get<std::uint8_t>() != (std::is_same_v<T, double> ? 1 : 0))
       throw io::StreamError("fpst: scalar type mismatch");
-    if (reader.get_varint() != out.size())
-      throw io::StreamError("block codec: slab size mismatch");
-    reader.get_into(out);
+    auto values = reader.get_array<T>(reader.get_varint());
     reader.expect_end();
+    return values;
+  }
+};
+
+/// The BlockCodec of one policy: the float/double overrides, the
+/// BlockInfo accounting and the slab-size check, written once.
+template <typename Policy>
+class PolicyCodec final : public BlockCodec {
+ public:
+  std::string_view name() const override { return Policy::kName; }
+  bool pointwise_bounded() const override { return Policy::kPointwise; }
+  std::span<const TuningKnob* const> tuning() const override {
+    return Policy::kKeys;
+  }
+
+  std::vector<std::uint8_t> compress(std::span<const float> values,
+                                     const data::Dims& dims,
+                                     const BlockParams& params,
+                                     BlockInfo* info) const override {
+    return compress_impl(values, dims, params, info);
+  }
+  std::vector<std::uint8_t> compress(std::span<const double> values,
+                                     const data::Dims& dims,
+                                     const BlockParams& params,
+                                     BlockInfo* info) const override {
+    return compress_impl(values, dims, params, info);
+  }
+  void decompress(std::span<const std::uint8_t> block,
+                  std::span<float> out) const override {
+    decompress_impl(block, out);
+  }
+  void decompress(std::span<const std::uint8_t> block,
+                  std::span<double> out) const override {
+    decompress_impl(block, out);
+  }
+
+ private:
+  template <typename T>
+  static std::vector<std::uint8_t> compress_impl(std::span<const T> values,
+                                                 const data::Dims& dims,
+                                                 const BlockParams& params,
+                                                 BlockInfo* info) {
+    BlockInfo local;
+    auto bytes = Policy::encode(values, dims, params, local);
+    if (info) {
+      local.value_count = values.size();
+      local.compressed_bytes = bytes.size();
+      local.sse_budget = sse_budget_for(values.size(), params.eb_abs);
+      *info = local;
+    }
+    return bytes;
+  }
+
+  template <typename T>
+  static void decompress_impl(std::span<const std::uint8_t> block,
+                              std::span<T> out) {
+    const std::vector<T> values = Policy::template decode<T>(block);
+    if (values.size() != out.size())
+      throw io::StreamError("block codec: slab size mismatch");
+    std::copy(values.begin(), values.end(), out.begin());
   }
 };
 
 }  // namespace
+
+void BlockCodec::configure(std::string_view key, std::string_view value,
+                           CompressOptions& opts) const {
+  for (const TuningKnob* knob : tuning()) {
+    if (knob->key != key) continue;
+    try {
+      knob->apply(value, opts);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("tuning " + std::string(name()) + "." +
+                                  std::string(key) + ": " + e.what());
+    }
+    return;
+  }
+  std::string msg = "tuning: engine '" + std::string(name()) +
+                    "' has no knob '" + std::string(key) + "' (valid:";
+  for (const TuningKnob* knob : tuning()) msg += " " + std::string(knob->key);
+  if (tuning().empty()) msg += " none";
+  throw std::invalid_argument(msg + ")");
+}
 
 bool is_store_block_stream(std::span<const std::uint8_t> block) {
   return block.size() >= 4 &&
@@ -365,20 +370,22 @@ std::size_t store_encoded_size(std::size_t value_count,
   std::size_t varint_len = 1;
   for (std::uint64_t v = value_count; v >= 0x80; v >>= 7) ++varint_len;
   // magic + version + scalar + varint count + raw payload — mirrors
-  // StoreBlockCodec::compress_impl above.
+  // StorePolicy::encode above.
   return sizeof(kStoreMagic) + 1 + 1 + varint_len +
          value_count * scalar_bytes;
 }
 
 CodecRegistry::CodecRegistry() {
-  add(kCodecSzLorenzo, std::make_unique<SzBlockCodec>());
+  add(kCodecSzLorenzo, std::make_unique<PolicyCodec<SzPolicy>>());
   add(kCodecTransformHaar,
-      std::make_unique<TransformBlockCodec>(transform::Kind::HaarMultiLevel));
+      std::make_unique<PolicyCodec<
+          TransformPolicy<transform::Kind::HaarMultiLevel>>>());
   add(kCodecTransformDct,
-      std::make_unique<TransformBlockCodec>(transform::Kind::BlockDct));
-  add(kCodecInterp, std::make_unique<InterpBlockCodec>());
-  add(kCodecZfpRate, std::make_unique<ZfpRateBlockCodec>());
-  add(kCodecStore, std::make_unique<StoreBlockCodec>());
+      std::make_unique<
+          PolicyCodec<TransformPolicy<transform::Kind::BlockDct>>>());
+  add(kCodecInterp, std::make_unique<PolicyCodec<InterpPolicy>>());
+  add(kCodecZfpRate, std::make_unique<PolicyCodec<ZfpRatePolicy>>());
+  add(kCodecStore, std::make_unique<PolicyCodec<StorePolicy>>());
   // Historical CLI short names; resolved through the same table as the
   // primary names so `--engine sz` and `--engine sz-lorenzo` cannot drift.
   add_alias("sz", kCodecSzLorenzo);

@@ -11,12 +11,14 @@
 //
 // The registry maps a one-byte wire id (stored in the FPBK container) to a
 // codec instance, so streams stay self-describing and new codecs can be
-// plugged in without touching the engine.
+// plugged in without touching the engine. Each codec also lists and parses
+// the tuning keys it reads, so the facade holds no per-codec knob.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -73,6 +75,20 @@ struct BlockInfo {
   double achieved_sse = 0.0;
 };
 
+struct CompressOptions;
+
+/// One tuning key a codec reads: it parses a text value onto one
+/// CompressOptions field and renders that field back as text, so the key's
+/// default is whatever a default-constructed CompressOptions holds.
+struct TuningKnob {
+  std::string_view key;
+  std::string_view doc;
+  std::string (*show)(const CompressOptions&);
+  /// Validates `value` in full (syntax, range, parity) and stores it;
+  /// throws std::invalid_argument saying what the key accepts.
+  void (*apply)(std::string_view value, CompressOptions&);
+};
+
 /// One codec family behind the block-parallel engine.
 class BlockCodec {
  public:
@@ -83,6 +99,16 @@ class BlockCodec {
   /// True when |x_i - x~_i| <= eb_abs holds pointwise (the predictor path);
   /// transform codecs control only the aggregate (PSNR) budget.
   virtual bool pointwise_bounded() const = 0;
+
+  /// The tuning keys this codec reads, in listing order. No other key can
+  /// change its output.
+  virtual std::span<const TuningKnob* const> tuning() const = 0;
+
+  /// Validate `value` for `key` and apply it to `opts`. Throws
+  /// std::invalid_argument for a bad value, or for a key not in tuning()
+  /// (the message names the valid keys).
+  void configure(std::string_view key, std::string_view value,
+                 CompressOptions& opts) const;
 
   virtual std::vector<std::uint8_t> compress(std::span<const float> values,
                                              const data::Dims& dims,

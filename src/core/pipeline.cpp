@@ -23,19 +23,13 @@ namespace {
 
 /// Resolve an absolute or range-derived control request (abs / rel /
 /// fixed-PSNR / nrmse) to the absolute per-point budget every block
-/// shares. Validation is delegated to resolve_control, so bad requests
-/// (non-positive bounds, non-finite PSNR targets) are rejected there.
+/// shares: resolve_control validates the request, and the sz codec's own
+/// resolution (constant-field fallback included) turns it into a bound.
 /// (FixedRate and PointwiseRelative never reach here — plan_blocks gives
 /// them per-block bounds first.)
 double resolve_budget(const ControlRequest& request, double vr) {
   const ResolvedControl rc = resolve_control(request);
-  double eb = rc.sz_mode == sz::ErrorBoundMode::Absolute ? rc.sz_bound
-                                                         : rc.sz_bound * vr;
-  if (!(eb > 0.0)) {
-    // Constant field (vr == 0): any tiny budget keeps every point exact.
-    eb = std::numeric_limits<double>::min() * 1e6;
-  }
-  return eb;
+  return sz::resolve_absolute_bound(rc.sz_mode, rc.sz_bound, vr);
 }
 
 /// Run fn(b) for every block as one untagged (FIFO) WorkQueue task each,

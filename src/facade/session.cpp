@@ -2,9 +2,9 @@
 //
 // This is the only translation unit that bridges the installable
 // include/fpsnr headers to the internal src/ layers: it resolves the
-// engine name against the codec registry, applies CodecTuning overrides
-// onto core::CompressOptions, routes every Target through the
-// block-parallel pipeline, and maps Source/Sink shapes onto the
+// engine name against the codec registry, has that codec apply the
+// CodecTuning overrides onto core::CompressOptions, routes every Target
+// through the block-parallel pipeline, and maps Source/Sink shapes onto the
 // in-memory, whole-file, raw-file, streaming-writer, and mmap-reader
 // entry points. Archives are byte-identical to the core:: pipeline
 // functions for equivalent options by construction — both run the same
@@ -59,115 +59,6 @@ using detail::Access;
 using SourceKind = Access::SourceKind;
 using SinkKind = Access::SinkKind;
 
-// --- tuning schema ----------------------------------------------------------
-
-struct KeySpec {
-  std::string_view key, doc, def;
-};
-
-constexpr KeySpec kGenericKeys[] = {
-    {"quantization-bins", "quantizer bins (2n in the paper's notation)",
-     "65536"},
-    {"lossless", "final lossless stage: store|rle|deflate|auto", "deflate"},
-};
-
-std::vector<KeySpec> engine_specific_keys(core::CodecId id) {
-  switch (id) {
-    case core::kCodecSzLorenzo:
-      return {{"predictor", "prediction scheme: lorenzo|hybrid", "lorenzo"}};
-    case core::kCodecTransformHaar:
-      return {{"levels", "Haar decomposition levels", "4"}};
-    case core::kCodecTransformDct:
-    case core::kCodecZfpRate:
-      return {{"dct-block", "DCT tile edge length", "8"}};
-    default:
-      return {};
-  }
-}
-
-double parse_number(std::string_view engine, std::string_view key,
-                    const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    while (pos < value.size() &&
-           (value[pos] == ' ' || value[pos] == '\t'))
-      ++pos;
-    if (pos != value.size()) throw std::invalid_argument("trailing text");
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("tuning " + std::string(engine) + "." +
-                                std::string(key) + ": '" + value +
-                                "' is not a number");
-  }
-}
-
-[[noreturn]] void bad_tuning_key(std::string_view engine,
-                                 std::string_view key) {
-  std::string msg = "tuning: engine '" + std::string(engine) +
-                    "' has no knob '" + std::string(key) + "' (valid:";
-  for (const TuningKey& k : tuning_keys(engine)) msg += " " + k.key;
-  msg += ")";
-  throw std::invalid_argument(msg);
-}
-
-/// Apply one (key, value) override for the selected engine onto `opts`.
-void apply_tuning(std::string_view engine, std::string_view key,
-                  const std::string& value, core::CompressOptions& opts) {
-  if (key == "quantization-bins") {
-    const double v = parse_number(engine, key, value);
-    if (!(v >= 4.0) || v > 4294967295.0)
-      throw std::invalid_argument("tuning: quantization-bins out of range");
-    opts.quantization_bins = static_cast<std::uint32_t>(std::llround(v));
-    return;
-  }
-  if (key == "lossless") {
-    if (value == "store") opts.backend = lossless::Method::Store;
-    else if (value == "rle") opts.backend = lossless::Method::Rle;
-    else if (value == "deflate") opts.backend = lossless::Method::Deflate;
-    else if (value == "auto") opts.backend = lossless::Method::Auto;
-    else
-      throw std::invalid_argument(
-          "tuning: lossless must be store|rle|deflate|auto, got '" + value +
-          "'");
-    return;
-  }
-  if (key == "predictor") {
-    if (value == "lorenzo") opts.sz_predictor = sz::Predictor::Lorenzo;
-    else if (value == "hybrid")
-      opts.sz_predictor = sz::Predictor::HybridRegression;
-    else
-      throw std::invalid_argument(
-          "tuning: predictor must be lorenzo|hybrid, got '" + value + "'");
-    return;
-  }
-  if (key == "levels") {
-    const double v = parse_number(engine, key, value);
-    if (!(v >= 1.0) || v > 32.0)
-      throw std::invalid_argument("tuning: levels out of 1..32");
-    opts.haar_levels = static_cast<unsigned>(std::llround(v));
-    return;
-  }
-  if (key == "dct-block") {
-    const double v = parse_number(engine, key, value);
-    if (!(v >= 2.0) || v > 4096.0)
-      throw std::invalid_argument("tuning: dct-block out of 2..4096");
-    opts.dct_block = static_cast<std::size_t>(std::llround(v));
-    return;
-  }
-  bad_tuning_key(engine, key);
-}
-
-bool key_known(std::string_view engine_name, core::CodecId id,
-               std::string_view key) {
-  for (const KeySpec& k : kGenericKeys)
-    if (k.key == key) return true;
-  for (const KeySpec& k : engine_specific_keys(id))
-    if (k.key == key) return true;
-  (void)engine_name;
-  return false;
-}
-
 }  // namespace
 
 // --- request / options resolution (shared with src/temporal via
@@ -213,15 +104,15 @@ core::CompressOptions resolve_session_options(const SessionOptions& opts,
         "Session: budget must be uniform|adaptive, got '" + opts.budget +
         "'");
 
-  // Validate EVERY tuning entry up front (unknown engines or keys are
-  // session-construction errors, not job-time surprises); apply the
-  // selected engine's overrides onto the base options.
+  // Validate EVERY tuning entry up front (unknown engines, keys or values
+  // are session-construction errors, not job-time surprises); only the
+  // selected engine's overrides land on the base options.
   for (const auto& [engine_name, kv] : Access::values(opts.tuning)) {
     const core::CodecId id = registry.id_of(engine_name);  // may throw
-    for (const auto& [key, value] : kv) {
-      if (!key_known(engine_name, id, key)) bad_tuning_key(engine_name, key);
-      if (id == base.engine) apply_tuning(engine_name, key, value, base);
-    }
+    core::CompressOptions unused;
+    for (const auto& [key, value] : kv)
+      registry.at(id).configure(key, value,
+                                id == base.engine ? base : unused);
   }
 
   base.parallel.tile = opts.tile.extents;
@@ -318,12 +209,12 @@ std::vector<std::size_t> from_dims(const data::Dims& dims) {
 // --- tuning_keys (declared in fpsnr/tuning.h) -------------------------------
 
 std::vector<TuningKey> tuning_keys(std::string_view engine) {
-  const auto id = core::CodecRegistry::instance().id_of(engine);  // may throw
+  const auto& registry = core::CodecRegistry::instance();
+  const core::BlockCodec& codec = registry.at(registry.id_of(engine));
+  const core::CompressOptions defaults;
   std::vector<TuningKey> out;
-  for (const KeySpec& k : kGenericKeys)
-    out.push_back({std::string(k.key), std::string(k.doc), std::string(k.def)});
-  for (const KeySpec& k : engine_specific_keys(id))
-    out.push_back({std::string(k.key), std::string(k.doc), std::string(k.def)});
+  for (const core::TuningKnob* k : codec.tuning())
+    out.push_back({std::string(k->key), std::string(k->doc), k->show(defaults)});
   return out;
 }
 

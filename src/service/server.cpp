@@ -178,10 +178,6 @@ struct Server::Impl {
   bool scheduler_stop = false;
   std::thread scheduler;
 
-  // Persistent Session pool, keyed by the option triple a request can vary.
-  std::mutex sessions_mutex;
-  std::map<std::string, Session> sessions;
-
   // Persistent per-series temporal sessions (CompressSeries). Each entry
   // owns the series' previous reconstruction; its mutex serializes pushes
   // for that one series (frames are ordered) while distinct series still
@@ -297,22 +293,17 @@ struct Server::Impl {
     stop_wr = stp[1];
   }
 
-  // -- session pool --------------------------------------------------------
-
-  const Session& session_for(const std::string& engine,
-                             const std::string& budget,
-                             const std::vector<std::size_t>& tile) {
-    std::string key = engine + '|' + budget + '|';
-    for (const std::size_t t : tile) key += std::to_string(t) + 'x';
-    std::lock_guard lock(sessions_mutex);
-    if (const auto it = sessions.find(key); it != sessions.end())
-      return it->second;
+  /// Options of the Session a request runs on. A Session holds only its
+  /// resolved options, so each request builds its own and nothing the
+  /// client picks outlives the request. Decompress and inspect take the
+  /// default spec: archives name their own codec and tiles.
+  SessionOptions session_options(const SeriesSpec& spec) const {
     SessionOptions so;
     so.threads = threads;
-    so.engine = engine;
-    so.budget = budget;
-    so.tile = TileShape(tile);
-    return sessions.emplace(key, Session(std::move(so))).first->second;
+    so.engine = spec.engine;
+    so.budget = spec.budget;
+    so.tile = TileShape(spec.tile);
+    return so;
   }
 
   // -- scheduler -----------------------------------------------------------
@@ -368,8 +359,7 @@ struct Server::Impl {
     try {
       const SeriesSpec& spec = req.spec;
       const Target target = make_target(spec.mode, spec.value);
-      const Session& session =
-          session_for(spec.engine, spec.budget, spec.tile);
+      const Session session(session_options(spec));
       const auto start = std::chrono::steady_clock::now();
       CompressReport report;
       if (req.scalar == 1) {
@@ -426,10 +416,7 @@ struct Server::Impl {
           entry = it->second.get();
         } else {
           TimeSeriesOptions topts;
-          topts.session.threads = threads;
-          topts.session.engine = spec.engine;
-          topts.session.budget = spec.budget;
-          topts.session.tile = TileShape(spec.tile);
+          topts.session = session_options(spec);
           topts.series = spec.series;
           topts.keyframe_interval = spec.keyframe_interval;
           // The client ships each frame; the daemon keeps only the
@@ -487,7 +474,7 @@ struct Server::Impl {
   // every failure below is BadRequest.
   JobResult run_decompress(const JobRequest& req) {
     try {
-      const Session& session = session_for("sz-lorenzo", "uniform", {});
+      const Session session(session_options(SeriesSpec{}));
       const Field field = session.decompress(Source::memory(req.data));
       io::ByteWriter w;
       w.put<std::uint8_t>(field.is_double() ? 1 : 0);
@@ -505,7 +492,7 @@ struct Server::Impl {
 
   JobResult run_inspect(const JobRequest& req) {
     try {
-      const Session& session = session_for("sz-lorenzo", "uniform", {});
+      const Session session(session_options(SeriesSpec{}));
       const Inspection info = session.inspect(Source::memory(req.data));
       std::ostringstream out;
       out << "container: "

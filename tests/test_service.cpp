@@ -320,6 +320,40 @@ TEST(Service, ExplicitTileShapeCrossesTheWire) {
   EXPECT_EQ(r.block_count, 5u * 3u);  // ceil(48/10) x ceil(32/12)
 }
 
+TEST(Service, EveryTileShapeIsAnsweredWithItsOwnTile) {
+  // Each request builds its own Session from its spec, so a stream of
+  // distinct tile shapes is answered tile for tile, byte-identical to an
+  // in-process Session with the same TileShape.
+  TestServer ts;
+  ts.start("tiles");
+  service::Client client({ts.path});
+
+  const std::vector<std::size_t> dims = {48, 32};
+  const std::vector<float> values = make_values(48 * 32);
+  for (std::size_t a = 3; a <= 48; a += 5)
+    for (std::size_t b = 4; b <= 32; b += 7) {
+      const std::vector<std::size_t> tile = {a, b};
+      SessionOptions so;
+      so.threads = 2;
+      so.tile = TileShape(tile);
+      const auto expected =
+          Session{std::move(so)}
+              .compress(Source::memory(std::span<const float>(values), dims),
+                        FixedPsnr{70.0}, Sink::memory())
+              .archive;
+
+      service::CompressSpec spec;
+      spec.mode = "psnr";
+      spec.value = 70.0;
+      spec.dims = dims;
+      spec.tile = tile;
+      const service::CompressResult r =
+          client.compress(std::span<const float>(values), spec);
+      EXPECT_EQ(r.tile, tile);
+      EXPECT_EQ(r.archive, expected) << "tile " << a << "x" << b;
+    }
+}
+
 TEST(Service, RemoteDecompressMatchesInProcess) {
   TestServer ts;
   ts.start("roundtrip");

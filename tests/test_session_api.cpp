@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -581,6 +582,89 @@ TEST(SessionApi, TuningReachesTheCodec) {
       std::span<const float>(values), dims,
       core::ControlRequest::fixed_psnr(70.0), bopts);
   EXPECT_EQ(b.archive, blegacy.stream);
+}
+
+TEST(SessionApi, EveryListedTuningKeyChangesThatEnginesBytes) {
+  // tuning_keys(engine) lists exactly what the engine's codec reads: a
+  // non-default value of every listed key changes its archive bytes.
+  const std::map<std::string, std::string> non_default = {
+      {"quantization-bins", "16"}, {"lossless", "store"},
+      {"predictor", "hybrid"},     {"levels", "2"},
+      {"dct-block", "4"},
+  };
+  const data::Dims dims{48, 40};
+  const auto values = sample_field(dims);
+  const auto compress = [&](const SessionOptions& opts) {
+    return Session(opts)
+        .compress(Source::memory(std::span<const float>(values), dims.extents),
+                  fpsnr::FixedPsnr{60.0}, Sink::memory())
+        .archive;
+  };
+  for (const std::string& engine : Session::engines()) {
+    SessionOptions base;
+    base.engine = engine;
+    const auto reference = compress(base);
+    for (const fpsnr::TuningKey& k : fpsnr::tuning_keys(engine)) {
+      const auto it = non_default.find(k.key);
+      ASSERT_NE(it, non_default.end()) << engine << " lists untested key "
+                                       << k.key;
+      ASSERT_NE(it->second, k.default_value) << engine << "." << k.key;
+      SessionOptions tuned = base;
+      tuned.tuning.set(engine, k.key, it->second);
+      EXPECT_NE(compress(tuned), reference)
+          << engine << "." << k.key << "=" << it->second
+          << " leaves the archive unchanged";
+    }
+  }
+
+  std::vector<std::string> zfpr_keys;
+  for (const auto& k : fpsnr::tuning_keys("zfpr")) zfpr_keys.push_back(k.key);
+  EXPECT_EQ(zfpr_keys, std::vector<std::string>{"dct-block"});
+  EXPECT_TRUE(fpsnr::tuning_keys("store").empty());
+
+  // A key the engine does not read is refused, naming the valid keys.
+  SessionOptions zfpr;
+  zfpr.engine = "zfpr";
+  zfpr.tuning.set("zfpr", "lossless", "store");
+  try {
+    Session{zfpr};
+    FAIL() << "zfpr has no lossless stage";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dct-block"), std::string::npos)
+        << e.what();
+  }
+  SessionOptions store;
+  store.engine = "store";
+  store.tuning.set("store", "quantization-bins", 1024.0);
+  EXPECT_THROW(Session{store}, std::invalid_argument);
+}
+
+TEST(SessionApi, TuningValuesAreValidatedAtConstruction) {
+  // Every value is checked when the Session is built, whichever engine the
+  // entry names, never first at compress time.
+  const std::map<std::string, std::vector<std::string>> bad = {
+      {"quantization-bins",
+       {"1023", "1023.0", "2", "0", "-4", "4294967296", "16.5", "abc", ""}},
+      {"lossless", {"gzip", ""}},
+      {"predictor", {"regression"}},
+      {"levels", {"0", "33", "1.5"}},
+      {"dct-block", {"1", "4097", "8x8"}},
+  };
+  for (const std::string& engine : Session::engines())
+    for (const fpsnr::TuningKey& k : fpsnr::tuning_keys(engine))
+      for (const std::string& value : bad.at(k.key)) {
+        SessionOptions opts;
+        opts.tuning.set(engine, k.key, value);
+        EXPECT_THROW(Session{opts}, std::invalid_argument)
+            << engine << "." << k.key << "='" << value << "'";
+      }
+
+  // Accepted spellings: CodecTuning::set(double) text and the largest
+  // even bin count.
+  SessionOptions ok;
+  ok.tuning.set("sz-lorenzo", "quantization-bins", 4294967294.0);
+  ok.tuning.set("transform-haar", "levels", " 32 ");
+  EXPECT_NO_THROW(Session{ok});
 }
 
 TEST(SessionApi, EnginesComeFromTheLiveRegistry) {

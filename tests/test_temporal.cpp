@@ -64,7 +64,9 @@ TEST(Temporal, ChainDecodesBitExactlyAndMeetsTargetEveryFrame) {
     EXPECT_EQ(records[t].timestep, t);
     EXPECT_EQ(records[t].keyframe, t % 4 == 0);
     EXPECT_FALSE(records[t].report.archive.empty());
-    if (records[t].keyframe) EXPECT_EQ(records[t].temporal_blocks, 0u);
+    if (records[t].keyframe) {
+      EXPECT_EQ(records[t].temporal_blocks, 0u);
+    }
   }
 
   // An independent decoder fed the frames in order must agree bit-for-bit
