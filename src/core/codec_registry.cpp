@@ -108,7 +108,8 @@ constexpr TuningKnob kDctBlockKnob{
 //
 // Each policy names a codec family, lists the tuning keys it reads, and
 // gives its typed encode (which fills BlockInfo's outlier_count and
-// achieved_sse) and decode. PolicyCodec below turns one into a BlockCodec.
+// achieved_sse, and writes the decode-side values into a non-empty
+// `recon`) and decode. PolicyCodec below turns one into a BlockCodec.
 
 /// Predictor path: Lorenzo / hybrid-regression SZ codec with an absolute
 /// bound (pointwise |err| <= eb_abs holds in addition to the budget) or a
@@ -123,7 +124,7 @@ struct SzPolicy {
   static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo& info) {
+                                          BlockInfo& info, std::span<T> recon) {
     sz::Params p;
     p.mode = params.mode;
     p.bound = params.eb_abs;
@@ -131,7 +132,7 @@ struct SzPolicy {
     p.quantization_bins = params.quantization_bins;
     p.backend = params.backend;
     sz::CompressionInfo ci;
-    auto bytes = sz::compress<T>(values, dims, p, &ci);
+    auto bytes = sz::compress<T>(values, dims, p, &ci, recon);
     info.outlier_count = ci.outlier_count;
     info.achieved_sse = ci.achieved_sse;
     return bytes;
@@ -158,7 +159,7 @@ struct TransformPolicy {
   static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo& info) {
+                                          BlockInfo& info, std::span<T> recon) {
     transform::Params p;
     p.kind = K;
     p.bin_width = 2.0 * params.eb_abs;
@@ -167,7 +168,7 @@ struct TransformPolicy {
     p.dct_block = params.dct_block;
     p.backend = params.backend;
     transform::Info ti;
-    auto bytes = transform::compress<T>(values, dims, p, &ti);
+    auto bytes = transform::compress<T>(values, dims, p, &ti, recon);
     info.outlier_count = ti.outlier_count;
     info.achieved_sse = ti.achieved_sse;
     return bytes;
@@ -189,13 +190,13 @@ struct InterpPolicy {
   static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo& info) {
+                                          BlockInfo& info, std::span<T> recon) {
     sz::InterpParams p;
     p.eb_abs = params.eb_abs;
     p.quantization_bins = params.quantization_bins;
     p.backend = params.backend;
     sz::InterpInfo ii;
-    auto bytes = sz::interp_compress<T>(values, dims, p, &ii);
+    auto bytes = sz::interp_compress<T>(values, dims, p, &ii, recon);
     info.outlier_count = ii.outlier_count;
     info.achieved_sse = ii.achieved_sse;
     return bytes;
@@ -218,12 +219,12 @@ struct ZfpRatePolicy {
   static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
                                           const BlockParams& params,
-                                          BlockInfo& info) {
+                                          BlockInfo& info, std::span<T> recon) {
     transform::FixedRateParams p;
     p.eb_abs = params.eb_abs;
     p.dct_block = params.dct_block;
     transform::FixedRateInfo fi;
-    auto bytes = transform::fixed_rate_compress<T>(values, dims, p, &fi);
+    auto bytes = transform::fixed_rate_compress<T>(values, dims, p, &fi, recon);
     info.outlier_count = fi.escaped_groups;
     info.achieved_sse = fi.achieved_sse;
     return bytes;
@@ -252,9 +253,15 @@ struct StorePolicy {
   template <typename T>
   static std::vector<std::uint8_t> encode(std::span<const T> values,
                                           const data::Dims& dims,
-                                          const BlockParams&, BlockInfo&) {
+                                          const BlockParams&, BlockInfo&,
+                                          std::span<T> recon) {
     if (values.size() != dims.count())
       throw std::invalid_argument("fpst: value count does not match dims");
+    if (!recon.empty() && recon.size() != values.size())
+      throw std::invalid_argument(
+          "fpst: reconstruction size does not match dims");
+    // Lossless: the reconstruction is the input itself.
+    if (!recon.empty()) std::copy(values.begin(), values.end(), recon.begin());
     io::ByteWriter out;
     out.put_bytes(std::span<const std::uint8_t>(kStoreMagic, 4));
     out.put<std::uint8_t>(kStoreVersion);
@@ -294,14 +301,16 @@ class PolicyCodec final : public BlockCodec {
   std::vector<std::uint8_t> compress(std::span<const float> values,
                                      const data::Dims& dims,
                                      const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
+                                     BlockInfo* info,
+                                     std::span<float> recon) const override {
+    return compress_impl(values, dims, params, info, recon);
   }
   std::vector<std::uint8_t> compress(std::span<const double> values,
                                      const data::Dims& dims,
                                      const BlockParams& params,
-                                     BlockInfo* info) const override {
-    return compress_impl(values, dims, params, info);
+                                     BlockInfo* info,
+                                     std::span<double> recon) const override {
+    return compress_impl(values, dims, params, info, recon);
   }
   void decompress(std::span<const std::uint8_t> block,
                   std::span<float> out) const override {
@@ -317,9 +326,10 @@ class PolicyCodec final : public BlockCodec {
   static std::vector<std::uint8_t> compress_impl(std::span<const T> values,
                                                  const data::Dims& dims,
                                                  const BlockParams& params,
-                                                 BlockInfo* info) {
+                                                 BlockInfo* info,
+                                                 std::span<T> recon) {
     BlockInfo local;
-    auto bytes = Policy::encode(values, dims, params, local);
+    auto bytes = Policy::encode(values, dims, params, local, recon);
     if (info) {
       local.value_count = values.size();
       local.compressed_bytes = bytes.size();

@@ -110,14 +110,19 @@ class BlockCodec {
   void configure(std::string_view key, std::string_view value,
                  CompressOptions& opts) const;
 
-  virtual std::vector<std::uint8_t> compress(std::span<const float> values,
-                                             const data::Dims& dims,
-                                             const BlockParams& params,
-                                             BlockInfo* info) const = 0;
-  virtual std::vector<std::uint8_t> compress(std::span<const double> values,
-                                             const data::Dims& dims,
-                                             const BlockParams& params,
-                                             BlockInfo* info) const = 0;
+  /// Compress one block. A non-empty `recon` (values.size() long)
+  /// receives exactly the values decompress() will produce from the
+  /// returned bytes, bit for bit: each codec hands back the decode-side
+  /// reconstruction it builds while encoding (its prediction buffer or its
+  /// decode replay), so a closed-loop caller never decodes its own output.
+  virtual std::vector<std::uint8_t> compress(
+      std::span<const float> values, const data::Dims& dims,
+      const BlockParams& params, BlockInfo* info,
+      std::span<float> recon = {}) const = 0;
+  virtual std::vector<std::uint8_t> compress(
+      std::span<const double> values, const data::Dims& dims,
+      const BlockParams& params, BlockInfo* info,
+      std::span<double> recon = {}) const = 0;
 
   /// Decompress one block into `out` (sized by the caller from the
   /// container index). Throws io::StreamError on malformed input or a

@@ -55,6 +55,17 @@ void check_scalar(const io::BlockContainerHeader& h) {
     throw io::StreamError("block pipeline: scalar type mismatch");
 }
 
+/// The codec a container header names. An id no codec is registered under
+/// is a malformed (or foreign) stream, so it is a StreamError like any
+/// other bad header byte.
+const BlockCodec& header_codec(const io::BlockContainerHeader& h) {
+  const BlockCodec* codec = CodecRegistry::instance().find(h.codec);
+  if (!codec)
+    throw io::StreamError("block pipeline: unknown codec id " +
+                          std::to_string(h.codec));
+  return *codec;
+}
+
 }  // namespace
 
 bool is_block_stream(std::span<const std::uint8_t> stream) {
@@ -374,11 +385,15 @@ BlockPlan plan_blocks(std::span<const T> values, const data::Dims& dims,
 /// Deterministic by construction: the search depends only on the block's
 /// data and the plan — never on scheduling — so fixed-rate archives are
 /// byte-identical at any thread count like every other mode.
+///
+/// A non-empty `recon` receives the reconstruction of the encode the search
+/// keeps.
 template <typename T>
 std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
                                             std::span<const T> slice,
                                             const data::Dims& tile_dims,
-                                            BlockInfo* info) {
+                                            BlockInfo* info,
+                                            std::span<T> recon) {
   const double n = static_cast<double>(slice.size());
   const double target_bytes = plan.target_bits_per_value * n / 8.0;
   if (plan.vr == 0.0) {
@@ -390,7 +405,7 @@ std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
     // re-derives its scale from the finite samples below.)
     BlockParams bp = plan.bp;
     bp.eb_abs = std::numeric_limits<double>::min() * 1e6;
-    return plan.codec->compress(slice, tile_dims, bp, info);
+    return plan.codec->compress(slice, tile_dims, bp, info, recon);
   }
   // A single NaN/Inf sample makes the plan's value range non-finite, which
   // would poison every derived bound below (eb_min/eb_max = Inf, and the
@@ -413,10 +428,13 @@ std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
   const double eb_min = scale * 1e-12;
   const double eb_max = scale * 4.0;
 
+  // Every trial writes its reconstruction into `trial`; the one the search
+  // keeps is swapped into `best_recon` (both empty when none is wanted).
+  std::vector<T> trial(recon.size()), best_recon(recon.size());
   auto encode = [&](double eb, BlockInfo* bi) {
     BlockParams bp = plan.bp;
     bp.eb_abs = eb;
-    return plan.codec->compress(slice, tile_dims, bp, bi);
+    return plan.codec->compress(slice, tile_dims, bp, bi, std::span<T>(trial));
   };
 
   // Closed-form seed from the per-group width census.
@@ -435,6 +453,7 @@ std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
 
   BlockInfo best_info;
   std::vector<std::uint8_t> best_bytes = encode(eb, &best_info);
+  trial.swap(best_recon);
   double best_gap = std::abs(static_cast<double>(best_bytes.size()) -
                              target_bytes);
   double best_eb = eb;
@@ -450,6 +469,7 @@ std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
       best_eb = cand_eb;
       best_bytes = std::move(bytes);
       best_info = bi;
+      trial.swap(best_recon);
     }
   };
 
@@ -491,6 +511,7 @@ std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
   }
 
   if (info) *info = best_info;
+  std::copy(best_recon.begin(), best_recon.end(), recon.begin());
   return best_bytes;
 }
 
@@ -581,6 +602,8 @@ void set_size_info(CompressResult& out, std::size_t raw_bytes,
 template <typename T>
 struct FieldCompressor<T>::Impl {
   std::span<const T> values;
+  /// Caller's field-sized reconstruction buffer; empty when not wanted.
+  std::span<T> recon;
   data::Dims dims;
   ControlRequest request;
   BlockPlan plan;
@@ -602,8 +625,13 @@ template <typename T>
 FieldCompressor<T>::FieldCompressor(std::span<const T> values,
                                     const data::Dims& dims,
                                     const ControlRequest& request,
-                                    const CompressOptions& options)
+                                    const CompressOptions& options,
+                                    std::span<T> reconstruction)
     : impl_(std::make_unique<Impl>(values, dims, request, options)) {
+  if (!reconstruction.empty() && reconstruction.size() != values.size())
+    throw std::invalid_argument(
+        "block pipeline: reconstruction buffer does not match the field");
+  impl_->recon = reconstruction;
   impl_->mem.emplace(impl_->plan.header);
 }
 
@@ -648,23 +676,34 @@ bool FieldCompressor<T>::run_block(std::size_t b) {
   // Slab-shaped tiles (the only geometry v1/v2 had) are contiguous runs of
   // the field buffer and are borrowed in place; true multi-axis tiles are
   // gathered into a scratch copy the codec sees as a dense C-order field.
-  std::vector<T> gathered;
+  // The block's reconstruction, when the caller wants one, goes straight
+  // into its slab of the caller's buffer or, for a gathered tile, into a
+  // scratch copy scattered back below.
+  std::vector<T> gathered, tile_recon;
   std::span<const T> slice;
+  std::span<T> recon;
   if (region_contiguous(region, im.dims)) {
-    slice = im.values.subspan(region.start[0] * plan.layout.row_stride,
-                              region.count);
+    const std::size_t offset = region.start[0] * plan.layout.row_stride;
+    slice = im.values.subspan(offset, region.count);
+    if (!im.recon.empty()) recon = im.recon.subspan(offset, region.count);
   } else {
     gathered.resize(region.count);
     gather_tile(im.values, im.dims, region, std::span<T>(gathered));
     slice = gathered;
+    if (!im.recon.empty()) {
+      tile_recon.resize(region.count);
+      recon = tile_recon;
+    }
   }
   std::vector<std::uint8_t> bytes;
   if (plan.rate_mode) {
-    bytes = rate_search_block(plan, slice, tile_dims, &im.block_infos[b]);
+    bytes = rate_search_block(plan, slice, tile_dims, &im.block_infos[b],
+                              recon);
   } else {
     BlockParams bp = plan.bp;
     bp.eb_abs = plan.block_eb[b];
-    bytes = plan.codec->compress(slice, tile_dims, bp, &im.block_infos[b]);
+    bytes = plan.codec->compress(slice, tile_dims, bp, &im.block_infos[b],
+                                 recon);
   }
   // A block whose primary encoding is no smaller than the raw passthrough
   // is demoted to the store codec — the decision depends only on the data,
@@ -678,8 +717,10 @@ bool FieldCompressor<T>::run_block(std::size_t b) {
     BlockParams store_bp = plan.bp;
     store_bp.eb_abs = plan.block_eb[b];
     bytes = CodecRegistry::instance().at(kCodecStore).compress(
-        slice, tile_dims, store_bp, &im.block_infos[b]);
+        slice, tile_dims, store_bp, &im.block_infos[b], recon);
   }
+  if (!tile_recon.empty())
+    scatter_tile(std::span<const T>(tile_recon), im.dims, region, im.recon);
   // Non-finite samples poison the block's SSE (NaN - NaN = NaN even when
   // the sample was stored as an exact outlier), and the container's SSE
   // column is finite by contract. Record 0 for such a block: pointwise
@@ -746,8 +787,9 @@ template <typename T>
 CompressResult compress_blocked(std::span<const T> values,
                                 const data::Dims& dims,
                                 const ControlRequest& request,
-                                const CompressOptions& options) {
-  FieldCompressor<T> job(values, dims, request, options);
+                                const CompressOptions& options,
+                                std::span<T> reconstruction) {
+  FieldCompressor<T> job(values, dims, request, options, reconstruction);
   for_each_block(job.block_count(), options.parallel.threads,
                  [&](std::size_t b) { job.run_block(b); });
   return job.finalize();
@@ -777,7 +819,7 @@ sz::Decompressed<T> decompress_blocked(std::span<const std::uint8_t> stream,
   const TileLayout layout = make_layout(dims, tile);
   if (layout.block_count != view.blocks.size())
     throw io::StreamError("block pipeline: index/block-count mismatch");
-  const BlockCodec& codec = CodecRegistry::instance().at(view.header.codec);
+  const BlockCodec& codec = header_codec(view.header);
   const BlockCodec& store = CodecRegistry::instance().at(kCodecStore);
 
   sz::Decompressed<T> out;
@@ -813,8 +855,10 @@ sz::Decompressed<T> decompress_block(std::span<const std::uint8_t> stream,
   const std::vector<std::size_t> tile(header.tile.begin(), header.tile.end());
   const TileLayout layout = make_layout(dims, tile);
   const TileRegion region = tile_region(layout, dims, block_index);
-  const BlockCodec& codec = CodecRegistry::instance().at(
-      is_store_block_stream(bytes) ? kCodecStore : header.codec);
+  const BlockCodec& primary = header_codec(header);
+  const BlockCodec& codec = is_store_block_stream(bytes)
+                                ? CodecRegistry::instance().at(kCodecStore)
+                                : primary;
 
   sz::Decompressed<T> out;
   out.dims = region_dims(region, dims.rank());
@@ -842,11 +886,13 @@ template class FieldCompressor<double>;
 template CompressResult compress_blocked<float>(std::span<const float>,
                                                 const data::Dims&,
                                                 const ControlRequest&,
-                                                const CompressOptions&);
+                                                const CompressOptions&,
+                                                std::span<float>);
 template CompressResult compress_blocked<double>(std::span<const double>,
                                                  const data::Dims&,
                                                  const ControlRequest&,
-                                                 const CompressOptions&);
+                                                 const CompressOptions&,
+                                                 std::span<double>);
 template sz::Decompressed<float> decompress_blocked<float>(
     std::span<const std::uint8_t>, std::size_t);
 template sz::Decompressed<double> decompress_blocked<double>(

@@ -122,10 +122,15 @@ class FieldCompressor {
  public:
   /// In-memory plan: finalize() returns the FPBK stream in
   /// CompressResult::stream. Throws exactly like compress_blocked for
-  /// invalid dims / control modes.
+  /// invalid dims / control modes. A non-empty `reconstruction` (one value
+  /// per field value, C order; borrowed like `values`, so it must outlive
+  /// the job) receives, tile by tile as each block runs, exactly the values
+  /// decompress_blocked will decode from the archive — the codecs hand back
+  /// what they already computed while encoding.
   FieldCompressor(std::span<const T> values, const data::Dims& dims,
                   const ControlRequest& request,
-                  const CompressOptions& options);
+                  const CompressOptions& options,
+                  std::span<T> reconstruction = {});
   /// Streaming plan: blocks spill to `path` as their prefix completes
   /// (io::StreamingArchiveWriter); finalize() renames the finished archive
   /// onto `path` and leaves CompressResult::stream empty. The partial file
@@ -173,12 +178,14 @@ class FieldCompressor {
 /// searches run per block, so they parallelize like any other block
 /// work), and PointwiseRelative (sz-lorenzo only: every tile is coded in
 /// the codec's log2-domain mode at the same eps; other codecs throw
-/// std::invalid_argument).
+/// std::invalid_argument). A non-empty `reconstruction` receives the
+/// decoded field, bit for bit, as FieldCompressor describes.
 template <typename T>
 CompressResult compress_blocked(std::span<const T> values,
                                 const data::Dims& dims,
                                 const ControlRequest& request,
-                                const CompressOptions& options = {});
+                                const CompressOptions& options = {},
+                                std::span<T> reconstruction = {});
 
 /// Streaming variant: identical block layout, budgets, and bytes as
 /// compress_blocked, but each block is spilled to `path` as its worker
@@ -222,10 +229,10 @@ extern template class FieldCompressor<float>;
 extern template class FieldCompressor<double>;
 extern template CompressResult compress_blocked<float>(
     std::span<const float>, const data::Dims&, const ControlRequest&,
-    const CompressOptions&);
+    const CompressOptions&, std::span<float>);
 extern template CompressResult compress_blocked<double>(
     std::span<const double>, const data::Dims&, const ControlRequest&,
-    const CompressOptions&);
+    const CompressOptions&, std::span<double>);
 extern template sz::Decompressed<float> decompress_blocked<float>(
     std::span<const std::uint8_t>, std::size_t);
 extern template sz::Decompressed<double> decompress_blocked<double>(

@@ -476,15 +476,17 @@ PwrelTransform<T> pwrel_forward(std::span<const T> values, double zero_floor) {
 /// round trip and the T casts can push a value that sits on the edge of
 /// its log bin just past (1 + eb); such values join the exception list, so
 /// |x - x~| <= eb * |x| holds on every value. Returns the exact SSE of the
-/// decoded stream (exceptions reproduce their values and add nothing).
+/// decoded stream (exceptions reproduce their values and add nothing) and,
+/// when `recon` is non-empty, writes the decoded values there.
 template <typename T>
 double pwrel_finish(std::span<const T> values, std::span<const T> recon_logs,
-                    double eb, PwrelTransform<T>& t) {
+                    double eb, PwrelTransform<T>& t, std::span<T> recon) {
   std::vector<std::uint64_t> indices;
   std::vector<T> exact;
   auto keep_exact = [&](std::size_t i) {
     indices.push_back(i);
     exact.push_back(values[i]);
+    if (!recon.empty()) recon[i] = values[i];
   };
   double sse = 0.0;
   std::size_t k = 0;
@@ -495,14 +497,14 @@ double pwrel_finish(std::span<const T> values, std::span<const T> recon_logs,
       continue;
     }
     const double x = static_cast<double>(values[i]);
-    const double err =
-        static_cast<double>(
-            pwrel_value(recon_logs[i], pwrel_negative(t.sign_bits, i))) -
-        x;
+    const T decoded =
+        pwrel_value(recon_logs[i], pwrel_negative(t.sign_bits, i));
+    const double err = static_cast<double>(decoded) - x;
     if (!(std::abs(err) <= eb * std::abs(x))) {
       keep_exact(i);
       continue;
     }
+    if (!recon.empty()) recon[i] = decoded;
     sse += err * err;
   }
   t.exception_indices = std::move(indices);
@@ -546,9 +548,13 @@ double resolve_absolute_bound(ErrorBoundMode mode, double bound, double value_ra
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& dims,
-                                   const Params& params, CompressionInfo* info) {
+                                   const Params& params, CompressionInfo* info,
+                                   std::span<T> recon) {
   if (values.size() != dims.count())
     throw std::invalid_argument("fpsz: value count does not match dims");
+  if (!recon.empty() && recon.size() != values.size())
+    throw std::invalid_argument(
+        "fpsz: reconstruction size does not match dims");
   if (params.quantization_bins < 4 || params.quantization_bins % 2 != 0)
     throw std::invalid_argument("fpsz: quantization_bins must be even and >= 4");
 
@@ -595,7 +601,7 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
   if (params.mode == ErrorBoundMode::PointwiseRelative) {
     auto t = pwrel_forward(values, params.pwrel_zero_floor);
     const auto q = run_quantize(t.logs);
-    achieved_sse = pwrel_finish<T>(values, q.recon, params.bound, t);
+    achieved_sse = pwrel_finish<T>(values, q.recon, params.bound, t, recon);
     // Side channel: signs + exceptions, then the abs-mode core over y.
     io::ByteWriter side;
     side.put_blob(t.sign_bits);
@@ -618,6 +624,8 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
     else
       achieved_sse =
           simd::kernels().sse_f64(values.data(), q.recon.data(), values.size());
+    if (!recon.empty())
+      std::copy(q.recon.begin(), q.recon.end(), recon.begin());
     put_plan_and_inner(q);
   }
 
@@ -695,10 +703,12 @@ PredictionTrace prediction_trace(std::span<const T> values, const data::Dims& di
 
 template std::vector<std::uint8_t> compress<float>(std::span<const float>,
                                                    const data::Dims&, const Params&,
-                                                   CompressionInfo*);
+                                                   CompressionInfo*,
+                                                   std::span<float>);
 template std::vector<std::uint8_t> compress<double>(std::span<const double>,
                                                     const data::Dims&, const Params&,
-                                                    CompressionInfo*);
+                                                    CompressionInfo*,
+                                                    std::span<double>);
 template Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 template Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
 template PredictionTrace prediction_trace<float>(std::span<const float>,

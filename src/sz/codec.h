@@ -26,11 +26,14 @@
 namespace fpsnr::sz {
 
 /// Compress `values` (C-order grid of `dims`). Optionally reports run
-/// statistics through `info`.
+/// statistics through `info`. A non-empty `recon` (values.size() long)
+/// receives the values decompress() will return for these bytes, bit for
+/// bit — the buffer the quantize pass keeps for its predictions anyway.
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> values,
                                    const data::Dims& dims, const Params& params,
-                                   CompressionInfo* info = nullptr);
+                                   CompressionInfo* info = nullptr,
+                                   std::span<T> recon = {});
 
 template <typename T>
 struct Decompressed {
@@ -63,9 +66,11 @@ PredictionTrace prediction_trace(std::span<const T> values, const data::Dims& di
                                  double eb_abs, std::uint32_t bins = 65536);
 
 extern template std::vector<std::uint8_t> compress<float>(
-    std::span<const float>, const data::Dims&, const Params&, CompressionInfo*);
+    std::span<const float>, const data::Dims&, const Params&, CompressionInfo*,
+    std::span<float>);
 extern template std::vector<std::uint8_t> compress<double>(
-    std::span<const double>, const data::Dims&, const Params&, CompressionInfo*);
+    std::span<const double>, const data::Dims&, const Params&, CompressionInfo*,
+    std::span<double>);
 extern template Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 extern template Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
 extern template PredictionTrace prediction_trace<float>(

@@ -101,9 +101,13 @@ template <typename T>
 std::vector<std::uint8_t> interp_compress(std::span<const T> values,
                                           const data::Dims& dims,
                                           const InterpParams& params,
-                                          InterpInfo* info) {
+                                          InterpInfo* info,
+                                          std::span<T> recon_out) {
   if (values.size() != dims.count())
     throw std::invalid_argument("fpin: value count does not match dims");
+  if (!recon_out.empty() && recon_out.size() != values.size())
+    throw std::invalid_argument(
+        "fpin: reconstruction size does not match dims");
   if (!(params.eb_abs > 0.0) || !std::isfinite(params.eb_abs))
     throw std::invalid_argument("fpin: error bound must be positive and finite");
   if (params.quantization_bins < 4 || params.quantization_bins % 2 != 0)
@@ -152,6 +156,8 @@ std::vector<std::uint8_t> interp_compress(std::span<const T> values,
   out.put_blob(lossless::backend_compress(inner.buffer(), params.backend));
   auto bytes = out.take();
 
+  if (!recon_out.empty())
+    std::copy(recon.begin(), recon.end(), recon_out.begin());
   if (info) {
     info->value_count = n;
     info->outlier_count = outliers.size();
@@ -208,9 +214,11 @@ Decompressed<T> interp_decompress(std::span<const std::uint8_t> stream) {
 }
 
 template std::vector<std::uint8_t> interp_compress<float>(
-    std::span<const float>, const data::Dims&, const InterpParams&, InterpInfo*);
+    std::span<const float>, const data::Dims&, const InterpParams&, InterpInfo*,
+    std::span<float>);
 template std::vector<std::uint8_t> interp_compress<double>(
-    std::span<const double>, const data::Dims&, const InterpParams&, InterpInfo*);
+    std::span<const double>, const data::Dims&, const InterpParams&, InterpInfo*,
+    std::span<double>);
 template Decompressed<float> interp_decompress<float>(
     std::span<const std::uint8_t>);
 template Decompressed<double> interp_decompress<double>(

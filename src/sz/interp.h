@@ -40,11 +40,14 @@ struct InterpInfo {
   double achieved_sse = 0.0;
 };
 
+/// A non-empty `recon` (values.size() long) receives the values
+/// interp_decompress() will return for the bytes, bit for bit.
 template <typename T>
 std::vector<std::uint8_t> interp_compress(std::span<const T> values,
                                           const data::Dims& dims,
                                           const InterpParams& params,
-                                          InterpInfo* info = nullptr);
+                                          InterpInfo* info = nullptr,
+                                          std::span<T> recon = {});
 
 template <typename T>
 Decompressed<T> interp_decompress(std::span<const std::uint8_t> stream);
@@ -53,9 +56,11 @@ Decompressed<T> interp_decompress(std::span<const std::uint8_t> stream);
 bool is_interp_stream(std::span<const std::uint8_t> stream);
 
 extern template std::vector<std::uint8_t> interp_compress<float>(
-    std::span<const float>, const data::Dims&, const InterpParams&, InterpInfo*);
+    std::span<const float>, const data::Dims&, const InterpParams&, InterpInfo*,
+    std::span<float>);
 extern template std::vector<std::uint8_t> interp_compress<double>(
-    std::span<const double>, const data::Dims&, const InterpParams&, InterpInfo*);
+    std::span<const double>, const data::Dims&, const InterpParams&, InterpInfo*,
+    std::span<double>);
 extern template Decompressed<float> interp_decompress<float>(
     std::span<const std::uint8_t>);
 extern template Decompressed<double> interp_decompress<double>(

@@ -91,8 +91,9 @@ void apply_reference(std::span<T> composite, std::span<const T> ref,
   for (std::size_t b = 0; b < layout.block_count; ++b) {
     if (!((block_modes[b / 8] >> (b % 8)) & 1)) continue;
     for_tile(layout, dims, b, [&](std::size_t i) {
-      // Same float add the encoder replayed on its own decode, so both
-      // sides land on the identical reconstruction bits.
+      // The encoder runs this same float add on the reconstruction its
+      // codecs handed back while compressing (the decode-side values, bit
+      // for bit), so both sides land on the identical reconstruction bits.
       composite[i] = static_cast<T>(composite[i] + ref[i]);
     });
   }

@@ -70,9 +70,11 @@ CompositePlan<T> build_composite(std::span<const T> snapshot,
                                  const data::Dims& dims,
                                  const core::TileLayout& layout);
 
-/// Rebuild the reconstruction from a decoded composite: add the reference
-/// back on every tile the bitmap marks temporal (in place). The layout must
-/// be the one the frame was written with (make_layout of the header tile).
+/// Rebuild the reconstruction from a decoded composite — the decoder's
+/// decompress output, or the encoder's harvested copy of it — by adding
+/// the reference back on every tile the bitmap marks temporal (in place).
+/// The layout must be the one the frame was written with (make_layout of
+/// the header tile).
 template <typename T>
 void apply_reference(std::span<T> composite, std::span<const T> ref,
                      const data::Dims& dims, const core::TileLayout& layout,

@@ -1,12 +1,15 @@
 // fpsnr::TimeSeriesSession / TimeSeriesDecoder — the temporal facade.
 //
 // The encoder keeps the chain bit-synchronized with every decoder by
-// closed-loop prediction: after emitting each frame it decodes its OWN
-// archive and applies the reference with the same float operations the
-// decoder will run, so the reconstruction it predicts the next frame from
-// is the decoder's reconstruction, bit for bit. Keyframes therefore exist
-// for random access (they bound the replay chain), not for error control —
-// each frame's budget is resolved against its own original snapshot.
+// closed-loop prediction: while a frame compresses, every codec hands back
+// the decode-side values it builds anyway (core::compress_blocked's
+// reconstruction buffer), and the encoder applies the reference to them
+// with the same float operations the decoder will run. The reconstruction
+// it predicts the next frame from is therefore the decoder's, bit for bit,
+// without decoding its own archive; that contract rests on each codec's
+// hand-back matching its decompress exactly. Keyframes exist for random
+// access (they bound the replay chain), not for error control — each
+// frame's budget is resolved against its own original snapshot.
 #include "fpsnr/timeseries.h"
 
 #include <optional>
@@ -52,6 +55,10 @@ struct TimeSeriesSession::Impl {
   data::Dims dims;
   std::vector<float> ref32;   ///< previous reconstruction (f32 series)
   std::vector<double> ref64;  ///< previous reconstruction (f64 series)
+  /// The next reconstruction, written while a push compresses and then
+  /// swapped with ref32/ref64, so pushes reuse two frame buffers.
+  std::vector<float> next32;
+  std::vector<double> next64;
   std::size_t count = 0;      ///< snapshots pushed
   std::vector<std::vector<std::uint8_t>> archives;  ///< keep_archives only
 
@@ -70,8 +77,6 @@ struct TimeSeriesSession::Impl {
 
   template <typename T>
   SnapshotRecord push_values(std::span<const T> values);
-  std::span<const float> ref_f32() const { return ref32; }
-  std::span<const double> ref_f64() const { return ref64; }
 };
 
 template <typename T>
@@ -80,11 +85,18 @@ SnapshotRecord TimeSeriesSession::Impl::push_values(std::span<const T> values) {
   const bool keyframe = is_keyframe(t, opts.keyframe_interval);
   const core::TileLayout layout = core::make_layout(dims, base.parallel.tile);
 
-  std::span<const T> ref;
-  if constexpr (std::is_same_v<T, double>)
-    ref = ref64;
-  else
-    ref = ref32;
+  std::vector<T>* ref_buf;
+  std::vector<T>* next_buf;
+  if constexpr (std::is_same_v<T, double>) {
+    ref_buf = &ref64;
+    next_buf = &next64;
+  } else {
+    ref_buf = &ref32;
+    next_buf = &next32;
+  }
+  const std::span<const T> ref = *ref_buf;
+  next_buf->resize(values.size());
+  const std::span<T> next = *next_buf;
 
   core::CompressOptions copts = base;
   copts.temporal.enabled = true;
@@ -109,19 +121,15 @@ SnapshotRecord TimeSeriesSession::Impl::push_values(std::span<const T> values) {
     coded = composite.values;
   }
 
+  // Closed loop: the pipeline writes the decoder's view of the coded
+  // field into `next`; adding the reference back gives the decoder's
+  // reconstruction of this snapshot, bit for bit.
   core::CompressResult result =
-      core::compress_blocked<T>(coded, dims, request, copts);
-
-  // Closed loop: replay the decoder on our own frame so the stored
-  // reference is the decoder's reconstruction, bit for bit.
-  auto decoded = core::decompress_blocked<T>(result.stream, threads);
+      core::compress_blocked<T>(coded, dims, request, copts, next);
   if (!keyframe)
-    temporal::apply_reference<T>(std::span<T>(decoded.values), ref, dims,
-                                 layout, copts.temporal.block_modes);
-  if constexpr (std::is_same_v<T, double>)
-    ref64 = std::move(decoded.values);
-  else
-    ref32 = std::move(decoded.values);
+    temporal::apply_reference<T>(next, ref, dims, layout,
+                                 copts.temporal.block_modes);
+  ref_buf->swap(*next_buf);
 
   SnapshotRecord rec;
   rec.timestep = t;

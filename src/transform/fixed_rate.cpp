@@ -90,9 +90,13 @@ template <typename T>
 std::vector<std::uint8_t> fixed_rate_compress(std::span<const T> values,
                                               const data::Dims& dims,
                                               const FixedRateParams& params,
-                                              FixedRateInfo* info) {
+                                              FixedRateInfo* info,
+                                              std::span<T> recon) {
   if (values.size() != dims.count())
     throw std::invalid_argument("fpzr: value count does not match dims");
+  if (!recon.empty() && recon.size() != values.size())
+    throw std::invalid_argument(
+        "fpzr: reconstruction size does not match dims");
   if (!(params.eb_abs > 0.0) || !std::isfinite(params.eb_abs))
     throw std::invalid_argument("fpzr: error bound must be positive and finite");
   if (params.group < 1 || params.group > kMaxGroup)
@@ -144,6 +148,13 @@ std::vector<std::uint8_t> fixed_rate_compress(std::span<const T> values,
   out.put_blob(bits.take());
   auto bytes = out.take();
 
+  if (!info && recon.empty()) return bytes;
+  // Replay the decode side so the reported SSE and the handed-back
+  // reconstruction match the decompressed values exactly, including the T
+  // cast after the inverse transform.
+  dct_inverse(recon_coeffs, dims, params.dct_block);
+  for (std::size_t i = 0; i < recon.size(); ++i)
+    recon[i] = static_cast<T>(recon_coeffs[i]);
   if (info) {
     info->value_count = values.size();
     info->escaped_groups = escaped;
@@ -152,16 +163,12 @@ std::vector<std::uint8_t> fixed_rate_compress(std::span<const T> values,
                          ? 0.0
                          : 8.0 * static_cast<double>(bytes.size()) /
                                static_cast<double>(values.size());
-    // Replay the decode side so the reported SSE matches the decompressed
-    // values exactly, including the T cast after the inverse transform.
-    simd::aligned_vector<double> recon = recon_coeffs;
-    dct_inverse(recon, dims, params.dct_block);
     if constexpr (std::is_same_v<T, float>)
       info->achieved_sse =
-          kt.sse_cast_f32(values.data(), recon.data(), values.size());
+          kt.sse_cast_f32(values.data(), recon_coeffs.data(), values.size());
     else
       info->achieved_sse =
-          kt.sse_f64(values.data(), recon.data(), values.size());
+          kt.sse_f64(values.data(), recon_coeffs.data(), values.size());
   }
   return bytes;
 }
@@ -240,10 +247,10 @@ double fixed_rate_bits_estimate(std::span<const T> values,
 
 template std::vector<std::uint8_t> fixed_rate_compress<float>(
     std::span<const float>, const data::Dims&, const FixedRateParams&,
-    FixedRateInfo*);
+    FixedRateInfo*, std::span<float>);
 template std::vector<std::uint8_t> fixed_rate_compress<double>(
     std::span<const double>, const data::Dims&, const FixedRateParams&,
-    FixedRateInfo*);
+    FixedRateInfo*, std::span<double>);
 template Decompressed<float> fixed_rate_decompress<float>(
     std::span<const std::uint8_t>);
 template Decompressed<double> fixed_rate_decompress<double>(

@@ -36,11 +36,14 @@ struct FixedRateInfo {
   double achieved_sse = 0.0;
 };
 
+/// A non-empty `recon` (values.size() long) receives the values
+/// fixed_rate_decompress() will return for the bytes, bit for bit.
 template <typename T>
 std::vector<std::uint8_t> fixed_rate_compress(std::span<const T> values,
                                               const data::Dims& dims,
                                               const FixedRateParams& params,
-                                              FixedRateInfo* info = nullptr);
+                                              FixedRateInfo* info = nullptr,
+                                              std::span<T> recon = {});
 
 template <typename T>
 Decompressed<T> fixed_rate_decompress(std::span<const std::uint8_t> stream);
@@ -61,10 +64,10 @@ double fixed_rate_bits_estimate(std::span<const T> values,
 
 extern template std::vector<std::uint8_t> fixed_rate_compress<float>(
     std::span<const float>, const data::Dims&, const FixedRateParams&,
-    FixedRateInfo*);
+    FixedRateInfo*, std::span<float>);
 extern template std::vector<std::uint8_t> fixed_rate_compress<double>(
     std::span<const double>, const data::Dims&, const FixedRateParams&,
-    FixedRateInfo*);
+    FixedRateInfo*, std::span<double>);
 extern template Decompressed<float> fixed_rate_decompress<float>(
     std::span<const std::uint8_t>);
 extern template Decompressed<double> fixed_rate_decompress<double>(

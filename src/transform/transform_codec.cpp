@@ -126,9 +126,13 @@ QuantizedCoeffs quantize_coeffs(std::span<const double> coeffs, double bin_width
 
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& dims,
-                                   const Params& params, Info* info) {
+                                   const Params& params, Info* info,
+                                   std::span<T> recon) {
   if (values.size() != dims.count())
     throw std::invalid_argument("fptc: value count does not match dims");
+  if (!recon.empty() && recon.size() != values.size())
+    throw std::invalid_argument(
+        "fptc: reconstruction size does not match dims");
   if (!(params.bin_width > 0.0) || !std::isfinite(params.bin_width))
     throw std::invalid_argument("fptc: bin width must be positive and finite");
 
@@ -157,6 +161,14 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
   out.put_blob(lossless::backend_compress(inner.buffer(), params.backend));
   auto bytes = out.take();
 
+  if (!info && recon.empty()) return bytes;
+  // Replay the decode side on the quantized coefficients so the reported
+  // SSE and the handed-back reconstruction match the decompressed values
+  // exactly, including the T cast.
+  std::vector<double> replay = q.quantized;
+  inverse_of(replay, dims, header);
+  for (std::size_t i = 0; i < recon.size(); ++i)
+    recon[i] = static_cast<T>(replay[i]);
   if (info) {
     info->bin_width = params.bin_width;
     info->value_range = header.value_range;
@@ -166,17 +178,13 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
     info->compression_ratio =
         metrics::compression_ratio(values.size() * sizeof(T), bytes.size());
     info->bit_rate = metrics::bit_rate(bytes.size(), values.size());
-    // Replay the decode side on the quantized coefficients so the reported
-    // SSE matches the decompressed values exactly, including the T cast.
-    std::vector<double> recon = q.quantized;
-    inverse_of(recon, dims, header);
     const simd::KernelTable& kt = simd::kernels();
     if constexpr (std::is_same_v<T, float>)
       info->achieved_sse =
-          kt.sse_cast_f32(values.data(), recon.data(), values.size());
+          kt.sse_cast_f32(values.data(), replay.data(), values.size());
     else
       info->achieved_sse =
-          kt.sse_f64(values.data(), recon.data(), values.size());
+          kt.sse_f64(values.data(), replay.data(), values.size());
   }
   return bytes;
 }
@@ -240,10 +248,10 @@ CoefficientTrace coefficient_trace(std::span<const T> values, const data::Dims& 
 
 template std::vector<std::uint8_t> compress<float>(std::span<const float>,
                                                    const data::Dims&, const Params&,
-                                                   Info*);
+                                                   Info*, std::span<float>);
 template std::vector<std::uint8_t> compress<double>(std::span<const double>,
                                                     const data::Dims&, const Params&,
-                                                    Info*);
+                                                    Info*, std::span<double>);
 template Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 template Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
 template CoefficientTrace coefficient_trace<float>(std::span<const float>,

@@ -52,9 +52,13 @@ struct Info {
   double achieved_sse = 0.0;
 };
 
+/// A non-empty `recon` (values.size() long) receives the values
+/// decompress() will return for the bytes, bit for bit: the inverse
+/// transform of the quantized coefficients, cast to T.
 template <typename T>
 std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& dims,
-                                   const Params& params, Info* info = nullptr);
+                                   const Params& params, Info* info = nullptr,
+                                   std::span<T> recon = {});
 
 template <typename T>
 struct Decompressed {
@@ -78,9 +82,11 @@ CoefficientTrace coefficient_trace(std::span<const T> values, const data::Dims& 
                                    const Params& params);
 
 extern template std::vector<std::uint8_t> compress<float>(
-    std::span<const float>, const data::Dims&, const Params&, Info*);
+    std::span<const float>, const data::Dims&, const Params&, Info*,
+    std::span<float>);
 extern template std::vector<std::uint8_t> compress<double>(
-    std::span<const double>, const data::Dims&, const Params&, Info*);
+    std::span<const double>, const data::Dims&, const Params&, Info*,
+    std::span<double>);
 extern template Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 extern template Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
 extern template CoefficientTrace coefficient_trace<float>(

@@ -8,10 +8,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/pipeline.h"
 #include "data/synth.h"
+#include "fpsnr/session.h"
 #include "fpsnr/timeseries.h"
 #include "io/archive.h"
 #include "io/bitstream.h"
@@ -583,4 +587,55 @@ TEST(Corruption, EveryTemporalFrameTruncationFailsCleanly) {
     EXPECT_THROW(io::open_block_container(all.first(len)), io::StreamError)
         << "prefix length " << len;
   }
+}
+
+// --- unknown codec id -------------------------------------------------------
+
+TEST(Corruption, UnknownCodecIdIsAStreamErrorOnEveryDecodePath) {
+  // Header byte 5 names the block codec. An id no codec is registered
+  // under is a malformed stream: every decode path must fail with a
+  // StreamError that names the id, not the registry's untyped lookup
+  // error.
+  constexpr std::uint8_t kUnused = 200;
+  ASSERT_EQ(core::CodecRegistry::instance().find(kUnused), nullptr);
+  const auto path = fs::temp_directory_path() / "fpsnr-test-unknown-codec.fpbk";
+  auto expect_unknown_codec = [](auto&& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << "decoded a stream naming an unregistered codec";
+    } catch (const io::StreamError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown codec id 200"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped error: " << e.what();
+    }
+  };
+  for (const char* name : {"golden_v3.fpbk", "golden_v4_key.fpbk"}) {
+    SCOPED_TRACE(name);
+    std::ifstream in(std::string(FPSNR_TEST_DATA_DIR) + "/" + name,
+                     std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing fixture";
+    std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>()};
+    ASSERT_EQ(io::block_container_header(bytes).codec, bytes.at(5));
+    bytes[5] = kUnused;
+    std::ofstream(path, std::ios::binary)
+        .write(reinterpret_cast<const char*>(bytes.data()),
+               static_cast<std::streamsize>(bytes.size()));
+
+    expect_unknown_codec([&] {
+      (void)fpsnr::Session().decompress(fpsnr::Source::memory(
+          std::span<const std::uint8_t>(bytes)));
+    });
+    expect_unknown_codec(
+        [&] { (void)core::decompress_block<float>(bytes, 0); });
+    expect_unknown_codec(
+        [&] { (void)core::decompress_file<float>(path.string()); });
+    // golden_v3 is no series frame, so the decoder refuses it before any
+    // codec lookup; either way the failure is a StreamError.
+    fpsnr::TimeSeriesDecoder decoder;
+    EXPECT_THROW((void)decoder.feed(bytes), io::StreamError);
+  }
+  fs::remove(path);
 }

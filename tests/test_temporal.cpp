@@ -7,15 +7,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/codec_registry.h"
 #include "data/timeseries.h"
 #include "fpsnr/session.h"
+#include "io/archive.h"
 #include "io/bitstream.h"
 #include "metrics/metrics.h"
+#include "temporal/temporal.h"
 
 namespace {
 
@@ -358,4 +363,179 @@ TEST(Temporal, InspectReportsTheChain) {
   EXPECT_FALSE(spatial.temporal);
   EXPECT_EQ(spatial.version, 3);
   EXPECT_EQ(spatial.series_id, 0u);
+}
+
+// --- chain parity -----------------------------------------------------------
+//
+// The encoder predicts each delta frame from the reconstruction its codecs
+// hand back while compressing; it never decodes its own archive. That is
+// only sound if every hand-back is the decoder's output bit for bit, so
+// this sweep covers every engine x rank x scalar x control mode: each
+// delta frame's ref_hash (the encoder's reference) must equal the hash of
+// what an independent decoder produced for the previous frame. One extra
+// frame is pushed past the last one checked, so its header certifies that
+// frame's reconstruction too.
+
+namespace {
+
+enum class ChainMode { Psnr, Abs, Rate };
+
+struct ChainCase {
+  std::string engine;
+  bool hybrid = false;  ///< sz-lorenzo with the hybrid-regression predictor
+  std::size_t rank = 1;
+  bool f64 = false;
+  ChainMode mode = ChainMode::Psnr;
+
+  std::string name() const {
+    static const char* kModes[] = {"psnr", "abs", "rate"};
+    return engine + (hybrid ? "+hybrid" : "") + " rank " +
+           std::to_string(rank) + (f64 ? " f64 " : " f32 ") +
+           kModes[static_cast<int>(mode)];
+  }
+};
+
+/// Four tiles per frame: tile 0 is fresh noise every frame, tile 1 is
+/// smooth but holds one NaN, tiles 2-3 are smooth and drift slowly so they
+/// take the temporal-delta path.
+struct ChainGeometry {
+  std::vector<std::size_t> dims;
+  std::vector<std::size_t> tile;
+};
+
+ChainGeometry chain_geometry(std::size_t rank) {
+  if (rank == 1) return {{1024}, {256}};
+  if (rank == 2) return {{32, 64}, {16, 32}};
+  return {{16, 16, 16}, {8, 8, 16}};
+}
+
+/// One snapshot. The noise amplitude is so far above the coding bound
+/// (the rate search's finest bound, in rate mode) that no quantization
+/// bin holds it: every engine's output loses to the raw store encoding,
+/// so tile 0 is store-demoted.
+std::vector<double> chain_frame(const ChainGeometry& g, std::size_t t,
+                                double noise_amplitude, std::mt19937_64& rng) {
+  const data::Dims dims{std::vector<std::size_t>(g.dims)};
+  const std::size_t rank = g.dims.size();
+  std::uniform_real_distribution<double> noise(-noise_amplitude,
+                                               noise_amplitude);
+  std::vector<double> out(dims.count());
+  bool nan_placed = false;
+  std::vector<std::size_t> c(rank, 0);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    std::size_t tile = 0;
+    double phase = 0.3 * static_cast<double>(t);
+    for (std::size_t a = 0; a < rank; ++a) {
+      tile = tile * ((g.dims[a] + g.tile[a] - 1) / g.tile[a]) +
+             c[a] / g.tile[a];
+      phase += (0.19 + 0.05 * static_cast<double>(a)) *
+               static_cast<double>(c[a]);
+    }
+    if (tile == 0) {
+      out[i] = noise(rng);
+    } else if (tile == 1 && !nan_placed) {
+      out[i] = std::numeric_limits<double>::quiet_NaN();
+      nan_placed = true;
+    } else {
+      out[i] = 0.8 * std::sin(phase) + 0.2 * std::cos(0.07 * phase);
+    }
+    for (std::size_t a = rank; a-- > 0;) {
+      if (++c[a] < g.dims[a]) break;
+      c[a] = 0;
+    }
+  }
+  return out;
+}
+
+std::uint64_t hash_of(const Field& f) {
+  return f.is_double() ? temporal::hash_values<double>(f.f64)
+                       : temporal::hash_values<float>(f.f32);
+}
+
+void run_chain(const ChainCase& cc) {
+  SCOPED_TRACE(cc.name());
+  const ChainGeometry g = chain_geometry(cc.rank);
+  TimeSeriesOptions opts;
+  opts.series = "parity";
+  opts.keyframe_interval = 0;  // one keyframe, then deltas
+  opts.session.threads = 2;
+  opts.session.engine = cc.engine;
+  opts.session.tile = TileShape(g.tile);
+  if (cc.hybrid) opts.session.tuning.set("sz-lorenzo", "predictor", "hybrid");
+  // Without a lossless stage, raw noise cannot squeeze a few percent under
+  // the store encoding (zfpr has none to switch off).
+  if (cc.engine != "zfpr")
+    opts.session.tuning.set(cc.engine, "lossless", "store");
+
+  // Fixed-PSNR and absolute runs code the smooth tiles at |err| ~ 1e-3;
+  // 430 dB over the noise-dominated range resolves to that bound, and the
+  // noise is wide enough for zfpr to escape it to raw doubles. Rate runs
+  // ask for more bits than raw, so every tile codes at the search's
+  // finest bound, 1e-12 of the range: 1e-2 here, coarse enough that the
+  // smooth tiles stay well under raw size.
+  Target target = FixedPsnr{430.0};
+  double noise_amplitude = 1e18;
+  if (cc.mode == ChainMode::Abs) target = PointwiseAbs{1e-3};
+  if (cc.mode == ChainMode::Rate) {
+    target = FixedRate{cc.f64 ? 96.0 : 48.0};
+    noise_amplitude = 5e9;
+  }
+  // zfpr's widest group at 1e-12 of the range is ~45 bits, short of a
+  // double's 64: in f64 rate runs nothing can lose to the store encoding.
+  const bool expect_store = !(cc.engine == "zfpr" && cc.f64 &&
+                              cc.mode == ChainMode::Rate);
+
+  TimeSeriesSession session(target, opts);
+  TimeSeriesDecoder decoder(1);
+  std::mt19937_64 rng(cc.rank * 31 + (cc.f64 ? 7 : 0));
+  constexpr std::size_t kFrames = 4;  // keyframe, two deltas, one extra
+  Field previous;
+  for (std::size_t t = 0; t < kFrames; ++t) {
+    SCOPED_TRACE("frame " + std::to_string(t));
+    const std::vector<double> values =
+        chain_frame(g, t, noise_amplitude, rng);
+    Field snap;
+    snap.dims = g.dims;
+    if (cc.f64)
+      snap.f64 = values;
+    else
+      snap.f32.assign(values.begin(), values.end());
+    const SnapshotRecord rec = session.push(snap);
+    const auto& archive = rec.report.archive;
+
+    const io::BlockContainerView view = io::open_block_container(archive);
+    std::size_t stored = 0;
+    for (const auto& block : view.blocks)
+      if (core::is_store_block_stream(block)) ++stored;
+    if (expect_store) {
+      EXPECT_GE(stored, 1u) << "no store-demoted tile";
+    }
+    EXPECT_LT(stored, view.blocks.size()) << "no codec-coded tile";
+
+    if (t == 0) {
+      ASSERT_TRUE(rec.keyframe);
+    } else {
+      ASSERT_FALSE(rec.keyframe);
+      EXPECT_GE(rec.temporal_blocks, 1u);
+      ASSERT_EQ(view.header.ref_hash, hash_of(previous))
+          << "the encoder's reference differs from the decoder's "
+             "reconstruction of frame "
+          << t - 1;
+    }
+    ASSERT_NO_THROW(previous = decoder.feed(archive));
+  }
+}
+
+}  // namespace
+
+TEST(Temporal, HarvestedReferenceMatchesTheDecoderOnEveryEngine) {
+  const std::vector<std::pair<std::string, bool>> engines = {
+      {"sz-lorenzo", false}, {"sz-lorenzo", true}, {"transform-haar", false},
+      {"transform-dct", false}, {"interp", false}, {"zfpr", false}};
+  for (const auto& [engine, hybrid] : engines)
+    for (std::size_t rank = 1; rank <= 3; ++rank)
+      for (const bool f64 : {false, true})
+        for (const ChainMode mode :
+             {ChainMode::Psnr, ChainMode::Abs, ChainMode::Rate})
+          run_chain({engine, hybrid, rank, f64, mode});
 }
