@@ -10,8 +10,7 @@
 
 #include <cstdio>
 
-#include "core/compressor.h"
-#include "core/search_baseline.h"
+#include "core/pipeline.h"
 #include "data/timeseries.h"
 #include "metrics/metrics.h"
 #include "metrics/stats.h"
@@ -69,11 +68,9 @@ void print_study() {
     metrics::RunningStats cmp_psnr;
     double cmp_worst = 1e9;
     for (const auto& snap : series) {
-      core::RateSearchOptions opts;
-      opts.tolerance_bits = 0.25;
-      const auto rr =
-          core::search_fixed_rate<float>(snap.span(), snap.dims, budget_bits, opts);
-      const auto rep = verify_stream(snap.span(), rr.result.stream);
+      const auto r = core::compress_blocked<float>(
+          snap.span(), snap.dims, core::ControlRequest::fixed_rate(budget_bits));
+      const auto rep = verify_stream(snap.span(), r.stream);
       cmp_psnr.add(rep.psnr_db);
       cmp_worst = std::min(cmp_worst, rep.psnr_db);
     }
@@ -106,8 +103,9 @@ void BM_FixedRateSnapshot(benchmark::State& state) {
   cfg.snapshots = 1;
   const auto series = data::make_advected_series(cfg);
   for (auto _ : state) {
-    auto rr = core::search_fixed_rate<float>(series[0].span(), series[0].dims, 8.0);
-    benchmark::DoNotOptimize(rr.result.stream.data());
+    auto r = core::compress_blocked<float>(
+        series[0].span(), series[0].dims, core::ControlRequest::fixed_rate(8.0));
+    benchmark::DoNotOptimize(r.stream.data());
   }
 }
 BENCHMARK(BM_FixedRateSnapshot)->Unit(benchmark::kMillisecond);

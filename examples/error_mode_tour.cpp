@@ -1,6 +1,7 @@
 // Tour of every Target on one Hurricane field through the Session facade,
-// including the first-class fixed-rate mode (per-block rate bisection — no
-// external search loop) and the transform-codec engines.
+// including the first-class fixed-rate mode (one bound per field, searched
+// inside compress() — no external search loop) and the transform-codec
+// engines.
 //
 //   $ ./error_mode_tour
 #include <cstdio>
@@ -43,8 +44,8 @@ int main() {
   run(session, "vr-rel (eb = 1e-3)", f.span(), dims, ValueRangeRel{1e-3});
   run(session, "pw-rel (eb = 1%)", f.span(), dims, PointwiseRel{0.01});
   run(session, "fixed-PSNR (85 dB)", f.span(), dims, FixedPsnr{85.0});
-  // Fixed rate is a Target like any other now: each pipeline block bisects
-  // its own bound toward the bit budget in one compress() call.
+  // Fixed rate is a Target like any other: one compress() call searches the
+  // field's one bound for the bit budget.
   const auto rate = session.compress(Source::memory(f.span(), dims),
                                      FixedRate{6.0}, Sink::memory());
   std::printf("%-24s achieved %.2f bits/value, PSNR %8.2f dB, ratio %7.2f\n",

@@ -100,13 +100,13 @@ struct CompressReport {
   double bit_rate = 0.0;  ///< compressed bits per value
 
   /// Analytical PSNR prediction (Eq. 6/7); NaN where the model does not
-  /// apply (pointwise-rel, fixed-rate).
+  /// apply (pointwise-rel).
   double predicted_psnr_db = 0.0;
   /// Measured PSNR of the emitted archive, exact from the per-block SSE
   /// recorded at compress time; +inf for lossless output.
   double achieved_psnr_db = 0.0;
-  /// Value-range relative bound the job resolved to (0 in rate and
-  /// pointwise-rel modes).
+  /// Value-range relative bound the job resolved to (0 in pointwise-rel
+  /// mode).
   double rel_bound_used = 0.0;
   std::size_t outlier_count = 0;
 
@@ -133,7 +133,7 @@ struct Field {
 struct Inspection {
   bool block_container = false;  ///< FPBK container vs legacy flat stream
   std::uint8_t version = 0;      ///< container version (FPBK only)
-  std::string codec;             ///< registry name; "unknown" if unregistered
+  std::string codec;             ///< registry name
   std::string target;            ///< target_name() of the recorded control
   double target_value = 0.0;
   std::string budget;            ///< "uniform" | "adaptive"
@@ -142,7 +142,7 @@ struct Inspection {
   /// Per-axis tile extents (pre-v3 archives surface their slab geometry as
   /// {block_rows, dims[1], ...}); empty for flat streams.
   std::vector<std::size_t> tile;
-  double eb_abs = 0.0;           ///< base absolute bound (0 in rate mode)
+  double eb_abs = 0.0;           ///< base absolute bound (0 in pwrel mode)
   double value_range = 0.0;
   /// Measured PSNR from the v2 per-block SSE column; NaN when the archive
   /// does not record it (v1 containers, flat streams).
@@ -239,7 +239,8 @@ class Session {
   /// index entries, and that block's extent are ever read.
   Field decompress_block(const Source& archive, std::size_t block_index) const;
 
-  /// Archive metadata without touching the payload.
+  /// Archive metadata without touching the payload. A header naming no
+  /// registered codec throws StreamError, as decompress() does.
   Inspection inspect(const Source& archive) const;
 
   /// Compress every field of `job` to the same target, interleaving all

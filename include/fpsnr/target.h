@@ -44,10 +44,12 @@ struct ValueRangeRel {
   double fraction = 1e-4;
 };
 
-/// Target the compressed size: bits per value. Each pipeline block bisects
-/// its own error bound until its compressed output lands on the budget
-/// (seeded by a closed-form per-group bit-width census), so the archive
-/// size is known up front regardless of content.
+/// Target the compressed size: bits per value. The dual of FixedPsnr: the
+/// plan searches one error bound for the whole field, and every block is
+/// coded at it exactly as under FixedPsnr. The blocks' payload (the archive
+/// without its fixed header and index) is at most the budget and within 5%
+/// of it whenever some bound gets there; otherwise the bound whose payload
+/// is nearest the budget wins (a rate above raw codes at the finest bound).
 struct FixedRate {
   double bits_per_value = 8.0;
 };

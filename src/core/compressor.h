@@ -105,8 +105,8 @@ struct CompressResult {
   /// codec tracked at compress time (recorded per block in the FPBK v2
   /// index); +inf for a lossless result.
   double achieved_psnr_db = std::numeric_limits<double>::quiet_NaN();
-  /// Value-range relative bound actually used (0 in rate and
-  /// pointwise-relative modes).
+  /// Value-range relative bound actually used (0 in pointwise-relative
+  /// mode).
   double rel_bound_used = 0.0;
   /// Block layout of the emitted FPBK container, straight from the plan —
   /// callers never need to re-parse the archive just to describe it.

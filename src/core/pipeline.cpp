@@ -15,7 +15,6 @@
 #include "metrics/metrics.h"
 #include "parallel/work_queue.h"
 #include "sz/stream_format.h"
-#include "transform/fixed_rate.h"
 
 namespace fpsnr::core {
 
@@ -25,8 +24,8 @@ namespace {
 /// fixed-PSNR / nrmse) to the absolute per-point budget every block
 /// shares: resolve_control validates the request, and the sz codec's own
 /// resolution (constant-field fallback included) turns it into a bound.
-/// (FixedRate and PointwiseRelative never reach here — plan_blocks gives
-/// them per-block bounds first.)
+/// (FixedRate and PointwiseRelative never reach here: plan_blocks searches
+/// the rate's bound, and pointwise-relative bounds are per value.)
 double resolve_budget(const ControlRequest& request, double vr) {
   const ResolvedControl rc = resolve_control(request);
   return sz::resolve_absolute_bound(rc.sz_mode, rc.sz_bound, vr);
@@ -77,8 +76,7 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream) {
   BlockStreamInfo info;
   info.version = view.header.version;
   info.codec = view.header.codec;
-  const BlockCodec* codec = CodecRegistry::instance().find(view.header.codec);
-  info.codec_name = codec ? codec->name() : "unknown";
+  info.codec_name = header_codec(view.header).name();
   info.dims = dims_from_header(view.header);
   info.tile.assign(view.header.tile.begin(), view.header.tile.end());
   info.block_count = view.header.block_count;
@@ -114,13 +112,19 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream) {
 
 namespace {
 
+/// One coded tile: the bytes the archive holds for it and their accounting.
+struct EncodedBlock {
+  std::vector<std::uint8_t> bytes;
+  BlockInfo info;
+};
+
 /// Everything the block loop needs, resolved once per call. Both the
 /// in-memory and the streaming entry points build the same plan, so layout,
 /// budgets, and header bytes cannot drift between the two paths.
 struct BlockPlan {
   double vr = 0.0;
-  /// Base (uniform-equivalent) absolute bound; 0 when bounds are per
-  /// block (rate and pointwise-relative modes).
+  /// Base (uniform-equivalent) absolute bound; 0 in pointwise-relative
+  /// mode, whose bounds are per value.
   double eb_abs = 0.0;
   TileLayout layout;
   CodecId codec_id = 0;
@@ -130,20 +134,267 @@ struct BlockPlan {
   /// eb_abs under Uniform budgets), or the fraction eps for every block
   /// in PointwiseRelative mode.
   std::vector<double> block_eb;
-  /// FixedRate mode: each block bisects its own bound toward this many
-  /// compressed bits per value (run_block performs the search, so the
-  /// searches parallelize like any other block work).
-  bool rate_mode = false;
-  double target_bits_per_value = 0.0;
+  /// FixedRate: the fixed-rate search's encode at eb_abs, one entry per
+  /// block, which run_block hands to the writer instead of coding the
+  /// block again. Empty in every other mode, when the caller wants a
+  /// reconstruction, and when the search did not keep the encode it
+  /// returned (run_block then codes the block itself).
+  std::vector<EncodedBlock> encoded;
   io::BlockContainerHeader header;
 
   /// No global absolute budget: the header records eb_abs = 0 ("see the
   /// self-describing block payloads") and only the measured PSNR is
   /// reported.
   bool per_block_bounds() const {
-    return rate_mode || bp.mode == sz::ErrorBoundMode::PointwiseRelative;
+    return bp.mode == sz::ErrorBoundMode::PointwiseRelative;
   }
 };
+
+/// One tile's encode, the only one there is: the plan's codec at bound
+/// `eb`, demoted to the store codec when its output is no smaller than
+/// raw. run_block writes what it returns and the fixed-rate search sizes
+/// it, so the search measures exactly the bytes the archive holds. A
+/// non-empty `field_recon` receives the tile's reconstruction at its place
+/// in the field.
+template <typename T>
+EncodedBlock encode_block(const BlockPlan& plan, std::span<const T> values,
+                          const data::Dims& dims, std::size_t b, double eb,
+                          std::span<T> field_recon) {
+  const TileRegion region = tile_region(plan.layout, dims, b);
+  const data::Dims tile_dims = region_dims(region, dims.rank());
+  // Slab-shaped tiles (the only geometry v1/v2 had) are contiguous runs of
+  // the field buffer and are borrowed in place; true multi-axis tiles are
+  // gathered into a scratch copy the codec sees as a dense C-order field.
+  // The block's reconstruction, when the caller wants one, goes straight
+  // into its slab of the caller's buffer or, for a gathered tile, into a
+  // scratch copy scattered back below.
+  std::vector<T> gathered, tile_recon;
+  std::span<const T> slice;
+  std::span<T> recon;
+  if (region_contiguous(region, dims)) {
+    const std::size_t offset = region.start[0] * plan.layout.row_stride;
+    slice = values.subspan(offset, region.count);
+    if (!field_recon.empty()) recon = field_recon.subspan(offset, region.count);
+  } else {
+    gathered.resize(region.count);
+    gather_tile(values, dims, region, std::span<T>(gathered));
+    slice = gathered;
+    if (!field_recon.empty()) {
+      tile_recon.resize(region.count);
+      recon = tile_recon;
+    }
+  }
+  BlockParams bp = plan.bp;
+  bp.eb_abs = eb;
+  EncodedBlock out;
+  out.bytes = plan.codec->compress(slice, tile_dims, bp, &out.info, recon);
+  // A block whose primary encoding is no smaller than the raw passthrough
+  // is demoted to the store codec — the decision depends only on the data,
+  // so output bytes stay schedule- and thread-count independent. The store
+  // stand-in accounts the block's own bound, so the sse_budget sum still
+  // matches the plan the accounting validates.
+  if (plan.codec_id != kCodecStore &&
+      out.bytes.size() >= store_encoded_size(slice.size(), sizeof(T))) {
+    out.info = BlockInfo{};
+    out.bytes = CodecRegistry::instance().at(kCodecStore).compress(
+        slice, tile_dims, bp, &out.info, recon);
+  }
+  if (!tile_recon.empty())
+    scatter_tile(std::span<const T>(tile_recon), dims, region, field_recon);
+  // Non-finite samples poison the block's SSE (NaN - NaN = NaN even when
+  // the sample was stored as an exact outlier), and the container's SSE
+  // column is finite by contract. Record 0 for such a block: pointwise
+  // codecs really did reproduce the poisoned samples exactly, and any
+  // aggregate distortion metric over a non-finite field is meaningless
+  // regardless of what we record.
+  if (!std::isfinite(out.info.achieved_sse)) out.info.achieved_sse = 0.0;
+  return out;
+}
+
+/// Fixed-rate search constants. The sample is every kRateSampleStride-th
+/// tile in C order; the stride is prime so that it does not alias onto one
+/// column of a power-of-two or small tile grid.
+constexpr std::size_t kRateSampleStride = 11;
+/// Encodes the search may spend on the sample and on the whole field.
+constexpr int kRateSamplePasses = 8;
+constexpr int kRateFieldPasses = 12;
+/// The search stops once the budget's crossing is bracketed this tightly
+/// in log2(eb): 1/16 of a doubling, 0.38 dB under the Eq. 7 model.
+constexpr double kRateStep = 1.0 / 16.0;
+/// Unbracketed, a secant step is capped at this many doublings.
+constexpr double kRateMaxStep = 4.0;
+/// The sample only seeds the field search, so it stops at a wider bracket.
+constexpr double kRateSampleStep = 1.0 / 4.0;
+/// A fitting payload within this fraction of the budget meets the
+/// contract; below it, the probe nearest the budget wins.
+constexpr double kRateWindow = 0.05;
+
+/// Resolve a FixedRate request to the one absolute bound every block is
+/// coded at: the dual of the fixed-PSNR plan, with the uniform bound chosen
+/// to meet a size instead of a PSNR.
+///
+/// The search looks for the smallest bound whose payload (the blocks' own
+/// bytes; container header and index are a fixed overhead) fits the
+/// budget, in log2(eb), where Eq. 7 puts 6.02 dB per unit. A secant on a
+/// sample of tiles, coded by the real codec, seeds it; a secant on the
+/// measured full-field payload finishes it. Each keeps the bracket its
+/// probes build (payload falls as the bound grows) and stops once the
+/// crossing is pinned to kRateStep (see `search`); unbracketed steps that
+/// stay on one side double, so a plateau in the payload curve cannot stall
+/// the search.
+///
+/// The result is the smallest fitting bound found when its payload is
+/// within kRateWindow of the budget; otherwise the probe nearest the
+/// budget, the smaller bound on a tie. So a rate above raw codes at the
+/// finest bound of the window [1e-12, 4] x scale, where `scale` is the
+/// value range or, when that is not finite (NaN/Inf samples), the largest
+/// finite |x|. A constant field is coded exact at any rate, with the tiny
+/// bound the error-bounded modes use for it.
+///
+/// Each probe sums its blocks' sizes and SSE in block order, so the
+/// search, like every other plan step, depends only on the data and the
+/// plan, never on `threads`. With `keep`, plan.encoded receives the
+/// full-field encode at the returned bound when the search ran one there
+/// (it stays empty otherwise).
+template <typename T>
+double resolve_rate_bound(BlockPlan& plan, std::span<const T> values,
+                          const data::Dims& dims, double bits_per_value,
+                          std::size_t threads, bool keep) {
+  if (plan.vr == 0.0) return std::numeric_limits<double>::min() * 1e6;
+  double scale = plan.vr;
+  if (!std::isfinite(scale)) {
+    double max_abs = 0.0;
+    for (const T v : values) {
+      const double d = std::abs(static_cast<double>(v));
+      if (std::isfinite(d) && d > max_abs) max_abs = d;
+    }
+    scale = max_abs > 0.0 ? max_abs : 1.0;
+  }
+  const double x_min = std::log2(scale * 1e-12);
+  const double x_max = std::log2(scale * 4.0);
+  const std::size_t count = plan.layout.block_count;
+
+  struct Probe {
+    double x = 0.0;  ///< log2(eb)
+    double bytes = 0.0;
+    double sse = 0.0;
+  };
+  // Code tiles 0, stride, 2*stride, ... at eb = 2^x; a full pass (stride
+  // 1) leaves its blocks in `trial` when they are kept.
+  std::vector<EncodedBlock> trial;
+  auto measure = [&](double x, std::size_t stride) {
+    const std::size_t n = (count + stride - 1) / stride;
+    const double eb = std::exp2(x);
+    std::vector<EncodedBlock> scratch;
+    std::vector<EncodedBlock>& blocks = stride == 1 && keep ? trial : scratch;
+    blocks.resize(n);
+    for_each_block(n, threads, [&](std::size_t i) {
+      blocks[i] = encode_block(plan, values, dims, i * stride, eb,
+                               std::span<T>());
+    });
+    Probe p{x, 0.0, 0.0};
+    for (const EncodedBlock& e : blocks) {
+      p.bytes += static_cast<double>(e.bytes.size());
+      p.sse += e.info.achieved_sse;
+    }
+    return p;
+  };
+
+  // Local slopes of the payload and SSE curves, per doubling of eb, in
+  // log2: in log2(payload) a sample off by a constant factor still has the
+  // field's slope, and Eq. 7 puts SSE at x4 (slope 2) per doubling.
+  struct Slopes {
+    double bytes = -1.0;
+    double sse = 2.0;
+    void update(const Probe& a, const Probe& b) {
+      if (a.x == b.x) return;
+      const double s = std::log2(b.bytes / a.bytes) / (b.x - a.x);
+      if (s < 0.0) bytes = s;
+      const double t = std::log2(b.sse / a.sse) / (b.x - a.x);
+      if (t > 0.0 && std::isfinite(t)) sse = t;
+    }
+  };
+
+  // Search the tiles at `stride` for `budget` bytes from log2(eb) = x.
+  // It stops once the crossing is pinned within `tol` doublings of eb, in
+  // x or in the PSNR Eq. 7 gives that many (6.02 dB per doubling): by a
+  // bracket, measured at both ends, or by a fitting probe that the secant
+  // puts that close. `slopes` seed the first step and come back measured.
+  auto search = [&](std::size_t stride, double budget, double x, double tol,
+                    Slopes& slopes, int passes) {
+    const double inf = std::numeric_limits<double>::infinity();
+    Probe over{-inf, inf, 0.0};  // the largest x whose payload is over
+    Probe fit{inf, 0.0, 0.0};    // the smallest x whose payload fits
+    Probe nearest{0.0, inf, 0.0}, prev;
+    double min_step = 0.0;
+    for (int pass = 0; pass < passes; ++pass) {
+      const Probe p = measure(x, stride);
+      const bool is_over = p.bytes > budget;
+      const bool same_side = pass > 0 && is_over == (prev.bytes > budget);
+      const double gap = std::abs(p.bytes - budget);
+      const double nearest_gap = std::abs(nearest.bytes - budget);
+      if (gap < nearest_gap || (gap == nearest_gap && x < nearest.x))
+        nearest = p;
+      if (is_over) {
+        if (x > over.x) over = p;
+      } else if (x < fit.x) {
+        fit = p;
+        if (stride == 1 && keep) plan.encoded.swap(trial);
+      }
+      const bool bracketed = std::isfinite(over.x) && std::isfinite(fit.x);
+      if (pass > 0) slopes.update(prev, p);
+      prev = p;
+      // The secant's estimate of where the payload crosses the budget.
+      const double cross = x + std::log2(p.bytes / budget) / -slopes.bytes;
+      const bool in_window = fit.bytes >= (1.0 - kRateWindow) * budget;
+      if (bracketed && fit.x - over.x <= tol) break;
+      if (in_window && bracketed &&
+          std::log2(fit.sse / over.sse) <= 2.0 * tol)
+        break;
+      if (in_window && x == fit.x &&
+          (x - cross) * std::min(slopes.sse, 2.0) <= 2.0 * tol)
+        break;
+      if (is_over ? x >= x_max : x <= x_min) break;  // the window's edge
+      // Aim tol/2 past the estimate, on the fitting side, kept tol/2
+      // inside the bracket (so a good estimate closes it next pass) or,
+      // unbracketed, doubling the step while probes stay on one side.
+      double next = cross + tol / 2.0;
+      if (bracketed) {
+        next = next > over.x && next < fit.x
+                   ? std::clamp(next, over.x + tol / 2.0, fit.x - tol / 2.0)
+                   : 0.5 * (over.x + fit.x);
+      } else {
+        if (same_side) min_step = std::max(4.0 * tol, 2.0 * min_step);
+        const double step = std::clamp(std::abs(next - x), min_step,
+                                       std::max(min_step, kRateMaxStep));
+        next = is_over ? x + step : x - step;
+      }
+      x = std::clamp(next, x_min, x_max);
+    }
+    // The smallest fitting bound when it meets the contract, else the
+    // probe nearest the budget (whose encode run_block then recodes
+    // unless it is the kept one).
+    if (fit.bytes >= (1.0 - kRateWindow) * budget) return fit.x;
+    if (stride == 1 && keep && nearest.x != fit.x) plan.encoded.clear();
+    return nearest.x;
+  };
+
+  const double n = static_cast<double>(values.size());
+  const double budget = bits_per_value * n / 8.0;
+  // Seed: eb = scale * 2^-bits is the bound at which undecorrelated data
+  // would cost the requested rate; each halving of eb doubles a payload
+  // far below it.
+  double x = std::clamp(std::log2(scale) - bits_per_value, x_min, x_max);
+  Slopes slopes;
+  if (count > 1) {
+    std::size_t sample_n = 0;
+    for (std::size_t b = 0; b < count; b += kRateSampleStride)
+      sample_n += tile_region(plan.layout, dims, b).count;
+    x = search(kRateSampleStride, budget * static_cast<double>(sample_n) / n,
+               x, kRateSampleStep, slopes, kRateSamplePasses);
+  }
+  return std::exp2(search(1, budget, x, kRateStep, slopes, kRateFieldPasses));
+}
 
 /// Adaptive per-block bounds (Eq. 3's general form, reverse-water-filling
 /// flavour). A cheap rank-aware probe — per-axis RMS first differences
@@ -268,7 +519,7 @@ std::vector<double> adaptive_budgets(std::span<const T> values,
 template <typename T>
 BlockPlan plan_blocks(std::span<const T> values, const data::Dims& dims,
                       const ControlRequest& request,
-                      const CompressOptions& options) {
+                      const CompressOptions& options, bool keep_encode) {
   if (values.size() != dims.count())
     throw std::invalid_argument("block pipeline: value count does not match dims");
 
@@ -288,17 +539,17 @@ BlockPlan plan_blocks(std::span<const T> values, const data::Dims& dims,
   plan.bp.haar_levels = options.haar_levels;
   plan.bp.dct_block = options.dct_block;
 
-  // Rate and pointwise-relative modes have no global error budget to
-  // split; every block payload records the bound it was coded at.
+  // Pointwise-relative mode has no global error budget to split; every
+  // block payload records the bound it was coded at.
   double block_bound = 0.0;
   if (request.mode == ControlMode::FixedRate) {
-    // Every block bisects its own bound in run_block.
     if (!(request.value > 0.0) || !std::isfinite(request.value))
       throw std::invalid_argument(
           "block pipeline: fixed-rate target must be positive and finite "
           "bits per value");
-    plan.rate_mode = true;
-    plan.target_bits_per_value = request.value;
+    plan.eb_abs = resolve_rate_bound(plan, values, dims, request.value,
+                                     options.parallel.threads, keep_encode);
+    block_bound = plan.eb_abs;
   } else if (request.mode == ControlMode::PointwiseRelative) {
     // log2(1 + eps) bounds every value's log-domain error whatever its
     // magnitude, so each tile is coded at eps on its own.
@@ -370,151 +621,6 @@ BlockPlan plan_blocks(std::span<const T> values, const data::Dims& dims,
   return plan;
 }
 
-/// Per-block fixed-rate search: bisect the block's absolute bound until the
-/// codec's output lands on `target_bits` compressed bits per value.
-///
-/// The seed is closed-form, not a blind probe: a zfpr-style width census at
-/// a reference bound eb0 (transform::fixed_rate_bits_estimate — one forward
-/// DCT plus a per-group max-|index| scan, no encoding) gives rate(eb0), and
-/// since every halving of the bound widens each bit-packed group by ~1 bit,
-/// rate(eb) ~= rate(eb0) + log2(eb0/eb). Inverting that law lands the seed
-/// within a bit or two of the target for any codec (the DCT census is a
-/// decorrelation proxy even for the predictor paths), so the geometric
-/// bisection that follows converges in a handful of real encodes.
-///
-/// Deterministic by construction: the search depends only on the block's
-/// data and the plan — never on scheduling — so fixed-rate archives are
-/// byte-identical at any thread count like every other mode.
-///
-/// A non-empty `recon` receives the reconstruction of the encode the search
-/// keeps.
-template <typename T>
-std::vector<std::uint8_t> rate_search_block(const BlockPlan& plan,
-                                            std::span<const T> slice,
-                                            const data::Dims& tile_dims,
-                                            BlockInfo* info,
-                                            std::span<T> recon) {
-  const double n = static_cast<double>(slice.size());
-  const double target_bytes = plan.target_bits_per_value * n / 8.0;
-  if (plan.vr == 0.0) {
-    // Degenerate (constant) field: its rate sits at the entropy floor for
-    // any bound, so searching could only trade exactness for nothing —
-    // encode once with the same tiny budget the error-bounded modes use
-    // and keep the field exact. (A NaN range — NaN samples in a varying
-    // field — is NOT degenerate; it falls through to the search, which
-    // re-derives its scale from the finite samples below.)
-    BlockParams bp = plan.bp;
-    bp.eb_abs = std::numeric_limits<double>::min() * 1e6;
-    return plan.codec->compress(slice, tile_dims, bp, info, recon);
-  }
-  // A single NaN/Inf sample makes the plan's value range non-finite, which
-  // would poison every derived bound below (eb_min/eb_max = Inf, and the
-  // census seed would reject its own Inf error bound). The search only
-  // needs a magnitude scale, so fall back to the largest finite |value| in
-  // the block (or 1.0 when nothing is finite) — the codecs themselves
-  // store non-finite samples as exact outliers at any bound.
-  double scale = plan.vr;
-  if (!std::isfinite(scale)) {
-    double max_abs = 0.0;
-    for (const T v : slice) {
-      const double d = std::abs(static_cast<double>(v));
-      if (std::isfinite(d) && d > max_abs) max_abs = d;
-    }
-    scale = max_abs > 0.0 ? max_abs : 1.0;
-  }
-  // Bounds outside this window are degenerate: below eb_min the quantizer
-  // is at float-precision resolution; above eb_max the whole range fits in
-  // one bin and the rate cannot drop further.
-  const double eb_min = scale * 1e-12;
-  const double eb_max = scale * 4.0;
-
-  // Every trial writes its reconstruction into `trial`; the one the search
-  // keeps is swapped into `best_recon` (both empty when none is wanted).
-  std::vector<T> trial(recon.size()), best_recon(recon.size());
-  auto encode = [&](double eb, BlockInfo* bi) {
-    BlockParams bp = plan.bp;
-    bp.eb_abs = eb;
-    return plan.codec->compress(slice, tile_dims, bp, bi, std::span<T>(trial));
-  };
-
-  // Closed-form seed from the per-group width census.
-  transform::FixedRateParams census;
-  census.eb_abs = scale * 1e-4;
-  census.dct_block = plan.bp.dct_block;
-  const double est_bits =
-      transform::fixed_rate_bits_estimate(slice, tile_dims, census);
-  double eb = std::clamp(
-      census.eb_abs * std::exp2(est_bits - plan.target_bits_per_value),
-      eb_min, eb_max);
-  // std::clamp passes NaN through (and a non-finite census on pathological
-  // data can produce one); restart the bisection from the window's
-  // geometric midpoint instead of feeding NaN to the codec.
-  if (!std::isfinite(eb)) eb = std::sqrt(eb_min * eb_max);
-
-  BlockInfo best_info;
-  std::vector<std::uint8_t> best_bytes = encode(eb, &best_info);
-  trial.swap(best_recon);
-  double best_gap = std::abs(static_cast<double>(best_bytes.size()) -
-                             target_bytes);
-  double best_eb = eb;
-
-  // Keep the encode whose size sits closest to the target; ties go to the
-  // smaller bound (same bytes, less distortion).
-  auto consider = [&](double cand_eb, std::vector<std::uint8_t>&& bytes,
-                      const BlockInfo& bi) {
-    const double gap =
-        std::abs(static_cast<double>(bytes.size()) - target_bytes);
-    if (gap < best_gap || (gap == best_gap && cand_eb < best_eb)) {
-      best_gap = gap;
-      best_eb = cand_eb;
-      best_bytes = std::move(bytes);
-      best_info = bi;
-      trial.swap(best_recon);
-    }
-  };
-
-  // Bracket the target: rate decreases monotonically as the bound grows.
-  double lo = eb, hi = eb;  // bytes(lo) >= target >= bytes(hi)
-  if (static_cast<double>(best_bytes.size()) > target_bytes) {
-    while (hi < eb_max) {
-      hi = std::min(hi * 4.0, eb_max);
-      BlockInfo bi;
-      auto bytes = encode(hi, &bi);
-      const bool done = static_cast<double>(bytes.size()) <= target_bytes;
-      consider(hi, std::move(bytes), bi);
-      if (done) break;
-      lo = hi;  // still over target: the bracket floor moves up with it
-    }
-  } else {
-    while (lo > eb_min) {
-      lo = std::max(lo / 4.0, eb_min);
-      BlockInfo bi;
-      auto bytes = encode(lo, &bi);
-      const bool done = static_cast<double>(bytes.size()) >= target_bytes;
-      consider(lo, std::move(bytes), bi);
-      if (done) break;
-      hi = lo;  // still under target: the bracket ceiling moves down
-    }
-  }
-
-  // Geometric bisection inside the bracket; keep the closest encode seen.
-  for (int iter = 0; iter < 14 && hi / lo > 1.0 + 1e-3; ++iter) {
-    const double mid = std::sqrt(lo * hi);
-    BlockInfo bi;
-    auto bytes = encode(mid, &bi);
-    const bool over = static_cast<double>(bytes.size()) > target_bytes;
-    consider(mid, std::move(bytes), bi);
-    if (over)
-      lo = mid;
-    else
-      hi = mid;
-  }
-
-  if (info) *info = best_info;
-  std::copy(best_recon.begin(), best_recon.end(), recon.begin());
-  return best_bytes;
-}
-
 /// Per-block budget accounting: every value must be covered exactly once,
 /// and the per-block SSE budgets must sum back to the serial model
 /// N * eb^2 / 3 — i.e. blocking spent exactly the global budget, no more.
@@ -542,9 +648,9 @@ CompressResult account_blocks(const BlockPlan& plan, std::span<const T> values,
   if (covered != values.size())
     throw std::logic_error("block pipeline: blocks do not cover the field");
   if (plan.per_block_bounds()) {
-    // No global error budget to enforce: each block chose its own bound
-    // (to land on the rate target, or eps * |x| per value), so the only
-    // honest PSNR is the measured one from the per-block SSE column.
+    // No global error budget to enforce: every value is coded at
+    // eps * |x|, so the only honest PSNR is the measured one from the
+    // per-block SSE column.
     out.predicted_psnr_db = std::numeric_limits<double>::quiet_NaN();
     // vr == 0 follows metrics::compare's convention: +inf only when the
     // reconstruction is exact.
@@ -568,7 +674,9 @@ CompressResult account_blocks(const BlockPlan& plan, std::span<const T> values,
     throw std::logic_error("block pipeline: per-block budgets exceed the "
                            "global error budget");
 
-  out.predicted_psnr_db = plan.vr > 0.0
+  // An infinite range (Inf samples, which fixed rate codes) predicts
+  // +inf, like a constant field.
+  out.predicted_psnr_db = plan.vr > 0.0 && std::isfinite(plan.vr)
                               ? psnr_for_abs_bound(plan.eb_abs, plan.vr)
                               : std::numeric_limits<double>::infinity();
   out.achieved_psnr_db =
@@ -597,8 +705,8 @@ void set_size_info(CompressResult& out, std::size_t raw_bytes,
 /// All job state behind the pimpl. Exactly one of `mem` / `file` is
 /// engaged, chosen by which constructor ran. `remaining` is the only
 /// cross-thread coordination run_block needs: the writers do their own
-/// locking, block_infos slots are per-index, and the plan is immutable
-/// after construction.
+/// locking, block_infos and plan.encoded slots are per-index, and the rest
+/// of the plan is immutable after construction.
 template <typename T>
 struct FieldCompressor<T>::Impl {
   std::span<const T> values;
@@ -614,11 +722,18 @@ struct FieldCompressor<T>::Impl {
   bool finalized = false;
 
   Impl(std::span<const T> v, const data::Dims& d, const ControlRequest& r,
-       const CompressOptions& options)
-      : values(v), dims(d), request(r),
-        plan(plan_blocks(v, d, r, options)),
+       const CompressOptions& options, std::span<T> reconstruction = {})
+      : values(v), recon(checked_recon(v, reconstruction)), dims(d),
+        request(r), plan(plan_blocks(v, d, r, options, recon.empty())),
         block_infos(plan.layout.block_count),
         remaining(plan.layout.block_count) {}
+
+  static std::span<T> checked_recon(std::span<const T> v, std::span<T> r) {
+    if (!r.empty() && r.size() != v.size())
+      throw std::invalid_argument(
+          "block pipeline: reconstruction buffer does not match the field");
+    return r;
+  }
 };
 
 template <typename T>
@@ -627,11 +742,8 @@ FieldCompressor<T>::FieldCompressor(std::span<const T> values,
                                     const ControlRequest& request,
                                     const CompressOptions& options,
                                     std::span<T> reconstruction)
-    : impl_(std::make_unique<Impl>(values, dims, request, options)) {
-  if (!reconstruction.empty() && reconstruction.size() != values.size())
-    throw std::invalid_argument(
-        "block pipeline: reconstruction buffer does not match the field");
-  impl_->recon = reconstruction;
+    : impl_(std::make_unique<Impl>(values, dims, request, options,
+                                   reconstruction)) {
   impl_->mem.emplace(impl_->plan.header);
 }
 
@@ -671,70 +783,17 @@ bool FieldCompressor<T>::run_block(std::size_t b) {
   const BlockPlan& plan = im.plan;
   if (b >= plan.layout.block_count)
     throw std::out_of_range("block pipeline: run_block index out of range");
-  const TileRegion region = tile_region(plan.layout, im.dims, b);
-  const data::Dims tile_dims = region_dims(region, im.dims.rank());
-  // Slab-shaped tiles (the only geometry v1/v2 had) are contiguous runs of
-  // the field buffer and are borrowed in place; true multi-axis tiles are
-  // gathered into a scratch copy the codec sees as a dense C-order field.
-  // The block's reconstruction, when the caller wants one, goes straight
-  // into its slab of the caller's buffer or, for a gathered tile, into a
-  // scratch copy scattered back below.
-  std::vector<T> gathered, tile_recon;
-  std::span<const T> slice;
-  std::span<T> recon;
-  if (region_contiguous(region, im.dims)) {
-    const std::size_t offset = region.start[0] * plan.layout.row_stride;
-    slice = im.values.subspan(offset, region.count);
-    if (!im.recon.empty()) recon = im.recon.subspan(offset, region.count);
-  } else {
-    gathered.resize(region.count);
-    gather_tile(im.values, im.dims, region, std::span<T>(gathered));
-    slice = gathered;
-    if (!im.recon.empty()) {
-      tile_recon.resize(region.count);
-      recon = tile_recon;
-    }
-  }
-  std::vector<std::uint8_t> bytes;
-  if (plan.rate_mode) {
-    bytes = rate_search_block(plan, slice, tile_dims, &im.block_infos[b],
-                              recon);
-  } else {
-    BlockParams bp = plan.bp;
-    bp.eb_abs = plan.block_eb[b];
-    bytes = plan.codec->compress(slice, tile_dims, bp, &im.block_infos[b],
-                                 recon);
-  }
-  // A block whose primary encoding is no smaller than the raw passthrough
-  // is demoted to the store codec — the decision depends only on the data,
-  // so output bytes stay schedule- and thread-count independent.
-  if (plan.codec_id != kCodecStore &&
-      bytes.size() >= store_encoded_size(slice.size(), sizeof(T))) {
-    im.block_infos[b] = BlockInfo{};
-    // The store stand-in must account the block's OWN bound (adaptive
-    // plans tighten/widen per block; rate mode records 0) or the
-    // sse_budget sum drifts from the plan the accounting validates.
-    BlockParams store_bp = plan.bp;
-    store_bp.eb_abs = plan.block_eb[b];
-    bytes = CodecRegistry::instance().at(kCodecStore).compress(
-        slice, tile_dims, store_bp, &im.block_infos[b], recon);
-  }
-  if (!tile_recon.empty())
-    scatter_tile(std::span<const T>(tile_recon), im.dims, region, im.recon);
-  // Non-finite samples poison the block's SSE (NaN - NaN = NaN even when
-  // the sample was stored as an exact outlier), and the container's SSE
-  // column is finite by contract. Record 0 for such a block: pointwise
-  // codecs really did reproduce the poisoned samples exactly, and any
-  // aggregate distortion metric over a non-finite field is meaningless
-  // regardless of what we record.
-  if (!std::isfinite(im.block_infos[b].achieved_sse))
-    im.block_infos[b].achieved_sse = 0.0;
+  EncodedBlock block =
+      plan.encoded.empty()
+          ? encode_block(plan, im.values, im.dims, b, plan.block_eb[b], im.recon)
+          : std::move(im.plan.encoded[b]);
+  im.block_infos[b] = block.info;
   // The writers reject duplicate indices, so a double-run can never reach
   // the counter and mis-report completion.
   if (im.mem)
-    im.mem->add_block(b, std::move(bytes), im.block_infos[b].achieved_sse);
+    im.mem->add_block(b, std::move(block.bytes), block.info.achieved_sse);
   else
-    im.file->add_block(b, std::move(bytes), im.block_infos[b].achieved_sse);
+    im.file->add_block(b, std::move(block.bytes), block.info.achieved_sse);
   return im.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
 }
 

@@ -29,10 +29,12 @@
 // rate curve share it as uniformly wider bins, so their bits shrink
 // log-linearly at the same global PSNR target. The engine still
 // cross-checks the aggregate against the uniform-plan budget.
-// FixedRate and PointwiseRelative have no global budget: each block
-// searches its own bound (rate) or codes every value at |err| <= eps*|x|
-// in the sz codec's log2 domain (pointwise-relative), and the header
-// records eb_abs = 0.
+// FixedRate is the uniform plan's dual: the plan searches the one eb_abs
+// whose payload fits the requested bits/value (sample tiles seed a secant
+// in log2(eb) that finishes on the measured full-field payload), then
+// codes every block at it as above. PointwiseRelative has no global
+// budget: every value is coded at |err| <= eps*|x| in the sz codec's log2
+// domain, and the header records eb_abs = 0.
 //
 // Every block's exact achieved SSE is measured at compress time and stored
 // in the FPBK v2 index column, so readers report the *measured* global
@@ -102,7 +104,8 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream);
 /// Resumable per-field compression job — the pipeline decomposed into its
 /// three phases so callers can schedule the middle one themselves:
 ///
-///   plan      the constructor resolves the budget, block layout, adaptive
+///   plan      the constructor resolves the budget (FixedRate: by coding
+///             the field in its bound search), block layout, adaptive
 ///             split, and container header (all data-dependent only, never
 ///             thread-dependent), and opens the output writer;
 ///   enqueue   run_block(b) compresses block b and hands it to the writer —
@@ -173,13 +176,14 @@ class FieldCompressor {
 
 /// Compress one field — the library's only write path. Supports every
 /// uniform-budget control mode (FixedPsnr / Absolute / ValueRangeRelative
-/// / FixedNrmse), FixedRate (each block bisects its own bound toward the
-/// requested bits/value, seeded by a zfpr-style width census — the
-/// searches run per block, so they parallelize like any other block
-/// work), and PointwiseRelative (sz-lorenzo only: every tile is coded in
-/// the codec's log2-domain mode at the same eps; other codecs throw
-/// std::invalid_argument). A non-empty `reconstruction` receives the
-/// decoded field, bit for bit, as FieldCompressor describes.
+/// / FixedNrmse), FixedRate (the plan searches one bound for the field
+/// whose payload fits the requested bits/value, spreading its encodes
+/// over `threads` like block work; the archive takes the search's encode
+/// at that bound rather than coding the field again), and PointwiseRelative
+/// (sz-lorenzo only: every tile is coded in the codec's log2-domain mode
+/// at the same eps; other codecs throw std::invalid_argument). A non-empty
+/// `reconstruction` receives the decoded field, bit for bit, as
+/// FieldCompressor describes.
 template <typename T>
 CompressResult compress_blocked(std::span<const T> values,
                                 const data::Dims& dims,

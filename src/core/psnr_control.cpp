@@ -67,8 +67,8 @@ ResolvedControl resolve_control(const ControlRequest& request) {
     }
     case ControlMode::FixedRate:
       throw std::invalid_argument(
-          "resolve_control: fixed-rate has no closed form; use "
-          "core::search_rate (search_baseline.h)");
+          "resolve_control: fixed-rate has no closed form; the block "
+          "pipeline searches its bound");
   }
   throw std::invalid_argument("resolve_control: unknown mode");
 }

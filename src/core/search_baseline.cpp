@@ -91,59 +91,11 @@ SearchResult search_fixed_psnr(std::span<const T> values, const data::Dims& dims
   return sr;
 }
 
-template <typename T>
-RateSearchResult search_fixed_rate(std::span<const T> values, const data::Dims& dims,
-                                   double target_bits_per_value,
-                                   const RateSearchOptions& options) {
-  RateSearchResult rr;
-  double lo = 1e-12;  // tight bound => high rate
-  double hi = 0.5;    // loose bound => low rate
-
-  auto probe = [&](double rel_bound, CompressResult* out) {
-    CompressResult r = compress_blocked(
-        values, dims, ControlRequest::relative(rel_bound), options.compress);
-    const double rate = r.info.bit_rate;
-    if (out) *out = std::move(r);
-    ++rr.compression_passes;
-    return rate;
-  };
-
-  CompressResult best;
-  double best_rate = probe(hi, &best);
-  double best_gap = std::abs(best_rate - target_bits_per_value);
-  while (rr.compression_passes < options.max_iterations &&
-         best_gap > options.tolerance_bits) {
-    const double mid = std::sqrt(lo * hi);
-    CompressResult mid_res;
-    const double rate = probe(mid, &mid_res);
-    const double gap = std::abs(rate - target_bits_per_value);
-    if (gap < best_gap) {
-      best_gap = gap;
-      best_rate = rate;
-      best = std::move(mid_res);
-    }
-    if (rate > target_bits_per_value)
-      lo = mid;  // too many bits; loosen the bound
-    else
-      hi = mid;
-  }
-  rr.result = std::move(best);
-  rr.achieved_bits_per_value = best_rate;
-  rr.converged = best_gap <= options.tolerance_bits;
-  return rr;
-}
-
 template SearchResult search_fixed_psnr<float>(std::span<const float>,
                                                const data::Dims&, double,
                                                const SearchOptions&);
 template SearchResult search_fixed_psnr<double>(std::span<const double>,
                                                 const data::Dims&, double,
                                                 const SearchOptions&);
-template RateSearchResult search_fixed_rate<float>(std::span<const float>,
-                                                   const data::Dims&, double,
-                                                   const RateSearchOptions&);
-template RateSearchResult search_fixed_rate<double>(std::span<const double>,
-                                                    const data::Dims&, double,
-                                                    const RateSearchOptions&);
 
 }  // namespace fpsnr::core

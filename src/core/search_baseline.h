@@ -8,12 +8,9 @@
 // The overhead benchmark contrasts its k full passes against the
 // fixed-PSNR mode's single pass.
 //
-// Also hosts the original fixed-rate extension (whole-field bisection on
-// achieved bit rate). Fixed rate is now a first-class pipeline mode —
-// Target::FixedRate / ControlRequest::fixed_rate run a parallel per-block
-// bisection seeded by a closed-form width census (core/pipeline.h) — so
-// search_fixed_rate remains only as the k-full-passes baseline the
-// overhead benchmark contrasts against.
+// Fixed rate has no baseline here: it is a pipeline mode
+// (ControlRequest::fixed_rate), whose plan step searches one bound for the
+// whole field (core/pipeline.h).
 #pragma once
 
 #include <cstddef>
@@ -44,38 +41,11 @@ SearchResult search_fixed_psnr(std::span<const T> values, const data::Dims& dims
                                double target_psnr_db,
                                const SearchOptions& options = {});
 
-struct RateSearchOptions {
-  double tolerance_bits = 0.25;  ///< acceptance window on bits/value
-  std::size_t max_iterations = 40;
-  CompressOptions compress = {};
-};
-
-struct RateSearchResult {
-  CompressResult result;
-  double achieved_bits_per_value = 0.0;
-  std::size_t compression_passes = 0;
-  bool converged = false;
-};
-
-/// Fixed-rate extension: bisection on the relative bound so the compressed
-/// stream hits a target bit rate. Rate decreases monotonically as the
-/// bound grows, which makes bisection sound.
-template <typename T>
-RateSearchResult search_fixed_rate(std::span<const T> values, const data::Dims& dims,
-                                   double target_bits_per_value,
-                                   const RateSearchOptions& options = {});
-
 extern template SearchResult search_fixed_psnr<float>(std::span<const float>,
                                                       const data::Dims&, double,
                                                       const SearchOptions&);
 extern template SearchResult search_fixed_psnr<double>(std::span<const double>,
                                                        const data::Dims&, double,
                                                        const SearchOptions&);
-extern template RateSearchResult search_fixed_rate<float>(std::span<const float>,
-                                                          const data::Dims&, double,
-                                                          const RateSearchOptions&);
-extern template RateSearchResult search_fixed_rate<double>(std::span<const double>,
-                                                           const data::Dims&, double,
-                                                           const RateSearchOptions&);
 
 }  // namespace fpsnr::core

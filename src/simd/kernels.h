@@ -75,10 +75,8 @@ struct KernelTable {
   // (returns kZfprEscape; zz/recon contents are then unspecified).
   // Otherwise k = llround(t), recon[j] = double(k)*bin,
   // zz[j] = zigzag(k); returns bit_width(max zz) (0 if all zero).
-  // zfpr_census_group is the encode-free variant used by the rate seed.
   unsigned (*zfpr_quant_group)(const double* c, std::size_t n, double bin,
                                std::uint64_t* zz, double* recon);
-  unsigned (*zfpr_census_group)(const double* c, std::size_t n, double bin);
 
   // --- Huffman pack (src/huffman/huffman.cpp) ----------------------------
   // entries[s - base] = reversed_code(s) | uint64(code_length(s)) << 32,

@@ -206,35 +206,6 @@ unsigned zfpr_quant_group_avx2(const double* c, std::size_t n, double bin,
   return all == 0 ? 0u : static_cast<unsigned>(std::bit_width(all));
 }
 
-unsigned zfpr_census_group_avx2(const double* c, std::size_t n, double bin) {
-  const __m256d vbin = _mm256_set1_pd(bin);
-  const __m256d vlim = _mm256_set1_pd(kZfprMaxIndexMagnitude);
-  const __m256d vdom = _mm256_set1_pd(kRoundDomain);
-  __m256i or_zz = _mm256_setzero_si256();
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256d t = _mm256_div_pd(_mm256_loadu_pd(c + j), vbin);
-    const __m256d at = abs_pd(t);
-    if (_mm256_movemask_pd(_mm256_cmp_pd(at, vlim, _CMP_LT_OQ)) != 0xF)
-      return kZfprEscape;
-    if (_mm256_movemask_pd(_mm256_cmp_pd(at, vdom, _CMP_LT_OQ)) != 0xF)
-      return zfpr_census_group_ref(c, n, bin);
-    const Rounded4 rv = round_half_away(t);
-    const __m256i sgn = _mm256_cmpgt_epi64(_mm256_setzero_si256(), rv.k);
-    or_zz = _mm256_or_si256(
-        or_zz, _mm256_xor_si256(_mm256_slli_epi64(rv.k, 1), sgn));
-  }
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), or_zz);
-  std::uint64_t all = (lanes[0] | lanes[1]) | (lanes[2] | lanes[3]);
-  for (; j < n; ++j) {
-    const double v = c[j];
-    if (!(std::abs(v) / bin < kZfprMaxIndexMagnitude)) return kZfprEscape;
-    all |= zigzag_encode_ref(std::llround(v / bin));
-  }
-  return all == 0 ? 0u : static_cast<unsigned>(std::bit_width(all));
-}
-
 // --- Lorenzo predict + quantize -------------------------------------------
 
 /// Lane l gets lane l-1's value; lane 0 gets s.
@@ -480,7 +451,6 @@ const KernelTable* avx2_kernel_table() {
       &dct2_line_avx2,
       &dct3_line_avx2,
       &zfpr_quant_group_avx2,
-      &zfpr_census_group_avx2,
       &huffman_pack_ref,
       &lorenzo2_quant_avx2<float>,
       &lorenzo2_quant_avx2<double>,

@@ -136,28 +136,6 @@ unsigned zfpr_quant_group_neon(const double* c, std::size_t n, double bin,
   return all == 0 ? 0u : static_cast<unsigned>(std::bit_width(all));
 }
 
-unsigned zfpr_census_group_neon(const double* c, std::size_t n, double bin) {
-  const float64x2_t vbin = vdupq_n_f64(bin);
-  const float64x2_t vlim = vdupq_n_f64(kZfprMaxIndexMagnitude);
-  uint64x2_t or_zz = vdupq_n_u64(0);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const float64x2_t t = vdivq_f64(vld1q_f64(c + j), vbin);
-    if (!both_lanes(vcltq_f64(vabsq_f64(t), vlim))) return kZfprEscape;
-    const int64x2_t k = vcvtaq_s64_f64(t);
-    or_zz = vorrq_u64(or_zz,
-                      veorq_u64(vreinterpretq_u64_s64(vshlq_n_s64(k, 1)),
-                                vreinterpretq_u64_s64(vshrq_n_s64(k, 63))));
-  }
-  std::uint64_t all = vgetq_lane_u64(or_zz, 0) | vgetq_lane_u64(or_zz, 1);
-  for (; j < n; ++j) {
-    const double v = c[j];
-    if (!(std::abs(v) / bin < kZfprMaxIndexMagnitude)) return kZfprEscape;
-    all |= zigzag_encode_ref(std::llround(v / bin));
-  }
-  return all == 0 ? 0u : static_cast<unsigned>(std::bit_width(all));
-}
-
 // --- SSE accumulators ------------------------------------------------------
 // Two float64x2 accumulators reproduce the defined virtual-4-lane order:
 // acc01 holds lanes 0,1 and acc23 lanes 2,3; folded (a0+a1)+(a2+a3).
@@ -240,7 +218,6 @@ const KernelTable* neon_kernel_table() {
       &dct2_line_neon,
       &dct3_line_neon,
       &zfpr_quant_group_neon,
-      &zfpr_census_group_neon,
       &huffman_pack_ref,
       &lorenzo2_quant_ref<float>,
       &lorenzo2_quant_ref<double>,

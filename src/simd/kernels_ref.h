@@ -90,18 +90,6 @@ inline unsigned zfpr_quant_group_ref(const double* c, std::size_t n,
   return max_zz == 0 ? 0u : static_cast<unsigned>(std::bit_width(max_zz));
 }
 
-inline unsigned zfpr_census_group_ref(const double* c, std::size_t n,
-                                      double bin) {
-  std::uint64_t max_zz = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double v = c[j];
-    if (!(std::abs(v) / bin < kZfprMaxIndexMagnitude)) return kZfprEscape;
-    const std::uint64_t z = zigzag_encode_ref(std::llround(v / bin));
-    max_zz = max_zz < z ? z : max_zz;
-  }
-  return max_zz == 0 ? 0u : static_cast<unsigned>(std::bit_width(max_zz));
-}
-
 // --- Huffman pack ----------------------------------------------------------
 
 inline std::size_t huffman_pack_ref(const std::uint32_t* syms, std::size_t n,

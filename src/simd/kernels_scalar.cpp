@@ -14,7 +14,6 @@ const KernelTable& scalar_kernel_table() {
       &dct2_line_ref,
       &dct3_line_ref,
       &zfpr_quant_group_ref,
-      &zfpr_census_group_ref,
       &huffman_pack_ref,
       &lorenzo2_quant_ref<float>,
       &lorenzo2_quant_ref<double>,

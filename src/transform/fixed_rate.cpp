@@ -215,36 +215,6 @@ Decompressed<T> fixed_rate_decompress(std::span<const std::uint8_t> stream) {
   return {header.dims, std::move(out)};
 }
 
-template <typename T>
-double fixed_rate_bits_estimate(std::span<const T> values,
-                                const data::Dims& dims,
-                                const FixedRateParams& params) {
-  if (values.size() != dims.count())
-    throw std::invalid_argument("fpzr: value count does not match dims");
-  if (!(params.eb_abs > 0.0) || !std::isfinite(params.eb_abs))
-    throw std::invalid_argument("fpzr: error bound must be positive and finite");
-  if (params.group < 1 || params.group > kMaxGroup)
-    throw std::invalid_argument("fpzr: group size out of 1..4096");
-  if (params.dct_block < 2 || params.dct_block > kMaxDctBlock)
-    throw std::invalid_argument("fpzr: DCT block out of 2..4096");
-  if (values.empty()) return 0.0;
-
-  simd::aligned_vector<double> coeffs(values.begin(), values.end());
-  dct_forward(coeffs, dims, params.dct_block);
-
-  const double bin = 2.0 * params.eb_abs;
-  const std::size_t n = coeffs.size();
-  const simd::KernelTable& kt = simd::kernels();
-  double total_bits = 0.0;
-  for (std::size_t g0 = 0; g0 < n; g0 += params.group) {
-    const std::size_t gn = std::min(params.group, n - g0);
-    const unsigned census = kt.zfpr_census_group(coeffs.data() + g0, gn, bin);
-    const unsigned width = census == kEscapeWidth ? 64u : census;
-    total_bits += 8.0 + static_cast<double>(width) * static_cast<double>(gn);
-  }
-  return total_bits / static_cast<double>(n);
-}
-
 template std::vector<std::uint8_t> fixed_rate_compress<float>(
     std::span<const float>, const data::Dims&, const FixedRateParams&,
     FixedRateInfo*, std::span<float>);
@@ -255,11 +225,5 @@ template Decompressed<float> fixed_rate_decompress<float>(
     std::span<const std::uint8_t>);
 template Decompressed<double> fixed_rate_decompress<double>(
     std::span<const std::uint8_t>);
-template double fixed_rate_bits_estimate<float>(std::span<const float>,
-                                                const data::Dims&,
-                                                const FixedRateParams&);
-template double fixed_rate_bits_estimate<double>(std::span<const double>,
-                                                 const data::Dims&,
-                                                 const FixedRateParams&);
 
 }  // namespace fpsnr::transform

@@ -51,17 +51,6 @@ Decompressed<T> fixed_rate_decompress(std::span<const std::uint8_t> stream);
 /// True if `stream` starts with the fixed-rate-codec magic "FPZR".
 bool is_fixed_rate_stream(std::span<const std::uint8_t> stream);
 
-/// Closed-form bits/value estimate at `params.eb_abs` from the per-group
-/// width bytes alone: one forward DCT plus a max-|index| scan per group —
-/// no bit packing, no entropy stage. Because every halving of eb_abs widens
-/// each group by ~1 bit, rate(eb) ~= estimate(eb0) + log2(eb0/eb), which
-/// the core pipeline inverts to seed its per-block fixed-rate bisection
-/// (for any codec — the DCT width census is a good decorrelation proxy).
-template <typename T>
-double fixed_rate_bits_estimate(std::span<const T> values,
-                                const data::Dims& dims,
-                                const FixedRateParams& params);
-
 extern template std::vector<std::uint8_t> fixed_rate_compress<float>(
     std::span<const float>, const data::Dims&, const FixedRateParams&,
     FixedRateInfo*, std::span<float>);
@@ -72,9 +61,5 @@ extern template Decompressed<float> fixed_rate_decompress<float>(
     std::span<const std::uint8_t>);
 extern template Decompressed<double> fixed_rate_decompress<double>(
     std::span<const std::uint8_t>);
-extern template double fixed_rate_bits_estimate<float>(
-    std::span<const float>, const data::Dims&, const FixedRateParams&);
-extern template double fixed_rate_bits_estimate<double>(
-    std::span<const double>, const data::Dims&, const FixedRateParams&);
 
 }  // namespace fpsnr::transform

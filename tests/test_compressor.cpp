@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "core/distortion_model.h"
 #include "core/pipeline.h"
 #include "data/synth.h"
 #include "metrics/metrics.h"
@@ -132,14 +133,21 @@ TEST(Compressor, TransformEngineRejectsPointwise) {
                std::invalid_argument);
 }
 
-TEST(Compressor, FixedRateSearchesPerBlock) {
-  // FixedRate runs the block pipeline's per-block rate bisection.
+TEST(Compressor, FixedRateResolvesOneBound) {
+  // FixedRate resolves to one bound for the field in the plan, so the
+  // report carries that bound and Eq. 7's prediction of it, as FixedPsnr's
+  // does.
   const data::Dims dims{64, 64};
   const auto values = sample_field(dims, 8);
   const auto r = core::compress_blocked<float>(
       values, dims, core::ControlRequest::fixed_rate(8.0));
   EXPECT_TRUE(core::is_block_stream(r.stream));
-  EXPECT_TRUE(std::isnan(r.predicted_psnr_db));  // no closed-form prediction
+  EXPECT_GT(r.info.eb_abs_used, 0.0);
+  EXPECT_DOUBLE_EQ(r.predicted_psnr_db,
+                   core::psnr_for_abs_bound(r.info.eb_abs_used,
+                                            r.info.value_range));
+  EXPECT_DOUBLE_EQ(r.rel_bound_used,
+                   r.info.eb_abs_used / r.info.value_range);
   const auto d = core::decompress<float>(r.stream);
   EXPECT_EQ(d.values.size(), values.size());
   // Invalid budgets are still rejected.

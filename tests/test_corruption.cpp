@@ -593,9 +593,9 @@ TEST(Corruption, EveryTemporalFrameTruncationFailsCleanly) {
 
 TEST(Corruption, UnknownCodecIdIsAStreamErrorOnEveryDecodePath) {
   // Header byte 5 names the block codec. An id no codec is registered
-  // under is a malformed stream: every decode path must fail with a
-  // StreamError that names the id, not the registry's untyped lookup
-  // error.
+  // under is a malformed stream: every decode path, and inspect, must fail
+  // with a StreamError that names the id, not the registry's untyped
+  // lookup error.
   constexpr std::uint8_t kUnused = 200;
   ASSERT_EQ(core::CodecRegistry::instance().find(kUnused), nullptr);
   const auto path = fs::temp_directory_path() / "fpsnr-test-unknown-codec.fpbk";
@@ -626,6 +626,12 @@ TEST(Corruption, UnknownCodecIdIsAStreamErrorOnEveryDecodePath) {
 
     expect_unknown_codec([&] {
       (void)fpsnr::Session().decompress(fpsnr::Source::memory(
+          std::span<const std::uint8_t>(bytes)));
+    });
+    // Inspect parses no payload, but naming a codec it cannot resolve is
+    // the same malformed header.
+    expect_unknown_codec([&] {
+      (void)fpsnr::Session().inspect(fpsnr::Source::memory(
           std::span<const std::uint8_t>(bytes)));
     });
     expect_unknown_codec(

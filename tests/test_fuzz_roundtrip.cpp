@@ -338,7 +338,7 @@ TEST(FuzzRoundTrip, DoubleScalarSweep) {
 }
 
 TEST(FuzzRoundTrip, FixedRateSweep) {
-  // The per-block rate search is data-driven iteration — the property most
+  // The plan's rate search is data-driven iteration — the property most
   // worth fuzzing is that it stays deterministic across thread counts and
   // emits decodable archives for awkward shapes and content classes.
   std::mt19937_64 rng(kSeed ^ 0xF1CED);

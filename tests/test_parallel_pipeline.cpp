@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -329,10 +330,11 @@ TEST(ParallelPipeline, PointwiseRelNeedsTheSzCodec) {
         << "eps " << eps;
 }
 
-TEST(ParallelPipeline, FixedRateSearchesPerBlockAndStaysDeterministic) {
-  // Fixed-rate is pipeline-native now: each block bisects its own bound to
-  // the byte budget, the header records the fixed-rate control byte, and
-  // the archive bytes stay thread-count independent like every other mode.
+TEST(ParallelPipeline, FixedRateResolvesOneBoundAndStaysDeterministic) {
+  // Fixed rate is the fixed-PSNR plan's dual: the plan searches one bound
+  // for the field, the header records it, every block is coded at it
+  // exactly as a uniform absolute request would code it, and the archive
+  // bytes stay thread-count independent like every other mode.
   const data::Dims dims{96, 40};
   const auto values = sample_field(dims, 21);
   const double bits = 7.0;
@@ -348,17 +350,45 @@ TEST(ParallelPipeline, FixedRateSearchesPerBlockAndStaysDeterministic) {
   const auto info = core::inspect_block_stream(one.stream);
   EXPECT_EQ(info.control_mode, core::ControlMode::FixedRate);
   EXPECT_DOUBLE_EQ(info.control_value, bits);
-  EXPECT_EQ(info.eb_abs, 0.0);
+  EXPECT_GT(info.eb_abs, 0.0);
+  EXPECT_EQ(info.eb_abs, one.info.eb_abs_used);
+  const auto uniform = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::absolute(info.eb_abs), opts);
+  const auto rate_view = io::open_block_container(one.stream);
+  const auto uniform_view = io::open_block_container(uniform.stream);
+  ASSERT_EQ(rate_view.blocks.size(), uniform_view.blocks.size());
+  std::size_t payload = 0;
+  for (std::size_t b = 0; b < rate_view.blocks.size(); ++b) {
+    EXPECT_TRUE(std::ranges::equal(rate_view.blocks[b],
+                                   uniform_view.blocks[b]))
+        << "block " << b;
+    payload += rate_view.blocks[b].size();
+  }
 
-  // The rate lands near the budget (the search targets payload bytes
-  // within ±5%; header + index add ~0.6 bits/value on this small field).
-  EXPECT_NEAR(one.info.bit_rate, bits, 0.05 * bits + 0.7);
+  // The payload fits the budget, within 5% of it.
+  const double budget = bits * static_cast<double>(values.size()) / 8.0;
+  EXPECT_LE(static_cast<double>(payload), budget);
+  EXPECT_GE(static_cast<double>(payload), 0.95 * budget);
   const auto d = core::decompress_blocked<float>(one.stream, 2);
   EXPECT_EQ(d.values.size(), values.size());
-  // Random access works off the self-describing per-block streams even
-  // though the header's eb_abs is 0 in rate mode.
   const auto block = core::decompress_block<float>(one.stream, 1);
   EXPECT_EQ(block.dims[0], 16u);
+}
+
+TEST(ParallelPipeline, FixedRateBytesIgnoreKeysTheCodecDoesNotRead) {
+  // sz-lorenzo does not read dct_block, so no value of it may move its
+  // archive, fixed rate's bound search included.
+  const data::Dims dims{120, 90};
+  const auto values = sample_field(dims, 23);
+  auto opts = pipeline_options(2);
+  opts.parallel.tile = {16, 16};
+  opts.dct_block = 4;
+  const auto four = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_rate(4.0), opts);
+  opts.dct_block = 8;
+  const auto eight = core::compress_blocked<float>(
+      values, dims, core::ControlRequest::fixed_rate(4.0), opts);
+  EXPECT_EQ(four.stream, eight.stream);
 }
 
 TEST(ParallelPipeline, InvalidRequestsRejected) {

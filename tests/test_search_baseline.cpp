@@ -71,15 +71,17 @@ TEST(SearchBaseline, PassBudgetRespected) {
 }
 
 TEST(FixedRate, HitsRequestedBitRate) {
+  // Fixed rate is a pipeline mode: one pass of the block pipeline, whose
+  // plan searches the bound, lands the archive (header and index
+  // included) within 0.5 bits/value of the request.
   const data::Dims dims{64, 64};
   const auto values = sample_field(dims, 5);
-  core::RateSearchOptions opts;
-  opts.tolerance_bits = 0.5;
   for (double target_rate : {4.0, 8.0}) {
-    const auto rr = core::search_fixed_rate<float>(values, dims, target_rate, opts);
-    EXPECT_TRUE(rr.converged) << target_rate;
-    EXPECT_NEAR(rr.achieved_bits_per_value, target_rate, 0.5) << target_rate;
-    EXPECT_NEAR(rr.result.info.bit_rate, rr.achieved_bits_per_value, 1e-9);
+    const auto r = core::compress_blocked<float>(
+        values, dims, core::ControlRequest::fixed_rate(target_rate));
+    EXPECT_NEAR(r.info.bit_rate, target_rate, 0.5) << target_rate;
+    EXPECT_NEAR(r.info.bit_rate, 8.0 * r.stream.size() / values.size(),
+                1e-9);
   }
 }
 
