@@ -1,12 +1,12 @@
 // Streaming I/O walkthrough through the Session facade: compress a field
-// straight to disk as blocks finish (Sink::stream), then read it back from
+// straight to disk as blocks finish (Sink::file), then read it back from
 // the file — including pulling one block out of the middle of the archive
 // without touching the rest (file sources are memory-mapped).
 //
 // The point to notice in the output: the reorder buffer's high-water mark
 // (the only payload bytes ever held in RAM on the write side) is a small
 // fraction of the container, and it is the SAME archive byte-for-byte that
-// Sink::memory()/Sink::file() would have produced.
+// Sink::memory() would have produced.
 //
 //   $ ./example_streaming_pipeline [target_db]
 #include <cstdio>
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   // Write side: blocks spill to disk the moment their worker finishes.
   const auto report = session.compress(
       fpsnr::Source::memory(std::span<const float>(values), dims.extents),
-      fpsnr::FixedPsnr{target_db}, fpsnr::Sink::stream(path));
+      fpsnr::FixedPsnr{target_db}, fpsnr::Sink::file(path));
   std::printf("streamed %zu values -> %zu bytes on disk (ratio %.2f)\n",
               values.size(), report.compressed_bytes,
               report.compression_ratio);

@@ -13,9 +13,9 @@
 // issues run on at most `threads` executors: the calling thread plus
 // helper threads the work queue lends it), the engine selection, and the
 // per-engine tuning. compress/decompress/inspect accept any Source/Sink
-// combination — in-memory, whole-file, raw-file, streaming spill,
-// memory-mapped decode — through one signature, and the Target sum type
-// covers every control mode including fixed-rate.
+// combination — in-memory, raw-file, archive file (block-by-block spill
+// on compress, memory-mapped decode) — through one signature, and the
+// Target sum type covers every control mode including fixed-rate.
 //
 // The Session facade is the ONLY public entry point — the legacy core::
 // free-function shims have been removed. Archive bytes depend only on the
@@ -91,7 +91,8 @@ struct SessionOptions {
 struct CompressReport {
   /// The archive bytes — filled for Sink::memory() only.
   std::vector<std::uint8_t> archive;
-  /// Where the archive landed — file/stream sinks only.
+  /// Where the archive landed — Sink::file (and its synonym
+  /// Sink::stream) only.
   std::string archive_path;
 
   std::size_t value_count = 0;
@@ -113,7 +114,9 @@ struct CompressReport {
   /// Block layout of the emitted FPBK container.
   std::uint64_t block_count = 0;
   std::vector<std::size_t> tile;  ///< per-axis tile extents, C order
-  /// Streaming-sink reorder-buffer high-water marks (0 otherwise).
+  /// Reorder-buffer high-water marks of the file writer: the most block
+  /// bytes (and blocks) that waited for a predecessor before landing in
+  /// the file. Sink::file only; 0 for Sink::memory().
   std::size_t peak_buffered_bytes = 0;
   std::size_t peak_buffered_blocks = 0;
 };
@@ -195,7 +198,7 @@ struct BatchFieldReport {
   std::size_t compressed_bytes = 0;
   bool met_target = false;
   std::vector<std::uint8_t> archive;  ///< BatchJob::keep_archives only
-  std::string archive_path;           ///< streaming mode only
+  std::string archive_path;           ///< BatchJob::stream_dir runs only
 };
 
 struct BatchReport {

@@ -1,8 +1,8 @@
 // fpsnr public API — Source and Sink value types.
 //
 // One signature covers every I/O shape the library supports: in-memory
-// spans, raw value files, whole-archive files (memory-mapped on decode),
-// and the streaming writer that spills blocks to disk as workers finish.
+// spans, raw value files, and archive files, which compress spills block
+// by block as workers finish and decompress memory-maps.
 // A Source names where a job's input comes from; a Sink names where a
 // compression job's archive goes. Both are cheap value types — a Source
 // over memory BORROWS the span (the caller keeps it alive for the call),
@@ -107,10 +107,12 @@ class Source {
 /// Output of a compression job.
 ///
 /// memory(): the archive bytes come back in CompressReport::archive.
-/// file(path): the archive is built in memory and written whole.
-/// stream(path): blocks spill to `path` as workers finish — peak memory is
-/// the in-flight reorder buffer, and the resulting file is byte-identical
-/// to the other two sinks for the same job.
+/// file(path): blocks spill to `path + ".partial"` as workers finish, in
+/// index order, and the finished archive is renamed onto `path` — peak
+/// memory is the in-flight reorder buffer, never the whole archive, and a
+/// failed job leaves whatever was at `path` untouched. The file is
+/// byte-identical to the memory sink's archive for the same job.
+/// stream(path): a synonym for file(path), kept for existing callers.
 class Sink {
  public:
   static Sink memory() { return Sink(Kind::Memory); }
@@ -121,14 +123,10 @@ class Sink {
     return s;
   }
 
-  static Sink stream(std::string path) {
-    Sink s(Kind::Stream);
-    s.path_ = std::move(path);
-    return s;
-  }
+  static Sink stream(std::string path) { return file(std::move(path)); }
 
  private:
-  enum class Kind : std::uint8_t { Memory, File, Stream };
+  enum class Kind : std::uint8_t { Memory, File };
 
   explicit Sink(Kind kind) : kind_(kind) {}
 

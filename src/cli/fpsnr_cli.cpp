@@ -65,9 +65,9 @@ using namespace fpsnr;
       "                      missing trailing axis — spans the field, so\n"
       "                      --tile R is an axis-0 slab of R rows)\n"
       "      --block-size R  DEPRECATED alias for --tile R\n"
-      "      --stream        spill blocks to -o as workers finish (peak\n"
-      "                      memory stays O(in-flight blocks); the file is\n"
-      "                      byte-identical to the in-memory path)\n"
+      "      --stream        DEPRECATED, no effect: -o always receives\n"
+      "                      blocks as workers finish (peak memory stays\n"
+      "                      O(in-flight blocks))\n"
       "      --report-psnr   print the exact achieved PSNR of the archive\n"
       "  fpsnr_cli decompress -i IN.fpbk -o OUT.f32 [--threads N] [--block I]\n"
       "      --block I   random-access decode of block I only\n"
@@ -83,8 +83,9 @@ using namespace fpsnr;
       "          <name> <raw-f32-file> <dims>     # '#' starts a comment\n"
       "      (paths are relative to the manifest's directory)\n"
       "      --threads/--engine/--budget/--tile/--predictor pass\n"
-      "      through to every field; --stream spills each archive to disk as its blocks\n"
-      "      finish; --no-verify skips the decode check and reports the\n"
+      "      through to every field; each archive spills to disk as its\n"
+      "      blocks finish (--stream is DEPRECATED and has no effect);\n"
+      "      --no-verify skips the decode check and reports the\n"
       "      exact compress-time PSNR from the FPBK v2 SSE index instead\n"
       "  fpsnr_cli compress-series -i MANIFEST -d DIMS -o OUTDIR [-m MODE -v V]\n"
       "      temporal compression of an ordered snapshot series: each frame\n"
@@ -162,8 +163,8 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 }
 
 /// Write (or die with exit 1). An unwritable path must be an I/O *error*,
-/// not a usage error, and it must be detected on the in-memory path exactly
-/// like the streaming writer detects it: open, write, AND flush are all
+/// not a usage error, and it must be detected here exactly like the
+/// archive writer detects it: open, write, AND flush are all
 /// checked, so ENOSPC/EDQUOT surfacing only at flush time still fails the
 /// run instead of silently exiting 0 with a truncated file.
 void write_file(const std::string& path, const void* data, std::size_t bytes) {
@@ -252,7 +253,6 @@ struct Args {
   std::string tile;            ///< --tile NxMxK; empty = auto
   std::size_t block_size = 0;  ///< deprecated --block-size alias (slab)
   std::optional<std::size_t> block;  ///< random-access block index
-  bool stream = false;  ///< compress: spill blocks to disk as they finish
   bool mmap = false;    ///< decompress: map the archive instead of loading
   bool report_psnr = false;  ///< print the exact recorded PSNR
   bool no_verify = false;    ///< batch: trust the recorded SSE, skip decode
@@ -300,7 +300,16 @@ Args parse_args(int argc, char** argv, int first) {
       }
     }
     else if (flag == "--block") a.block = parse_count(flag, next());
-    else if (flag == "--stream") a.stream = true;
+    else if (flag == "--stream") {
+      // Deprecated: every file output spills as blocks finish. Accepted so
+      // existing scripts keep working; warn once.
+      static bool warned = false;
+      if (!warned) {
+        warned = true;
+        std::cerr << "warning: --stream is deprecated and has no effect; "
+                     "archives always spill to -o as blocks finish\n";
+      }
+    }
     else if (flag == "--mmap") a.mmap = true;
     else if (flag == "--report-psnr") a.report_psnr = true;
     else if (flag == "--no-verify") a.no_verify = true;
@@ -419,14 +428,13 @@ int cmd_compress(const Args& a) {
 
   const Session session = make_session(a);
   const Source source = Source::memory(field.span(), dims.extents);
-  const CompressReport report = session.compress(
-      source, target, a.stream ? Sink::stream(a.output) : Sink::file(a.output));
+  const CompressReport report =
+      session.compress(source, target, Sink::file(a.output));
 
-  if (a.stream)
-    std::cout << "streamed to " << a.output << ": peak reorder buffer "
-              << report.peak_buffered_bytes << " bytes ("
-              << report.peak_buffered_blocks << " block(s)) vs "
-              << report.compressed_bytes << " container bytes\n";
+  std::cout << "streamed to " << a.output << ": peak reorder buffer "
+            << report.peak_buffered_bytes << " bytes ("
+            << report.peak_buffered_blocks << " block(s)) vs "
+            << report.compressed_bytes << " container bytes\n";
   std::cout << "compressed " << report.value_count << " values -> "
             << report.compressed_bytes << " bytes  (ratio "
             << std::fixed << std::setprecision(2) << report.compression_ratio
@@ -653,11 +661,7 @@ int cmd_compress_batch(const Args& a) {
   BatchJob job;
   job.target = FixedPsnr{a.value};
   job.verify = !a.no_verify;
-  std::filesystem::create_directories(a.output);
-  if (a.stream)
-    job.stream_dir = a.output;  // archives land as their blocks finish
-  else
-    job.keep_archives = true;  // written below, after the batch returns
+  job.stream_dir = a.output;  // created if needed
   for (const auto& f : ds.fields)
     job.fields.push_back({f.name, Source::memory(f.span(), f.dims.extents)});
 
@@ -669,11 +673,6 @@ int cmd_compress_batch(const Args& a) {
             << std::setw(9) << "ratio" << std::setw(12) << "PSNR(dB)"
             << std::setw(6) << "met\n";
   for (const auto& f : batch.fields) {
-    if (!a.stream) {
-      const auto path =
-          (std::filesystem::path(a.output) / (f.name + ".fpbk")).string();
-      write_file(path, f.archive.data(), f.archive.size());
-    }
     raw_total += f.value_count * sizeof(float);
     compressed_total += f.compressed_bytes;
     std::cout << std::left << std::setw(14) << f.name << std::right

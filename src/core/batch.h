@@ -7,11 +7,12 @@
 // global work queue (parallel::WorkQueue): a tiny 2-D slice no longer
 // serializes the pool behind a huge 3-D volume's stragglers, and each
 // field's FPBK archive is finalized by whichever worker completes its last
-// block. Because the per-field plan and per-block bytes depend only on the
-// data and options — never on the schedule — every field's archive is
-// byte-identical to a single-field compress_blocked/compress_to_file run
-// at any thread count, and the per-field fixed-PSNR guarantee is exactly
-// the single-field one.
+// block. Each field has one io::BlockContainerWriter, on memory or on a
+// file under BatchOptions::stream_dir. Because the per-field plan and
+// per-block bytes depend only on the data and options — never on the
+// schedule — every field's archive is byte-identical to a single-field
+// compress_blocked/compress_to_file run at any thread count, and the
+// per-field fixed-PSNR guarantee is exactly the single-field one.
 //
 // DEPRECATED as public surface: external callers should use
 // fpsnr::Session::compress_batch (include/fpsnr/session.h), which wraps
@@ -81,9 +82,11 @@ struct BatchOptions {
   /// compress time (identical to the decoded measurement by construction;
   /// max_abs_error is left 0).
   bool verify = true;
-  /// When non-empty: stream every field's archive to
-  /// `<stream_dir>/<field>.fpbk` (io::StreamingArchiveWriter — peak memory
-  /// O(in-flight blocks) per field). The directory is created if needed.
+  /// When non-empty: write every field's archive to
+  /// `<stream_dir>/<field>.fpbk` through the file output of
+  /// io::BlockContainerWriter (blocks spill as their prefix completes, so
+  /// peak memory is O(in-flight blocks) per field). The directory is
+  /// created if needed.
   std::string stream_dir;
   /// Keep each field's archive bytes in FieldOutcome::stream (in-memory
   /// runs only; streaming archives live at FieldOutcome::archive_path).

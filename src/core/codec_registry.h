@@ -1,13 +1,16 @@
 // Unified per-block codec interface and the registry that names them.
 //
 // The block-parallel pipeline (core/pipeline.h) shards a field into
-// independent slabs and hands each one to a BlockCodec. Both codec families
-// — the SZ-style predictor path (src/sz) and the orthogonal-transform path
-// (src/transform) — implement the same interface: compress a slab under a
-// shared absolute error budget `eb_abs` (bin width 2*eb_abs), decompress a
-// slab into a caller-provided span. Because every block receives the same
-// budget derived from the *global* value range, the fixed-PSNR model
-// (Eq. 6/7) holds for the whole field exactly as in the serial codecs.
+// independent full-rank tiles and hands each one to a BlockCodec. Every
+// codec family — the SZ-style predictors (src/sz), the orthogonal
+// transforms (src/transform) and store — implements the same interface:
+// compress a tile under an absolute error budget `eb_abs` (bin width
+// 2*eb_abs), decompress a tile into a caller-provided span. Under the
+// uniform plan every tile receives the same budget, derived from the
+// *global* value range, so the fixed-PSNR model (Eq. 6/7) holds for the
+// whole field exactly as in a single-stream codec; the adaptive plan moves
+// budget between tiles but keeps their summed worst-case SSE within the
+// uniform plan's (core/pipeline.cpp, adaptive_budgets).
 //
 // The registry maps a one-byte wire id (stored in the FPBK container) to a
 // codec instance, so streams stay self-describing and new codecs can be

@@ -243,13 +243,15 @@ constexpr double kRateWindow = 0.05;
 /// stay on one side double, so a plateau in the payload curve cannot stall
 /// the search.
 ///
-/// The result is the smallest fitting bound found when its payload is
-/// within kRateWindow of the budget; otherwise the probe nearest the
-/// budget, the smaller bound on a tie. So a rate above raw codes at the
-/// finest bound of the window [1e-12, 4] x scale, where `scale` is the
-/// value range or, when that is not finite (NaN/Inf samples), the largest
-/// finite |x|. A constant field is coded exact at any rate, with the tiny
-/// bound the error-bounded modes use for it.
+/// The result is the smallest fitting bound the field search measured;
+/// only when no probe fits is it the probe nearest the budget, the smaller
+/// bound on a tie. (The sample search seeds from its smallest fitting
+/// bound only within kRateWindow of the budget, else from its nearest
+/// probe.) So a rate above raw codes at the finest bound of the window
+/// [1e-12, 4] x scale, where `scale` is the value range or, when that is
+/// not finite (NaN/Inf samples), the largest finite |x|. A constant field
+/// is coded exact at any rate, with the tiny bound the error-bounded modes
+/// use for it.
 ///
 /// Each probe sums its blocks' sizes and SSE in block order, so the
 /// search, like every other plan step, depends only on the data and the
@@ -371,12 +373,14 @@ double resolve_rate_bound(BlockPlan& plan, std::span<const T> values,
       }
       x = std::clamp(next, x_min, x_max);
     }
-    // The smallest fitting bound when it meets the contract, else the
-    // probe nearest the budget (whose encode run_block then recodes
-    // unless it is the kept one).
-    if (fit.bytes >= (1.0 - kRateWindow) * budget) return fit.x;
-    if (stride == 1 && keep && nearest.x != fit.x) plan.encoded.clear();
-    return nearest.x;
+    // The field search ends on the smallest fitting bound whenever it
+    // measured one (plan.encoded holds its encode); the sample seed takes
+    // it only within the window. Otherwise the probe nearest the budget,
+    // which run_block recodes.
+    const bool take_fit = stride == 1
+                              ? std::isfinite(fit.x)
+                              : fit.bytes >= (1.0 - kRateWindow) * budget;
+    return take_fit ? fit.x : nearest.x;
   };
 
   const double n = static_cast<double>(values.size());
@@ -702,9 +706,9 @@ void set_size_info(CompressResult& out, std::size_t raw_bytes,
 
 }  // namespace
 
-/// All job state behind the pimpl. Exactly one of `mem` / `file` is
-/// engaged, chosen by which constructor ran. `remaining` is the only
-/// cross-thread coordination run_block needs: the writers do their own
+/// All job state behind the pimpl. The writer's output (memory or file)
+/// is chosen by which constructor ran. `remaining` is the only
+/// cross-thread coordination run_block needs: the writer does its own
 /// locking, block_infos and plan.encoded slots are per-index, and the rest
 /// of the plan is immutable after construction.
 template <typename T>
@@ -716,8 +720,7 @@ struct FieldCompressor<T>::Impl {
   ControlRequest request;
   BlockPlan plan;
   std::vector<BlockInfo> block_infos;
-  std::optional<io::BlockContainerWriter> mem;
-  std::optional<io::StreamingArchiveWriter> file;
+  std::optional<io::BlockContainerWriter> writer;
   std::atomic<std::size_t> remaining{0};
   bool finalized = false;
 
@@ -744,7 +747,7 @@ FieldCompressor<T>::FieldCompressor(std::span<const T> values,
                                     std::span<T> reconstruction)
     : impl_(std::make_unique<Impl>(values, dims, request, options,
                                    reconstruction)) {
-  impl_->mem.emplace(impl_->plan.header);
+  impl_->writer.emplace(impl_->plan.header);
 }
 
 template <typename T>
@@ -754,7 +757,7 @@ FieldCompressor<T>::FieldCompressor(std::span<const T> values,
                                     const CompressOptions& options,
                                     std::string path)
     : impl_(std::make_unique<Impl>(values, dims, request, options)) {
-  impl_->file.emplace(std::move(path), impl_->plan.header);
+  impl_->writer.emplace(std::move(path), impl_->plan.header);
 }
 
 template <typename T>
@@ -788,12 +791,9 @@ bool FieldCompressor<T>::run_block(std::size_t b) {
           ? encode_block(plan, im.values, im.dims, b, plan.block_eb[b], im.recon)
           : std::move(im.plan.encoded[b]);
   im.block_infos[b] = block.info;
-  // The writers reject duplicate indices, so a double-run can never reach
+  // The writer rejects duplicate indices, so a double-run can never reach
   // the counter and mis-report completion.
-  if (im.mem)
-    im.mem->add_block(b, std::move(block.bytes), block.info.achieved_sse);
-  else
-    im.file->add_block(b, std::move(block.bytes), block.info.achieved_sse);
+  im.writer->add_block(b, std::move(block.bytes), block.info.achieved_sse);
   return im.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
 }
 
@@ -824,20 +824,16 @@ CompressResult FieldCompressor<T>::finalize(io::StreamingStats* stats) {
   if (!complete())
     throw std::logic_error("block pipeline: finalize before every block ran");
   // Validate the budget accounting BEFORE finishing the writer: if it
-  // fails, the streaming writer is destroyed unfinished and the partial
-  // file removed — nothing is ever installed at the target path for a run
-  // the API reports as failed.
+  // fails, a file writer is destroyed unfinished and the partial file
+  // removed — nothing is ever installed at the target path for a run the
+  // API reports as failed.
   CompressResult out =
       account_blocks(im.plan, im.values, im.request, im.block_infos);
-  if (im.mem) {
-    out.stream = im.mem->finish();
-    set_size_info(out, im.values.size() * sizeof(T), out.stream.size());
-  } else {
-    const std::uint64_t total = im.file->finish();
-    if (stats) *stats = im.file->stats();
-    set_size_info(out, im.values.size() * sizeof(T),
-                  static_cast<std::size_t>(total));
-  }
+  out.stream = im.writer->finish();
+  const io::StreamingStats& written = im.writer->stats();
+  if (stats) *stats = written;
+  set_size_info(out, im.values.size() * sizeof(T),
+                static_cast<std::size_t>(written.total_bytes));
   im.finalized = true;
   return out;
 }

@@ -62,7 +62,7 @@
 #include "core/tile_layout.h"
 
 namespace fpsnr::io {
-struct StreamingStats;  // io/streaming_archive.h
+struct StreamingStats;  // io/archive.h
 }
 
 namespace fpsnr::core {
@@ -107,12 +107,14 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream);
 ///   plan      the constructor resolves the budget (FixedRate: by coding
 ///             the field in its bound search), block layout, adaptive
 ///             split, and container header (all data-dependent only, never
-///             thread-dependent), and opens the output writer;
-///   enqueue   run_block(b) compresses block b and hands it to the writer —
+///             thread-dependent), and opens the job's io::BlockContainerWriter
+///             on memory or on a file;
+///   enqueue   run_block(b) compresses block b and hands it to the writer,
+///             which appends it in index order as the prefix completes —
 ///             safe to call concurrently for distinct b, in any order, from
 ///             any thread;
-///   finalize  finalize() validates the budget accounting and finishes the
-///             archive once every block has run.
+///   finalize  finalize() validates the budget accounting and fills the
+///             archive's index once every block has run.
 ///
 /// compress_blocked / compress_to_file are thin wrappers that push the
 /// blocks onto a parallel::WorkQueue of their own; core/batch instead
@@ -123,7 +125,7 @@ BlockStreamInfo inspect_block_stream(std::span<const std::uint8_t> stream);
 template <typename T>
 class FieldCompressor {
  public:
-  /// In-memory plan: finalize() returns the FPBK stream in
+  /// Memory output: finalize() returns the FPBK stream in
   /// CompressResult::stream. Throws exactly like compress_blocked for
   /// invalid dims / control modes. A non-empty `reconstruction` (one value
   /// per field value, C order; borrowed like `values`, so it must outlive
@@ -134,10 +136,10 @@ class FieldCompressor {
                   const ControlRequest& request,
                   const CompressOptions& options,
                   std::span<T> reconstruction = {});
-  /// Streaming plan: blocks spill to `path` as their prefix completes
-  /// (io::StreamingArchiveWriter); finalize() renames the finished archive
-  /// onto `path` and leaves CompressResult::stream empty. The partial file
-  /// is removed if the job is destroyed unfinalized.
+  /// File output: blocks spill to `path + ".partial"` as their prefix
+  /// completes; finalize() renames the finished archive onto `path` and
+  /// leaves CompressResult::stream empty. The partial file is removed if
+  /// the job is destroyed unfinalized.
   FieldCompressor(std::span<const T> values, const data::Dims& dims,
                   const ControlRequest& request,
                   const CompressOptions& options, std::string path);
@@ -165,8 +167,9 @@ class FieldCompressor {
   bool complete() const;
 
   /// Validate the per-block budget accounting and finish the archive.
-  /// Must be called exactly once, after complete(). `stats` reports the
-  /// streaming writer's layout/high-water marks (ignored in-memory).
+  /// Must be called exactly once, after complete(). `stats` (optional)
+  /// receives the writer's size, layout and reorder-buffer high-water
+  /// marks, for either output.
   CompressResult finalize(io::StreamingStats* stats = nullptr);
 
  private:
@@ -191,12 +194,13 @@ CompressResult compress_blocked(std::span<const T> values,
                                 const CompressOptions& options = {},
                                 std::span<T> reconstruction = {});
 
-/// Streaming variant: identical block layout, budgets, and bytes as
-/// compress_blocked, but each block is spilled to `path` as its worker
-/// finishes (io::StreamingArchiveWriter) — peak memory is the in-flight
-/// reorder buffer, never the whole container. The returned result carries
-/// the usual accounting with an empty `stream`; `stats` (optional) reports
-/// the final size and the reorder-buffer high-water mark.
+/// File variant: identical block layout, budgets, and bytes as
+/// compress_blocked, but the writer's file output spills each block to
+/// `path + ".partial"` once its predecessors have landed and renames the
+/// finished archive onto `path` — peak memory is the in-flight reorder
+/// buffer, never the whole container. The returned result carries the
+/// usual accounting with an empty `stream`; `stats` (optional) reports the
+/// final size and the reorder-buffer high-water mark.
 template <typename T>
 CompressResult compress_to_file(std::span<const T> values,
                                 const data::Dims& dims,

@@ -5,10 +5,9 @@
 // engine name against the codec registry, has that codec apply the
 // CodecTuning overrides onto core::CompressOptions, routes every Target
 // through the block-parallel pipeline, and maps Source/Sink shapes onto the
-// in-memory, whole-file, raw-file, streaming-writer, and mmap-reader
-// entry points. Archives are byte-identical to the core:: pipeline
-// functions for equivalent options by construction — both run the same
-// engine.
+// in-memory, raw-file, file-writer, and mmap-reader entry points. Archives
+// are byte-identical to the core:: pipeline functions for equivalent
+// options by construction — both run the same engine.
 #include "fpsnr/fpsnr.h"
 
 #include <cmath>
@@ -161,19 +160,6 @@ std::vector<std::uint8_t> read_whole_file(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-/// Write or throw. open, write, AND flush are all checked so ENOSPC
-/// surfacing only at flush time still fails the job instead of leaving a
-/// silently truncated archive.
-void write_whole_file(const std::string& path, const void* data,
-                      std::size_t bytes) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("cannot open " + path + " for writing");
-  out.write(static_cast<const char*>(data),
-            static_cast<std::streamsize>(bytes));
-  out.flush();
-  if (!out) throw std::runtime_error("write failed on " + path);
-}
-
 std::vector<float> load_raw_f32(const std::string& path,
                                 const data::Dims& dims) {
   const auto raw = read_whole_file(path);
@@ -270,27 +256,19 @@ CompressReport run_compress(const core::CompressOptions& base,
   CompressReport report;
   core::CompressResult result;
 
-  if (Access::kind(sink) == SinkKind::Stream) {
+  if (Access::kind(sink) == SinkKind::File) {
     io::StreamingStats stats;
     result = core::compress_to_file<T>(values, dims, request, base,
                                        Access::path(sink), &stats);
     report.archive_path = Access::path(sink);
-    report.block_count = stats.block_count;
-    report.tile.assign(stats.tile.begin(), stats.tile.end());
     report.peak_buffered_bytes = stats.peak_buffered_bytes;
     report.peak_buffered_blocks = stats.peak_buffered_blocks;
   } else {
     result = core::compress_blocked<T>(values, dims, request, base);
-    report.block_count = result.block_count;
-    report.tile = result.tile;
-    if (Access::kind(sink) == SinkKind::File) {
-      write_whole_file(Access::path(sink), result.stream.data(),
-                       result.stream.size());
-      report.archive_path = Access::path(sink);
-    } else {
-      report.archive = std::move(result.stream);
-    }
+    report.archive = std::move(result.stream);
   }
+  report.block_count = result.block_count;
+  report.tile = result.tile;
 
   report.value_count = result.info.value_count;
   report.compressed_bytes = result.info.compressed_bytes;

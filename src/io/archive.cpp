@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace fpsnr::io {
 
@@ -294,53 +296,199 @@ BlockIndex read_block_index(ByteReader& reader, const BlockContainerHeader& h,
 
 }  // namespace
 
-BlockContainerWriter::BlockContainerWriter(BlockContainerHeader header)
-    : header_(std::move(header)),
-      blocks_(header_.block_count),
-      sse_(header_.block_count, 0.0),
-      present_(header_.block_count, 0),
-      missing_(header_.block_count) {
-  if (header_.block_count == 0)
+BlockContainerWriter::BlockContainerWriter(BlockContainerHeader header) {
+  if (header.block_count == 0)
     throw std::invalid_argument("block container: zero blocks");
+  sizes_.assign(header.block_count, 0);
+  sse_.assign(header.block_count, 0.0);
+  present_.assign(header.block_count, 0);
+  stats_.tile = header.tile;
+  stats_.block_count = header.block_count;
+  // The header, then the index region (offsets, sizes, then the v2
+  // per-block SSE column) reserved as zeros; finish() fills it once every
+  // block size is known.
+  ByteWriter head;
+  write_block_header(header, head);
+  index_pos_ = head.size();
+  const std::size_t index_bytes =
+      static_cast<std::size_t>(header.block_count) *
+      block_index_entry_bytes(header.version);
+  std::vector<std::uint8_t> first = head.take();
+  first.resize(first.size() + index_bytes, 0);
+  payload_pos_ = first.size();
+  chunks_.push_back(std::move(first));
+}
+
+BlockContainerWriter::BlockContainerWriter(std::string path,
+                                           BlockContainerHeader header)
+    : BlockContainerWriter(std::move(header)) {
+  // An empty path_ means the memory output, so it must not name a file.
+  if (path.empty()) throw StreamError("block container: empty path");
+  // finish() renames onto `path`, replacing whatever sits there: write
+  // through a symlink to the file it names, and refuse anything that is
+  // not a regular file rather than replace it.
+  std::error_code ec;
+  const std::filesystem::path target = std::filesystem::canonical(path, ec);
+  if (!ec) {
+    if (!std::filesystem::is_regular_file(target))
+      throw StreamError("block container: " + path +
+                        " is not a regular file");
+    path = target.string();
+  }
+  path_ = std::move(path);
+  partial_path_ = path_ + ".partial";
+  // The delegated constructor has completed, so a throw from here on runs
+  // the destructor, which removes the partial file.
+  file_.open(partial_path_, std::ios::binary | std::ios::trunc);
+  if (!file_)
+    throw StreamError("block container: cannot create " + partial_path_);
+  std::vector<std::uint8_t> head = std::move(chunks_.front());
+  chunks_.clear();
+  append(std::move(head));
+}
+
+BlockContainerWriter::~BlockContainerWriter() {
+  std::unique_lock lock(mutex_);
+  spill_done_.wait(lock, [&] { return !spilling_; });
+  if (finished_ || path_.empty()) return;
+  // Unfinished (an exception unwound past us): drop the partial file so no
+  // truncated, index-less container masquerades as output.
+  file_.close();
+  std::error_code ec;
+  std::filesystem::remove(partial_path_, ec);
+}
+
+void BlockContainerWriter::append(std::vector<std::uint8_t> bytes) {
+  // Memory keeps each block as it came and finish() joins them once:
+  // growing one vector here would copy the archive at every reallocation
+  // and hand back up to twice its size in capacity.
+  if (path_.empty()) {
+    chunks_.push_back(std::move(bytes));
+    return;
+  }
+  file_.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  if (!file_)
+    throw StreamError("block container: write failed on " + partial_path_);
+}
+
+void BlockContainerWriter::write_at(std::uint64_t pos,
+                                    std::vector<std::uint8_t> bytes) {
+  if (path_.empty()) {  // `pos` lies in the first chunk, header and index
+    std::copy(bytes.begin(), bytes.end(),
+              chunks_.front().begin() + static_cast<std::ptrdiff_t>(pos));
+    return;
+  }
+  file_.seekp(static_cast<std::streamoff>(pos));
+  if (!file_)
+    throw StreamError("block container: seek failed on " + partial_path_);
+  append(std::move(bytes));
 }
 
 void BlockContainerWriter::add_block(std::size_t index,
                                      std::vector<std::uint8_t> bytes,
                                      double achieved_sse) {
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(mutex_);
   if (finished_)
     throw std::logic_error("block container: add_block after finish");
-  if (index >= blocks_.size())
+  if (index >= sizes_.size())
     throw std::out_of_range("block container: block index out of range");
   if (present_[index])
     throw std::logic_error("block container: duplicate block");
   if (!std::isfinite(achieved_sse) || achieved_sse < 0.0)
     throw std::invalid_argument("block container: invalid block SSE");
-  blocks_[index] = std::move(bytes);
-  sse_[index] = achieved_sse;
   present_[index] = 1;
-  --missing_;
+  sizes_[index] = bytes.size();
+  sse_[index] = achieved_sse;
+
+  if (index != next_to_spill_ || spilling_) {
+    // Ahead of the payload prefix — or an append is in flight and the
+    // output is busy: park the bytes; the active spiller (or a later
+    // in-order delivery) drains them. Parking is pure memory work, so
+    // workers never wait on the output here.
+    buffered_bytes_ += bytes.size();
+    reorder_.emplace(index, std::move(bytes));
+    stats_.peak_buffered_bytes =
+        std::max(stats_.peak_buffered_bytes, buffered_bytes_);
+    stats_.peak_buffered_blocks =
+        std::max(stats_.peak_buffered_blocks, reorder_.size());
+    return;
+  }
+
+  // This thread owns the spill until the prefix is no longer extendable.
+  // Appends happen OUTSIDE the lock: other workers keep compressing and
+  // parking while the output catches up.
+  spilling_ = true;
+  std::vector<std::vector<std::uint8_t>> batch;
+  batch.push_back(std::move(bytes));
+  ++next_to_spill_;
+  try {
+    for (;;) {
+      for (auto it = reorder_.begin();
+           it != reorder_.end() && it->first == next_to_spill_;
+           it = reorder_.erase(it), ++next_to_spill_) {
+        buffered_bytes_ -= it->second.size();
+        batch.push_back(std::move(it->second));
+      }
+      lock.unlock();
+      for (auto& b : batch) append(std::move(b));
+      batch.clear();
+      lock.lock();
+      if (reorder_.empty() || reorder_.begin()->first != next_to_spill_)
+        break;  // nothing new became contiguous while we were appending
+    }
+  } catch (...) {
+    if (!lock.owns_lock()) lock.lock();
+    spilling_ = false;
+    spill_done_.notify_all();
+    throw;
+  }
+  spilling_ = false;
+  spill_done_.notify_all();
 }
 
 std::vector<std::uint8_t> BlockContainerWriter::finish() {
-  std::lock_guard lock(mutex_);
+  std::unique_lock lock(mutex_);
+  spill_done_.wait(lock, [&] { return !spilling_; });
   if (finished_) throw std::logic_error("block container: finish twice");
-  if (missing_ != 0)
-    throw std::logic_error("block container: " + std::to_string(missing_) +
-                           " block(s) never delivered");
-  finished_ = true;
+  if (next_to_spill_ != sizes_.size())
+    throw std::logic_error(
+        "block container: " +
+        std::to_string(sizes_.size() - next_to_spill_ - reorder_.size()) +
+        " block(s) never delivered");
 
-  ByteWriter out;
-  write_block_header(header_, out);
+  ByteWriter index;
   std::uint64_t offset = 0;
-  for (const auto& b : blocks_) {
-    out.put<std::uint64_t>(offset);
-    offset += b.size();
+  for (std::uint64_t s : sizes_) {
+    index.put<std::uint64_t>(offset);
+    offset += s;
   }
-  for (const auto& b : blocks_) out.put<std::uint64_t>(b.size());
-  for (double s : sse_) out.put<double>(s);
-  for (const auto& b : blocks_) out.put_bytes(b);
-  return out.take();
+  for (std::uint64_t s : sizes_) index.put<std::uint64_t>(s);
+  for (double s : sse_) index.put<double>(s);
+  write_at(index_pos_, index.take());
+  stats_.total_bytes = payload_pos_ + offset;
+  if (path_.empty()) {
+    finished_ = true;
+    std::vector<std::uint8_t> out;
+    out.reserve(stats_.total_bytes);
+    for (const auto& c : chunks_) out.insert(out.end(), c.begin(), c.end());
+    chunks_.clear();
+    return out;
+  }
+
+  file_.flush();
+  if (!file_)
+    throw StreamError("block container: flush failed on " + partial_path_);
+  file_.close();
+  // The archive becomes visible at `path` only now, complete: readers can
+  // never observe a half-written container.
+  std::error_code ec;
+  std::filesystem::rename(partial_path_, path_, ec);
+  if (ec)
+    throw StreamError("block container: cannot move " + partial_path_ +
+                      " to " + path_ + ": " + ec.message());
+  finished_ = true;
+  return {};
 }
 
 bool is_block_container(std::span<const std::uint8_t> stream) {

@@ -8,7 +8,10 @@
 //   per entry: varint name length, name bytes, u64-length-prefixed blob.
 #pragma once
 
+#include <condition_variable>
 #include <cstdint>
+#include <fstream>
+#include <map>
 #include <mutex>
 #include <span>
 #include <string>
@@ -138,24 +141,58 @@ struct BlockContainerHeader {
 };
 
 /// Serialize `h` (magic byte through budget_mode, plus the v4 chain fields
-/// when h.version >= 4) — the byte prefix of every FPBK container. Shared
-/// by the in-memory writer below and the streaming writer
-/// (io/streaming_archive.h) so the two paths stay byte-identical. Writes
-/// h.version; throws std::invalid_argument on an unwritable version or an
-/// inconsistent v4 chain (bad flag bits, wrong bitmap size).
+/// when h.version >= 4) — the byte prefix of every FPBK container, written
+/// by BlockContainerWriter below. Writes h.version; throws
+/// std::invalid_argument on an unwritable version or an inconsistent v4
+/// chain (bad flag bits, wrong bitmap size).
 void write_block_header(const BlockContainerHeader& h, ByteWriter& out);
 
 /// Width of one per-block index entry for the given container version
 /// (offset u64 + size u64, + sse f64 from v2). Single source of truth for
-/// the readers and the streaming writer's reserved-region size.
+/// the readers and the writer's reserved index region.
 std::size_t block_index_entry_bytes(std::uint8_t version);
 
-/// Collects per-block streams and serializes them with a random-access
-/// index. `add_block` is thread-safe and accepts blocks in any completion
-/// order — this is what lets pipeline workers finish out of order.
+/// Layout and memory high-water marks observed by a BlockContainerWriter;
+/// the pipeline reports them so callers can describe the archive and check
+/// that the writer held only the in-flight blocks, never the container.
+struct StreamingStats {
+  std::uint64_t total_bytes = 0;          ///< final archive size
+  std::vector<std::uint64_t> tile;        ///< per-axis tile extents
+  std::uint64_t block_count = 0;
+  std::size_t peak_buffered_bytes = 0;    ///< reorder-buffer high-water mark
+  std::size_t peak_buffered_blocks = 0;   ///< ... in blocks
+};
+
+/// The one FPBK writer. It writes the header and a zeroed index region
+/// first, then the payload in index order: `add_block` is thread-safe and
+/// accepts blocks in any completion order, so pipeline workers can finish
+/// out of order. A block whose predecessors have all landed is appended at
+/// once (outside the lock, so other workers keep going); an early block
+/// waits in the reorder buffer until the prefix reaches it. finish() fills
+/// the index. Beyond its output the writer holds only the reorder buffer,
+/// which is O(threads) blocks in practice.
+///
+/// Two outputs, same bytes: memory (the container comes back from
+/// finish()) or a file. Only append, write_at and finish() tell them
+/// apart. The file output is all-or-nothing: bytes
+/// accumulate in `path + ".partial"`, which finish() renames onto `path`,
+/// so a failure partway (codec exception, full disk) never destroys a
+/// pre-existing archive and never leaves a truncated container that looks
+/// like output; the partial file is removed when an unfinished writer is
+/// destroyed.
 class BlockContainerWriter {
  public:
+  /// Memory output: finish() returns the container bytes.
   explicit BlockContainerWriter(BlockContainerHeader header);
+  /// File output. A symlink at `path` is followed to the file it names.
+  /// Throws StreamError if `path` is empty, names something other than a
+  /// regular file (the rename would replace a device or FIFO instead of
+  /// writing to it), or `path + ".partial"` cannot be created.
+  BlockContainerWriter(std::string path, BlockContainerHeader header);
+  ~BlockContainerWriter();
+
+  BlockContainerWriter(const BlockContainerWriter&) = delete;
+  BlockContainerWriter& operator=(const BlockContainerWriter&) = delete;
 
   /// Store block `index`'s bytes (0-based; must be < header.block_count and
   /// not yet filled). `achieved_sse` is the block's exact sum of squared
@@ -166,18 +203,37 @@ class BlockContainerWriter {
   void add_block(std::size_t index, std::vector<std::uint8_t> bytes,
                  double achieved_sse);
 
-  /// Serialize. Throws std::logic_error if any block slot is still empty
-  /// or finish() was already called.
+  /// Fill the index and complete the output: memory returns the container
+  /// bytes; a file is flushed and renamed onto its path, and the returned
+  /// vector is empty. Throws std::logic_error if any block slot is still
+  /// empty or finish() was already called, StreamError on a write failure.
   std::vector<std::uint8_t> finish();
 
+  const StreamingStats& stats() const { return stats_; }
+
  private:
-  BlockContainerHeader header_;
-  std::vector<std::vector<std::uint8_t>> blocks_;
+  void append(std::vector<std::uint8_t> bytes);
+  void write_at(std::uint64_t pos, std::vector<std::uint8_t> bytes);
+
+  std::string path_;          ///< empty for the memory output
+  std::string partial_path_;  ///< path + ".partial" until finish() renames
+  std::ofstream file_;
+  /// The memory output: the header and index, then each block as it was
+  /// appended; finish() joins them into one exact-size vector.
+  std::vector<std::vector<std::uint8_t>> chunks_;
+  std::uint64_t index_pos_ = 0;    ///< offset of the reserved index
+  std::uint64_t payload_pos_ = 0;  ///< offset of the payload start
+  std::vector<std::uint64_t> sizes_;
   std::vector<double> sse_;
   std::vector<char> present_;
-  std::size_t missing_ = 0;
+  std::size_t next_to_spill_ = 0;  ///< first block not yet appended
+  std::map<std::size_t, std::vector<std::uint8_t>> reorder_;  ///< early blocks
+  std::size_t buffered_bytes_ = 0;
+  StreamingStats stats_;
   bool finished_ = false;
+  bool spilling_ = false;  ///< one thread is appending outside the lock
   std::mutex mutex_;
+  std::condition_variable spill_done_;
 };
 
 /// True if `stream` starts with the block-container magic "FPBK".

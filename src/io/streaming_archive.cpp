@@ -1,13 +1,9 @@
 #include "io/streaming_archive.h"
 
-#include <cmath>
-#include <filesystem>
-#include <stdexcept>
-#include <utility>
-
 #include "io/bitstream.h"
 
 #if defined(_WIN32)
+#include <fstream>
 #include <iterator>
 #else
 #include <fcntl.h>
@@ -17,168 +13,6 @@
 #endif
 
 namespace fpsnr::io {
-
-// --- StreamingArchiveWriter -------------------------------------------------
-
-StreamingArchiveWriter::StreamingArchiveWriter(std::string path,
-                                               BlockContainerHeader header)
-    : path_(std::move(path)),
-      partial_path_(path_ + ".partial"),
-      header_(std::move(header)) {
-  if (header_.block_count == 0)
-    throw std::invalid_argument("streaming archive: zero blocks");
-  sizes_.assign(header_.block_count, 0);
-  sse_.assign(header_.block_count, 0.0);
-  present_.assign(header_.block_count, 0);
-  stats_.tile = header_.tile;
-  stats_.block_count = header_.block_count;
-
-  out_.open(partial_path_, std::ios::binary | std::ios::trunc);
-  if (!out_) throw StreamError("streaming archive: cannot create " + partial_path_);
-
-  try {
-    ByteWriter head;
-    write_block_header(header_, head);
-    index_pos_ = head.size();
-    // Reserve the index region (offsets, sizes, then the v2 per-block SSE
-    // column) with zeros; finish() seeks back and fills it once every block
-    // size is known.
-    const std::size_t index_bytes =
-        static_cast<std::size_t>(header_.block_count) *
-        block_index_entry_bytes(header_.version);
-    for (std::size_t i = 0; i < index_bytes; ++i) head.put<std::uint8_t>(0);
-    payload_pos_ = head.size();
-    write_or_throw(head.buffer().data(), head.buffer().size());
-  } catch (...) {
-    // The destructor will not run for a throwing constructor; clean up the
-    // partial file here so the all-or-nothing contract holds.
-    out_.close();
-    std::error_code ec;
-    std::filesystem::remove(partial_path_, ec);
-    throw;
-  }
-}
-
-StreamingArchiveWriter::~StreamingArchiveWriter() {
-  std::unique_lock lock(mutex_);
-  spill_done_.wait(lock, [&] { return !spilling_; });
-  if (finished_) return;
-  // Unfinished (an exception unwound past us): drop the partial file so no
-  // truncated, index-less container masquerades as output.
-  out_.close();
-  std::error_code ec;
-  std::filesystem::remove(partial_path_, ec);
-}
-
-void StreamingArchiveWriter::write_or_throw(const void* data,
-                                            std::size_t bytes) {
-  out_.write(static_cast<const char*>(data),
-             static_cast<std::streamsize>(bytes));
-  if (!out_)
-    throw StreamError("streaming archive: write failed on " + partial_path_);
-}
-
-void StreamingArchiveWriter::add_block(std::size_t index,
-                                       std::vector<std::uint8_t> bytes,
-                                       double achieved_sse) {
-  std::unique_lock lock(mutex_);
-  if (finished_)
-    throw std::logic_error("streaming archive: add_block after finish");
-  if (index >= sizes_.size())
-    throw std::out_of_range("streaming archive: block index out of range");
-  if (present_[index])
-    throw std::logic_error("streaming archive: duplicate block");
-  if (!std::isfinite(achieved_sse) || achieved_sse < 0.0)
-    throw std::invalid_argument("streaming archive: invalid block SSE");
-  present_[index] = 1;
-  sizes_[index] = bytes.size();
-  sse_[index] = achieved_sse;
-
-  if (index != next_to_spill_ || spilling_) {
-    // Ahead of the payload prefix — or a spill is in flight and the file
-    // cursor is busy: park the bytes; the active spiller (or a later
-    // in-order delivery) drains them. Parking is pure memory work, so
-    // workers never wait on the disk here.
-    buffered_bytes_ += bytes.size();
-    reorder_.emplace(index, std::move(bytes));
-    stats_.peak_buffered_bytes =
-        std::max(stats_.peak_buffered_bytes, buffered_bytes_);
-    stats_.peak_buffered_blocks =
-        std::max(stats_.peak_buffered_blocks, reorder_.size());
-    return;
-  }
-
-  // This thread owns the spill until the prefix is no longer extendable.
-  // Writes happen OUTSIDE the lock: other workers keep compressing and
-  // parking while the disk catches up.
-  spilling_ = true;
-  std::vector<std::vector<std::uint8_t>> batch;
-  batch.push_back(std::move(bytes));
-  ++next_to_spill_;
-  try {
-    for (;;) {
-      for (auto it = reorder_.begin();
-           it != reorder_.end() && it->first == next_to_spill_;
-           it = reorder_.erase(it), ++next_to_spill_) {
-        buffered_bytes_ -= it->second.size();
-        batch.push_back(std::move(it->second));
-      }
-      lock.unlock();
-      for (const auto& b : batch) write_or_throw(b.data(), b.size());
-      batch.clear();
-      lock.lock();
-      if (reorder_.empty() || reorder_.begin()->first != next_to_spill_)
-        break;  // nothing new became contiguous while we were writing
-    }
-  } catch (...) {
-    if (!lock.owns_lock()) lock.lock();
-    spilling_ = false;
-    spill_done_.notify_all();
-    throw;
-  }
-  spilling_ = false;
-  spill_done_.notify_all();
-}
-
-std::uint64_t StreamingArchiveWriter::finish() {
-  std::unique_lock lock(mutex_);
-  spill_done_.wait(lock, [&] { return !spilling_; });
-  if (finished_) throw std::logic_error("streaming archive: finish twice");
-  if (next_to_spill_ != sizes_.size())
-    throw std::logic_error(
-        "streaming archive: " +
-        std::to_string(sizes_.size() - next_to_spill_ - reorder_.size()) +
-        " block(s) never delivered");
-
-  ByteWriter index;
-  std::uint64_t offset = 0;
-  for (std::uint64_t s : sizes_) {
-    index.put<std::uint64_t>(offset);
-    offset += s;
-  }
-  for (std::uint64_t s : sizes_) index.put<std::uint64_t>(s);
-  for (double s : sse_) index.put<double>(s);
-  out_.seekp(static_cast<std::streamoff>(index_pos_));
-  if (!out_)
-    throw StreamError("streaming archive: seek failed on " + partial_path_);
-  write_or_throw(index.buffer().data(), index.buffer().size());
-  out_.flush();
-  if (!out_)
-    throw StreamError("streaming archive: flush failed on " + partial_path_);
-  out_.close();
-
-  // The archive becomes visible at `path` only now, complete: readers can
-  // never observe a half-written container.
-  std::error_code ec;
-  std::filesystem::rename(partial_path_, path_, ec);
-  if (ec)
-    throw StreamError("streaming archive: cannot move " + partial_path_ +
-                      " to " + path_ + ": " + ec.message());
-  finished_ = true;
-
-  stats_.total_bytes = payload_pos_ + offset;
-  return stats_.total_bytes;
-}
 
 // --- MmapArchiveReader ------------------------------------------------------
 

@@ -1,30 +1,14 @@
-// Streaming FPBK I/O — spill blocks to disk as workers finish, mmap-decode
-// without loading the payload.
-//
-// The in-memory BlockContainerWriter holds every compressed block until
-// finish(); for exascale fields that means the whole container lives in RAM
-// alongside the field. StreamingArchiveWriter instead writes the header,
-// reserves the fixed-width index region up front, and appends each block's
-// bytes the moment the payload prefix reaches it — peak memory is the
-// reorder buffer of out-of-order in-flight blocks (O(threads) blocks in
-// practice), never O(container). finish() seeks back and fills the index.
-//
-// The file is byte-for-byte identical to BlockContainerWriter::finish() for
-// the same header and blocks: the payload must be laid out in index order
-// (the FPBK index is required to be contiguous), so a block that finishes
-// before its predecessors is buffered until they land, then flushed.
+// Memory-mapped FPBK decode: read an archive without loading its payload.
 //
 // MmapArchiveReader memory-maps an archive read-only. Decoding one block
-// through the existing O(1) index touches only the header, two index
-// entries, and that block's extent — the OS never faults in the rest of
-// the payload, so random access into a TB-scale archive stays cheap.
+// through the O(1) index touches only the header, two index entries, and
+// that block's extent — the OS never faults in the rest of the payload, so
+// random access into a TB-scale archive stays cheap. The write side, with
+// its file output that spills blocks as workers finish, is
+// BlockContainerWriter (io/archive.h).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <fstream>
-#include <map>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,75 +16,6 @@
 #include "io/archive.h"
 
 namespace fpsnr::io {
-
-/// Layout and memory high-water marks observed by a StreamingArchiveWriter;
-/// the pipeline reports them so callers can describe the archive and verify
-/// streaming stayed O(blocks) without re-reading the file.
-struct StreamingStats {
-  std::uint64_t total_bytes = 0;          ///< final archive size on disk
-  std::vector<std::uint64_t> tile;        ///< per-axis tile extents
-  std::uint64_t block_count = 0;
-  std::size_t peak_buffered_bytes = 0;    ///< reorder-buffer high-water mark
-  std::size_t peak_buffered_blocks = 0;   ///< ... in blocks
-};
-
-/// Writes an FPBK container to a file incrementally. `add_block` is
-/// thread-safe and accepts any completion order; blocks are spilled to disk
-/// in index order as soon as the prefix is complete. finish() is required
-/// for a valid archive (it writes the reserved index region).
-///
-/// All-or-nothing: bytes accumulate in `path + ".partial"` and the file is
-/// renamed onto `path` only when finish() succeeds, so a failure partway
-/// (codec exception, full disk) never destroys a pre-existing archive and
-/// never leaves a truncated container that looks like output; the partial
-/// file is removed when an unfinished writer is destroyed.
-class StreamingArchiveWriter {
- public:
-  /// Creates `path + ".partial"`, writes the header, and reserves the
-  /// index region. Throws StreamError if the file cannot be created.
-  StreamingArchiveWriter(std::string path, BlockContainerHeader header);
-  ~StreamingArchiveWriter();
-
-  StreamingArchiveWriter(const StreamingArchiveWriter&) = delete;
-  StreamingArchiveWriter& operator=(const StreamingArchiveWriter&) = delete;
-
-  /// Store block `index`'s bytes (0-based; must be < header.block_count and
-  /// not yet filled). `achieved_sse` lands in the v2 per-block SSE index
-  /// column at finish() — deliberately not defaulted: 0 claims "this block
-  /// decodes losslessly" and must be said explicitly. Safe to call
-  /// concurrently from pool workers.
-  void add_block(std::size_t index, std::vector<std::uint8_t> bytes,
-                 double achieved_sse);
-
-  /// Fill the index region, flush, and rename the partial file onto
-  /// `path`. Throws std::logic_error if any block slot is still empty or
-  /// finish() was already called, StreamError on write failure. Returns
-  /// the final archive size in bytes.
-  std::uint64_t finish();
-
-  const StreamingStats& stats() const { return stats_; }
-
- private:
-  std::string path_;
-  std::string partial_path_;  ///< path + ".partial" until finish() renames
-  BlockContainerHeader header_;
-  std::ofstream out_;
-  std::uint64_t index_pos_ = 0;    ///< file offset of the reserved index
-  std::uint64_t payload_pos_ = 0;  ///< file offset of the payload start
-  std::vector<std::uint64_t> sizes_;
-  std::vector<double> sse_;
-  std::vector<char> present_;
-  std::size_t next_to_spill_ = 0;  ///< first block not yet on disk
-  std::map<std::size_t, std::vector<std::uint8_t>> reorder_;  ///< early blocks
-  std::size_t buffered_bytes_ = 0;
-  StreamingStats stats_;
-  bool finished_ = false;
-  bool spilling_ = false;  ///< one thread is writing outside the lock
-  std::mutex mutex_;
-  std::condition_variable spill_done_;
-
-  void write_or_throw(const void* data, std::size_t bytes);
-};
 
 /// Read-only memory map of an FPBK archive. The header is parsed (and
 /// validated) eagerly; block payloads are faulted in only when touched.

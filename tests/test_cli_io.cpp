@@ -99,9 +99,11 @@ TEST_F(CliIoTest, DecompressUnwritableOutputExitsOne) {
 
 #if defined(__linux__)
 TEST_F(CliIoTest, FullDeviceIsDetectedAtFlushTime) {
-  // /dev/full accepts the open but fails every write with ENOSPC — exactly
-  // the failure mode the old in-memory path swallowed (open succeeded, the
-  // write error was never checked, exit was 0 with no output).
+  // /dev/full accepts the open but fails every write with ENOSPC — the
+  // failure mode an unchecked write swallows (exit 0 with no output). The
+  // archive writer refuses it before writing, since its final rename
+  // would replace the device node; StreamingIo's write-failure test covers
+  // the ENOSPC-style path on a regular file.
   if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full unavailable";
   EXPECT_EQ(run(compress_cmd() + " -o /dev/full"), 1);
 }

@@ -206,18 +206,6 @@ TEST(ParallelPipeline, WriterAcceptsOutOfOrderCompletion) {
             (std::vector<std::uint8_t>{3, 4, 5, 6}));
 }
 
-TEST(ParallelPipeline, WriterRejectsMissingAndDuplicateBlocks) {
-  io::BlockContainerHeader h;
-  h.extents = {4};
-  h.tile = {2};
-  h.block_count = 2;
-  io::BlockContainerWriter writer(h);
-  writer.add_block(0, {1}, 0.0);
-  EXPECT_THROW(writer.add_block(0, {2}, 0.0), std::logic_error);
-  EXPECT_THROW(writer.add_block(5, {2}, 0.0), std::out_of_range);
-  EXPECT_THROW(writer.finish(), std::logic_error);  // block 1 missing
-}
-
 TEST(ParallelPipeline, CorruptionRejected) {
   const data::Dims dims{16, 16};
   const auto values = sample_field(dims, 17);

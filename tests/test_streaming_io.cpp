@@ -1,14 +1,20 @@
-// Tests for the streaming FPBK I/O subsystem (io/streaming_archive.h) and
-// its pipeline entry points: byte-identity with the in-memory path at every
-// thread count, reorder-buffer spilling, mmap decode, and the I/O-locality
-// guarantee of single-block random access.
+// Tests for FPBK file I/O: the writer (io::BlockContainerWriter, both
+// outputs) and its pipeline entry points — byte-identity of the file and
+// memory outputs at every thread count, reorder-buffer spilling — plus the
+// mmap reader (io/streaming_archive.h) and the I/O-locality guarantee of
+// single-block random access.
 #include "io/streaming_archive.h"
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
 
 #include "core/pipeline.h"
 #include "data/synth.h"
@@ -101,33 +107,61 @@ TEST(StreamingIo, AccountingMatchesInMemoryPath) {
 
 // --- writer semantics -------------------------------------------------------
 
-TEST(StreamingIo, WriterSpillsOutOfOrderBlocksInIndexOrder) {
+namespace {
+
+/// The three blocks of the out-of-order writer test, and the container they
+/// make: the header, a literal index, then the payload in index order.
+io::BlockContainerHeader three_block_header() {
   io::BlockContainerHeader h;
   h.codec = 0;
   h.scalar = 0;
   h.extents = {9};
   h.tile = {3};
   h.block_count = 3;
+  return h;
+}
 
-  // Reference bytes from the in-memory writer.
-  io::BlockContainerWriter mem(h);
-  mem.add_block(0, {1, 2}, 0.0);
-  mem.add_block(1, {3, 4, 5, 6}, 0.0);
-  mem.add_block(2, {7, 8, 9}, 0.0);
-  const auto expect = mem.finish();
+std::vector<std::uint8_t> three_block_container() {
+  io::ByteWriter out;
+  io::write_block_header(three_block_header(), out);
+  for (std::uint64_t offset : {0, 2, 6}) out.put<std::uint64_t>(offset);
+  for (std::uint64_t size : {2, 4, 3}) out.put<std::uint64_t>(size);
+  for (double sse : {0.5, 0.0, 2.25}) out.put<double>(sse);
+  out.put_bytes(std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6, 7, 8, 9});
+  return out.take();
+}
+
+/// Blocks 2 and 1 arrive before block 0; block 0 completes the prefix and
+/// everything spills.
+std::vector<std::uint8_t> write_out_of_order(io::BlockContainerWriter& w) {
+  w.add_block(2, {7, 8, 9}, 2.25);
+  w.add_block(1, {3, 4, 5, 6}, 0.0);
+  w.add_block(0, {1, 2}, 0.5);
+  return w.finish();
+}
+
+}  // namespace
+
+TEST(StreamingIo, WriterSpillsOutOfOrderBlocksInIndexOrder) {
+  const auto expect = three_block_container();
+
+  io::BlockContainerWriter mem(three_block_header());
+  EXPECT_EQ(write_out_of_order(mem), expect);
 
   TempFile tmp("stream-reorder");
-  io::StreamingArchiveWriter writer(tmp.str(), h);
-  writer.add_block(2, {7, 8, 9}, 0.0);  // two blocks arrive before block 0
-  writer.add_block(1, {3, 4, 5, 6}, 0.0);
-  writer.add_block(0, {1, 2}, 0.0);     // prefix complete -> everything spills
-  const auto total = writer.finish();
-
-  EXPECT_EQ(total, expect.size());
+  io::BlockContainerWriter file(tmp.str(), three_block_header());
+  EXPECT_TRUE(write_out_of_order(file).empty());
   EXPECT_EQ(slurp(tmp.path), expect);
+  EXPECT_FALSE(fs::exists(tmp.str() + ".partial"));
+
   // Blocks 1 and 2 (7 bytes) had to wait for block 0; block 0 never did.
-  EXPECT_EQ(writer.stats().peak_buffered_blocks, 2u);
-  EXPECT_EQ(writer.stats().peak_buffered_bytes, 7u);
+  for (const io::BlockContainerWriter* w : {&mem, &file}) {
+    EXPECT_EQ(w->stats().total_bytes, expect.size());
+    EXPECT_EQ(w->stats().block_count, 3u);
+    EXPECT_EQ(w->stats().tile, (std::vector<std::uint64_t>{3}));
+    EXPECT_EQ(w->stats().peak_buffered_blocks, 2u);
+    EXPECT_EQ(w->stats().peak_buffered_bytes, 7u);
+  }
 }
 
 TEST(StreamingIo, WriterRejectsMisuse) {
@@ -137,21 +171,27 @@ TEST(StreamingIo, WriterRejectsMisuse) {
   h.block_count = 2;
 
   TempFile tmp("stream-misuse");
-  io::StreamingArchiveWriter writer(tmp.str(), h);
-  writer.add_block(0, {1}, 0.0);
-  EXPECT_THROW(writer.add_block(0, {2}, 0.0), std::logic_error);   // duplicate
-  EXPECT_THROW(writer.add_block(5, {2}, 0.0), std::out_of_range);  // bad index
-  EXPECT_THROW(writer.finish(), std::logic_error);            // block 1 missing
-  writer.add_block(1, {2}, 0.0);
-  writer.finish();
-  EXPECT_THROW(writer.finish(), std::logic_error);            // finish twice
-  EXPECT_THROW(writer.add_block(0, {9}, 0.0), std::logic_error);   // add after finish
+  io::BlockContainerWriter mem(h);
+  io::BlockContainerWriter file(tmp.str(), h);
+  for (io::BlockContainerWriter* w : {&mem, &file}) {
+    w->add_block(0, {1}, 0.0);
+    EXPECT_THROW(w->add_block(0, {2}, 0.0), std::logic_error);   // duplicate
+    EXPECT_THROW(w->add_block(5, {2}, 0.0), std::out_of_range);  // bad index
+    EXPECT_THROW(w->add_block(1, {2}, -1.0), std::invalid_argument);  // SSE
+    EXPECT_THROW(w->finish(), std::logic_error);          // block 1 missing
+    w->add_block(1, {2}, 0.0);
+    w->finish();
+    EXPECT_THROW(w->finish(), std::logic_error);          // finish twice
+    EXPECT_THROW(w->add_block(0, {9}, 0.0), std::logic_error);  // after finish
+  }
+  h.block_count = 0;
+  EXPECT_THROW(io::BlockContainerWriter{h}, std::invalid_argument);
 }
 
 TEST(StreamingIo, AbortedWriteLeavesPreExistingArchiveUntouched) {
-  // All-or-nothing: the writer works in path + ".partial" and renames only
-  // on finish(), so a failure partway neither destroys what was at `path`
-  // nor leaves a truncated container behind.
+  // All-or-nothing: the file writer works in path + ".partial" and renames
+  // only on finish(), so a failure partway neither destroys what was at
+  // `path` nor leaves a truncated container behind.
   io::BlockContainerHeader h;
   h.extents = {4};
   h.tile = {2};
@@ -162,7 +202,7 @@ TEST(StreamingIo, AbortedWriteLeavesPreExistingArchiveUntouched) {
   std::ofstream(tmp.path, std::ios::binary)
       .write(reinterpret_cast<const char*>(precious.data()), 2);
   {
-    io::StreamingArchiveWriter writer(tmp.str(), h);
+    io::BlockContainerWriter writer(tmp.str(), h);
     writer.add_block(0, {1, 2, 3}, 0.0);
     // Destroyed unfinished, as if a codec threw mid-compress.
   }
@@ -171,7 +211,7 @@ TEST(StreamingIo, AbortedWriteLeavesPreExistingArchiveUntouched) {
 
   // And a finished writer does replace the old bytes.
   {
-    io::StreamingArchiveWriter writer(tmp.str(), h);
+    io::BlockContainerWriter writer(tmp.str(), h);
     writer.add_block(0, {1, 2, 3}, 0.0);
     writer.add_block(1, {4}, 0.0);
     writer.finish();
@@ -181,14 +221,76 @@ TEST(StreamingIo, AbortedWriteLeavesPreExistingArchiveUntouched) {
   EXPECT_NO_THROW((void)io::open_block_container(slurp(tmp.path)));
 }
 
+#if defined(__linux__)
+TEST(StreamingIo, WriteFailureLeavesPreExistingArchiveUntouched) {
+  // A write the filesystem refuses must surface as a StreamError and
+  // leave no partial file. RLIMIT_FSIZE makes writes past 4 KB fail with
+  // EFBIG, as a full disk fails them with ENOSPC.
+  io::BlockContainerHeader h;
+  h.extents = {4};
+  h.tile = {2};
+  h.block_count = 2;
+  TempFile tmp("stream-efbig");
+  std::ofstream(tmp.path, std::ios::binary) << "old";
+
+  rlimit old_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit small = old_limit;
+  small.rlim_cur = 4096;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &small), 0);
+  bool threw = false;
+  try {
+    io::BlockContainerWriter writer(tmp.str(), h);
+    writer.add_block(0, std::vector<std::uint8_t>(1 << 16, 7), 0.0);
+    writer.add_block(1, {1}, 0.0);
+    writer.finish();
+  } catch (const io::StreamError&) {
+    threw = true;
+  }
+  setrlimit(RLIMIT_FSIZE, &old_limit);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(slurp(tmp.path), (std::vector<std::uint8_t>{'o', 'l', 'd'}));
+  EXPECT_FALSE(fs::exists(tmp.str() + ".partial"));
+}
+#endif
+
 TEST(StreamingIo, WriterRejectsUnwritablePath) {
   io::BlockContainerHeader h;
   h.extents = {2};
   h.tile = {2};
   h.block_count = 1;
   EXPECT_THROW(
-      io::StreamingArchiveWriter("/nonexistent-dir/no/such/file.fpbk", h),
+      io::BlockContainerWriter("/nonexistent-dir/no/such/file.fpbk", h),
       io::StreamError);
+  EXPECT_THROW(io::BlockContainerWriter(std::string(), h), io::StreamError);
+  // finish() renames onto the path, so a directory (or a device, or a
+  // FIFO) there is refused up front rather than replaced.
+  EXPECT_THROW(
+      io::BlockContainerWriter(fs::temp_directory_path().string(), h),
+      io::StreamError);
+}
+
+TEST(StreamingIo, WriterFollowsSymlinkToTheArchive) {
+  // The rename lands on the file a symlink names; the link stays a link.
+  io::BlockContainerHeader h;
+  h.extents = {2};
+  h.tile = {2};
+  h.block_count = 1;
+  TempFile target("symlink-target");
+  TempFile link("symlink-link");
+  std::ofstream(target.path, std::ios::binary) << "old";
+  fs::create_symlink(target.path, link.path);
+  {
+    io::BlockContainerWriter writer(link.str(), h);
+    writer.add_block(0, {1, 2}, 0.0);
+    writer.finish();
+  }
+  EXPECT_TRUE(fs::is_symlink(link.path));
+  EXPECT_NO_THROW((void)io::open_block_container(slurp(target.path)));
+  EXPECT_FALSE(fs::exists(target.str() + ".partial"));
 }
 
 // --- mmap reader ------------------------------------------------------------
