@@ -13,6 +13,7 @@
 
 #include "core/pipeline.h"
 #include "data/synth.h"
+#include "io/archive.h"
 #include "io/streaming_archive.h"
 
 namespace core = fpsnr::core;
@@ -100,8 +101,8 @@ void BM_MmapBlockDecode(benchmark::State& state) {
   std::size_t block = 0;
   const std::size_t blocks = (kDims[0] + kBlockRows - 1) / kBlockRows;
   for (auto _ : state) {
-    auto d = core::decompress_file_block<float>(bench_path(),
-                                                block++ % blocks);
+    const io::MappedFile file(bench_path());
+    auto d = core::decompress_block<float>(file.bytes(), block++ % blocks);
     benchmark::DoNotOptimize(d.values.data());
   }
   fs::remove(bench_path());

@@ -138,6 +138,7 @@ struct Inspection {
   std::uint8_t version = 0;      ///< container version (FPBK only)
   std::string codec;             ///< registry name
   std::string target;            ///< target_name() of the recorded control
+                                 ///< (empty for flat FPTC streams)
   double target_value = 0.0;
   std::string budget;            ///< "uniform" | "adaptive"
   std::vector<std::size_t> dims;
@@ -234,16 +235,25 @@ class Session {
   CompressReport compress(const Source& input, const Target& target,
                           const Sink& output) const;
 
-  /// Decompress a whole archive (any stream the library ever wrote; FPBK
-  /// containers decode block-parallel, file sources are memory-mapped).
+  /// Decompress a whole archive: any stream the library ever wrote, FPBK
+  /// containers (decoded block-parallel) and legacy flat FPSZ / FPTC
+  /// streams. The scalar type is the one the archive's header records. A
+  /// file source is memory-mapped and decoded exactly like the same bytes
+  /// in memory. Malformed archives throw StreamError.
   Field decompress(const Source& archive) const;
 
   /// Random-access decode of one pipeline block: only the header, two
-  /// index entries, and that block's extent are ever read.
+  /// index entries, and that block's extent are ever read (of a file
+  /// source, only those pages are faulted in). Throws
+  /// std::invalid_argument for an archive that is not an FPBK container
+  /// and std::out_of_range for a block index past the end, from memory
+  /// and from file alike.
   Field decompress_block(const Source& archive, std::size_t block_index) const;
 
-  /// Archive metadata without touching the payload. A header naming no
-  /// registered codec throws StreamError, as decompress() does.
+  /// Archive metadata without touching the payload, for FPBK containers
+  /// and legacy flat streams (a flat FPTC stream records no target and no
+  /// measured PSNR: `target` is empty and achieved_psnr_db NaN). A header
+  /// naming no registered codec throws StreamError, as decompress() does.
   Inspection inspect(const Source& archive) const;
 
   /// Compress every field of `job` to the same target, interleaving all

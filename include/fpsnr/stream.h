@@ -2,7 +2,7 @@
 //
 // One signature covers every I/O shape the library supports: in-memory
 // spans, raw value files, and archive files, which compress spills block
-// by block as workers finish and decompress memory-maps.
+// by block as workers finish and decompress / inspect memory-map.
 // A Source names where a job's input comes from; a Sink names where a
 // compression job's archive goes. Both are cheap value types — a Source
 // over memory BORROWS the span (the caller keeps it alive for the call),
@@ -29,9 +29,10 @@ struct Access;  // session.cpp's window into Source/Sink internals
 ///
 /// Field sources (for compress): memory(values, dims) over float or double
 /// spans, or raw_file(path, dims) for a little-endian float32 value file.
-/// Archive sources (for decompress / inspect): memory(bytes) over an
-/// archive already in memory, or file(path) — decompress memory-maps FPBK
-/// archives, so single-block reads touch only that block's extent.
+/// Archive sources (for decompress / decompress_block / inspect):
+/// memory(bytes) over an archive already in memory, or file(path), which is
+/// memory-mapped and then read exactly like memory(bytes) — so single-block
+/// reads touch only that block's extent.
 class Source {
  public:
   /// In-memory float32 field; `dims` is C-order (last extent fastest).
@@ -62,7 +63,9 @@ class Source {
     return s;
   }
 
-  /// Archive on disk. decompress() memory-maps FPBK containers.
+  /// Archive on disk. Every archive file is memory-mapped read-only, FPBK
+  /// containers and legacy flat streams alike; the same bytes give the
+  /// same result, or the same exception type, as Source::memory.
   static Source file(std::string path) {
     Source s(Kind::ArchiveFile);
     s.path_ = std::move(path);

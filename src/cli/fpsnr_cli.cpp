@@ -70,9 +70,10 @@ using namespace fpsnr;
       "                      O(in-flight blocks))\n"
       "      --report-psnr   print the exact achieved PSNR of the archive\n"
       "  fpsnr_cli decompress -i IN.fpbk -o OUT.f32 [--threads N] [--block I]\n"
+      "      IN is memory-mapped: with --block only that block's bytes\n"
+      "      are ever read\n"
       "      --block I   random-access decode of block I only\n"
-      "      --mmap      memory-map IN instead of loading it; with --block,\n"
-      "                  only that block's bytes are ever read\n"
+      "      --mmap      DEPRECATED, no effect: IN is always mapped\n"
       "      --report-psnr   print the archive's recorded exact PSNR (v2)\n"
       "  fpsnr_cli inspect    -i IN.fpbk\n"
       "  fpsnr_cli compress-batch -i MANIFEST -o OUTDIR [--psnr DB]\n"
@@ -253,7 +254,6 @@ struct Args {
   std::string tile;            ///< --tile NxMxK; empty = auto
   std::size_t block_size = 0;  ///< deprecated --block-size alias (slab)
   std::optional<std::size_t> block;  ///< random-access block index
-  bool mmap = false;    ///< decompress: map the archive instead of loading
   bool report_psnr = false;  ///< print the exact recorded PSNR
   bool no_verify = false;    ///< batch: trust the recorded SSE, skip decode
   std::string simd;          ///< vector backend pin; empty = leave auto
@@ -310,7 +310,16 @@ Args parse_args(int argc, char** argv, int first) {
                      "archives always spill to -o as blocks finish\n";
       }
     }
-    else if (flag == "--mmap") a.mmap = true;
+    else if (flag == "--mmap") {
+      // Deprecated: every archive file is memory-mapped. Accepted so
+      // existing scripts keep working; warn once.
+      static bool warned = false;
+      if (!warned) {
+        warned = true;
+        std::cerr << "warning: --mmap is deprecated and has no effect; "
+                     "archive files are always memory-mapped\n";
+      }
+    }
     else if (flag == "--report-psnr") a.report_psnr = true;
     else if (flag == "--no-verify") a.no_verify = true;
     else if (flag == "--simd") a.simd = next();
@@ -466,17 +475,11 @@ int cmd_compress(const Args& a) {
 }
 
 /// Print the exact PSNR recorded in a v2 archive's per-block SSE column.
-/// `is_fpbk` is the caller's magic probe: only FPBK containers are
-/// inspected, so real I/O/corruption errors propagate and fail the run
-/// instead of printing a benign n/a line.
-void report_archive_psnr(const Session& session, const Source& archive,
-                         bool is_fpbk) {
-  if (!is_fpbk) {
-    std::cout << "recorded PSNR: n/a (not an FPBK archive)\n";
-    return;
-  }
+void report_archive_psnr(const Session& session, const Source& archive) {
   const Inspection info = session.inspect(archive);
-  if (std::isnan(info.achieved_psnr_db))
+  if (!info.block_container)
+    std::cout << "recorded PSNR: n/a (not an FPBK archive)\n";
+  else if (std::isnan(info.achieved_psnr_db))
     std::cout << "recorded PSNR: n/a (v1 archive, no per-block SSE index)\n";
   else
     std::cout << "recorded PSNR " << std::fixed << std::setprecision(6)
@@ -486,35 +489,7 @@ void report_archive_psnr(const Session& session, const Source& archive,
 int cmd_decompress(const Args& a) {
   if (a.input.empty() || a.output.empty()) usage("decompress needs -i, -o");
   const Session session = make_session(a);
-  if (a.mmap) {
-    // Memory-map the archive: the payload is faulted in lazily, and with
-    // --block only that block's extent is ever read. Requires the block
-    // container (legacy flat streams have no index to seek).
-    {
-      std::ifstream probe(a.input, std::ios::binary);
-      std::uint8_t magic[4] = {};
-      probe.read(reinterpret_cast<char*>(magic), 4);
-      if (probe.gcount() != 4 ||
-          !io::is_block_container(std::span<const std::uint8_t>(magic, 4)))
-        usage("--mmap requires a block-pipeline (FPBK) archive, not a "
-              "legacy flat stream");
-    }
-    const Source source = Source::file(a.input);
-    const Field d = a.block ? session.decompress_block(source, *a.block)
-                            : session.decompress(source);
-    write_field(a.output, d);
-    if (a.block)
-      std::cout << "decompressed block " << *a.block << ": " << d.size()
-                << " values (" << d.dims[0] << " row(s), mmap)\n";
-    else
-      std::cout << "decompressed " << d.size() << " values (rank "
-                << d.dims.size() << ", mmap)\n";
-    if (a.report_psnr)
-      report_archive_psnr(session, source, /*is_fpbk=*/true);  // probed above
-    return 0;
-  }
-  const auto stream = read_file(a.input);
-  const Source source = Source::memory(std::span<const std::uint8_t>(stream));
+  const Source source = Source::file(a.input);
   if (a.block) {
     Field d;
     try {
@@ -531,18 +506,14 @@ int cmd_decompress(const Args& a) {
   write_field(a.output, d);
   std::cout << "decompressed " << d.size() << " values (rank "
             << d.dims.size() << ")\n";
-  if (a.report_psnr)
-    report_archive_psnr(session, source,
-                        io::is_block_container(std::span<const std::uint8_t>(stream)));
+  if (a.report_psnr) report_archive_psnr(session, source);
   return 0;
 }
 
 int cmd_inspect(const Args& a) {
   if (a.input.empty()) usage("inspect needs -i");
-  const auto stream = read_file(a.input);
   const Session session = make_session(a);
-  const auto info =
-      session.inspect(Source::memory(std::span<const std::uint8_t>(stream)));
+  const auto info = session.inspect(Source::file(a.input));
   if (info.block_container) {
     std::cout << "container   : block-parallel (FPBK v"
               << static_cast<int>(info.version) << ")\n"
@@ -579,10 +550,11 @@ int cmd_inspect(const Args& a) {
     return 0;
   }
   std::cout << "container   : flat stream\n"
-            << "codec       : " << info.codec << "\n"
-            << "control     : " << info.target << " = " << info.target_value
-            << "\n"
-            << "rank        : " << info.dims.size() << "\n";
+            << "codec       : " << info.codec << "\n";
+  if (!info.target.empty())  // flat transform streams record no target
+    std::cout << "control     : " << info.target << " = " << info.target_value
+              << "\n";
+  std::cout << "rank        : " << info.dims.size() << "\n";
   std::cout << "extents     : ";
   for (std::size_t i = 0; i < info.dims.size(); ++i)
     std::cout << (i ? " x " : "") << info.dims[i];

@@ -115,14 +115,31 @@ struct CompressResult {
   sz::CompressionInfo info;
 };
 
+/// The archive formats this library reads, told apart by their magic.
+enum class ArchiveFormat : std::uint8_t {
+  BlockContainer,  ///< FPBK, the pipeline's container
+  FlatTransform,   ///< legacy flat FPTC stream
+  /// Legacy flat FPSZ stream — and any other bytes, which the FPSZ header
+  /// reader rejects as a bad magic.
+  FlatSz,
+};
+
+ArchiveFormat archive_format(std::span<const std::uint8_t> stream);
+
+/// The scalar type an archive's own header records (FPBK, FPTC and FPSZ
+/// all do). Throws io::StreamError on a malformed header.
+sz::ScalarType archive_scalar(std::span<const std::uint8_t> stream);
+
 /// Decompress any archive this library writes or wrote: an FPBK container
-/// or a legacy flat FPSZ / FPTC stream (self-describing via its magic).
+/// (blocks decoded on up to `threads` workers) or a legacy flat FPSZ / FPTC
+/// stream. Throws io::StreamError when T is not archive_scalar(stream).
 template <typename T>
-sz::Decompressed<T> decompress(std::span<const std::uint8_t> stream);
+sz::Decompressed<T> decompress(std::span<const std::uint8_t> stream,
+                               std::size_t threads = 0);
 
 extern template sz::Decompressed<float> decompress<float>(
-    std::span<const std::uint8_t>);
+    std::span<const std::uint8_t>, std::size_t);
 extern template sz::Decompressed<double> decompress<double>(
-    std::span<const std::uint8_t>);
+    std::span<const std::uint8_t>, std::size_t);
 
 }  // namespace fpsnr::core

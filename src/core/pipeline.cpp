@@ -863,19 +863,49 @@ CompressResult compress_to_file(std::span<const T> values,
   return job.finalize(stats);
 }
 
+namespace {
+
+/// An FPBK header resolved for decoding: the field, its tile grid and the
+/// codec that wrote it. The whole-field and the single-block decode build
+/// it the same way, so both read every header field alike.
+template <typename T>
+struct ArchiveDecoder {
+  data::Dims dims;
+  TileLayout layout;
+  const BlockCodec* codec = nullptr;
+
+  explicit ArchiveDecoder(const io::BlockContainerHeader& h) {
+    check_scalar<T>(h);
+    dims = dims_from_header(h);
+    const std::vector<std::size_t> tile(h.tile.begin(), h.tile.end());
+    layout = make_layout(dims, tile);
+    if (layout.block_count != h.block_count)
+      throw io::StreamError("block pipeline: index/block-count mismatch");
+    codec = &header_codec(h);
+  }
+
+  /// Decode one block's bytes into its tile (C order, region.count
+  /// values) — the one place a block's codec runs on decode.
+  /// Incompressible blocks are store-demoted at compress time; each
+  /// block's own magic says which codec wrote it.
+  void decode_tile(std::span<const std::uint8_t> bytes,
+                   std::span<T> tile) const {
+    const BlockCodec& c = is_store_block_stream(bytes)
+                              ? CodecRegistry::instance().at(kCodecStore)
+                              : *codec;
+    c.decompress(bytes, tile);
+  }
+};
+
+}  // namespace
+
 template <typename T>
 sz::Decompressed<T> decompress_blocked(std::span<const std::uint8_t> stream,
                                        std::size_t threads) {
   const auto view = io::open_block_container(stream);
-  check_scalar<T>(view.header);
-  const data::Dims dims = dims_from_header(view.header);
-  const std::vector<std::size_t> tile(view.header.tile.begin(),
-                                      view.header.tile.end());
-  const TileLayout layout = make_layout(dims, tile);
-  if (layout.block_count != view.blocks.size())
-    throw io::StreamError("block pipeline: index/block-count mismatch");
-  const BlockCodec& codec = header_codec(view.header);
-  const BlockCodec& store = CodecRegistry::instance().at(kCodecStore);
+  const ArchiveDecoder<T> decoder(view.header);
+  const data::Dims& dims = decoder.dims;
+  const TileLayout& layout = decoder.layout;
 
   sz::Decompressed<T> out;
   out.dims = dims;
@@ -883,17 +913,13 @@ sz::Decompressed<T> decompress_blocked(std::span<const std::uint8_t> stream,
   std::span<T> all(out.values);
   for_each_block(layout.block_count, threads, [&](std::size_t b) {
     const TileRegion region = tile_region(layout, dims, b);
-    // Incompressible blocks are store-demoted at compress time; each
-    // block's own magic says which codec wrote it.
-    const BlockCodec& c =
-        is_store_block_stream(view.blocks[b]) ? store : codec;
     if (region_contiguous(region, dims)) {
-      c.decompress(view.blocks[b],
-                   all.subspan(region.start[0] * layout.row_stride,
-                               region.count));
+      decoder.decode_tile(view.blocks[b],
+                          all.subspan(region.start[0] * layout.row_stride,
+                                      region.count));
     } else {
       std::vector<T> scratch(region.count);
-      c.decompress(view.blocks[b], std::span<T>(scratch));
+      decoder.decode_tile(view.blocks[b], std::span<T>(scratch));
       scatter_tile(std::span<const T>(scratch), dims, region, all);
     }
   });
@@ -903,37 +929,22 @@ sz::Decompressed<T> decompress_blocked(std::span<const std::uint8_t> stream,
 template <typename T>
 sz::Decompressed<T> decompress_block(std::span<const std::uint8_t> stream,
                                      std::size_t block_index) {
-  const io::BlockContainerHeader header = io::block_container_header(stream);
-  check_scalar<T>(header);
+  const ArchiveDecoder<T> decoder(io::block_container_header(stream));
   const auto bytes = io::block_container_entry(stream, block_index);
-  const data::Dims dims = dims_from_header(header);
-  const std::vector<std::size_t> tile(header.tile.begin(), header.tile.end());
-  const TileLayout layout = make_layout(dims, tile);
-  const TileRegion region = tile_region(layout, dims, block_index);
-  const BlockCodec& primary = header_codec(header);
-  const BlockCodec& codec = is_store_block_stream(bytes)
-                                ? CodecRegistry::instance().at(kCodecStore)
-                                : primary;
-
+  const TileRegion region = tile_region(decoder.layout, decoder.dims,
+                                        block_index);
   sz::Decompressed<T> out;
-  out.dims = region_dims(region, dims.rank());
+  out.dims = region_dims(region, decoder.dims.rank());
   out.values.resize(out.dims.count());
-  codec.decompress(bytes, std::span<T>(out.values));
+  decoder.decode_tile(bytes, std::span<T>(out.values));
   return out;
 }
 
 template <typename T>
 sz::Decompressed<T> decompress_file(const std::string& path,
                                     std::size_t threads) {
-  const io::MmapArchiveReader reader(path);
-  return decompress_blocked<T>(reader.bytes(), threads);
-}
-
-template <typename T>
-sz::Decompressed<T> decompress_file_block(const std::string& path,
-                                          std::size_t block_index) {
-  const io::MmapArchiveReader reader(path);
-  return decompress_block<T>(reader.bytes(), block_index);
+  const io::MappedFile file(path);
+  return decompress_blocked<T>(file.bytes(), threads);
 }
 
 template class FieldCompressor<float>;
@@ -966,9 +977,5 @@ template sz::Decompressed<float> decompress_file<float>(const std::string&,
                                                         std::size_t);
 template sz::Decompressed<double> decompress_file<double>(const std::string&,
                                                           std::size_t);
-template sz::Decompressed<float> decompress_file_block<float>(
-    const std::string&, std::size_t);
-template sz::Decompressed<double> decompress_file_block<double>(
-    const std::string&, std::size_t);
 
 }  // namespace fpsnr::core

@@ -209,16 +209,11 @@ CompressResult compress_to_file(std::span<const T> values,
                                 const std::string& path,
                                 io::StreamingStats* stats = nullptr);
 
-/// Decode a whole archive file through a read-only memory map.
+/// Decode a whole archive file through a read-only memory map
+/// (io::MappedFile); equivalent to decompress_blocked on the mapping.
 template <typename T>
 sz::Decompressed<T> decompress_file(const std::string& path,
                                     std::size_t threads = 0);
-
-/// Random-access decode of one block straight from the mapped file: only
-/// the header, two index entries, and that block's extent are ever read.
-template <typename T>
-sz::Decompressed<T> decompress_file_block(const std::string& path,
-                                          std::size_t block_index);
 
 /// Decompress a full FPBK stream; blocks are decoded concurrently when
 /// threads > 1.
@@ -226,9 +221,10 @@ template <typename T>
 sz::Decompressed<T> decompress_blocked(std::span<const std::uint8_t> stream,
                                        std::size_t threads = 0);
 
-/// Random-access decode of one block: only that block's payload is parsed.
-/// The result's dims are the tile's per-axis extents (trailing tiles on an
-/// axis may be short).
+/// Random-access decode of one block: only the header, two index entries
+/// and that block's extent are read, so on an io::MappedFile the rest of
+/// the payload is never faulted in. The result's dims are the tile's
+/// per-axis extents (trailing tiles on an axis may be short).
 template <typename T>
 sz::Decompressed<T> decompress_block(std::span<const std::uint8_t> stream,
                                      std::size_t block_index);
@@ -258,10 +254,6 @@ extern template CompressResult compress_to_file<double>(
 extern template sz::Decompressed<float> decompress_file<float>(
     const std::string&, std::size_t);
 extern template sz::Decompressed<double> decompress_file<double>(
-    const std::string&, std::size_t);
-extern template sz::Decompressed<float> decompress_file_block<float>(
-    const std::string&, std::size_t);
-extern template sz::Decompressed<double> decompress_file_block<double>(
     const std::string&, std::size_t);
 
 }  // namespace fpsnr::core

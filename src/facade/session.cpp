@@ -5,7 +5,9 @@
 // engine name against the codec registry, has that codec apply the
 // CodecTuning overrides onto core::CompressOptions, routes every Target
 // through the block-parallel pipeline, and maps Source/Sink shapes onto the
-// in-memory, raw-file, file-writer, and mmap-reader entry points. Archives
+// in-memory, raw-file and file-writer entry points. Every archive Source
+// becomes bytes in one place (with_archive_bytes: the caller's span, or a
+// read-only mapping of the file) before it is decoded. Archives
 // are byte-identical to the core:: pipeline functions for equivalent
 // options by construction — both run the same engine.
 #include "fpsnr/fpsnr.h"
@@ -14,7 +16,6 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -25,6 +26,7 @@
 #include "io/archive.h"
 #include "io/streaming_archive.h"
 #include "sz/stream_format.h"
+#include "transform/transform_codec.h"
 
 namespace fpsnr {
 
@@ -153,16 +155,12 @@ std::string facade_mode_name(sz::ErrorBoundMode m) {
 
 // --- I/O helpers ------------------------------------------------------------
 
-std::vector<std::uint8_t> read_whole_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return {std::istreambuf_iterator<char>(in),
-          std::istreambuf_iterator<char>()};
-}
-
 std::vector<float> load_raw_f32(const std::string& path,
                                 const data::Dims& dims) {
-  const auto raw = read_whole_file(path);
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot open " + path);
+  const std::vector<std::uint8_t> raw{std::istreambuf_iterator<char>(in),
+                                      std::istreambuf_iterator<char>()};
   if (raw.size() % sizeof(float) != 0)
     throw std::invalid_argument(path + ": size is not a multiple of 4");
   std::vector<float> values(raw.size() / sizeof(float));
@@ -174,16 +172,6 @@ std::vector<float> load_raw_f32(const std::string& path,
 
 data::Dims to_dims(const std::vector<std::size_t>& extents) {
   return data::Dims(std::vector<std::size_t>(extents));
-}
-
-/// True when the file at `path` starts with the FPBK magic.
-bool file_is_block_container(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::uint8_t magic[4] = {};
-  in.read(reinterpret_cast<char*>(magic), 4);
-  return in.gcount() == 4 &&
-         io::is_block_container(std::span<const std::uint8_t>(magic, 4));
 }
 
 std::vector<std::size_t> from_dims(const data::Dims& dims) {
@@ -332,138 +320,81 @@ Field to_field(sz::Decompressed<double>&& d) {
   return f;
 }
 
-Field decompress_bytes(std::span<const std::uint8_t> bytes,
-                       std::size_t threads) {
-  if (io::is_block_container(bytes)) {
-    const auto header = io::block_container_header(bytes);
-    return header.scalar == 1
-               ? to_field(core::decompress_blocked<double>(bytes, threads))
-               : to_field(core::decompress_blocked<float>(bytes, threads));
-  }
-  // Flat streams: FPSZ records its scalar; other legacy flat magics are
-  // resolved by attempting float first (the library's default scalar) and
-  // falling back to double on a scalar mismatch.
-  try {
-    const auto h = sz::inspect(bytes);
-    return h.scalar == sz::ScalarType::Float64
-               ? to_field(core::decompress<double>(bytes))
-               : to_field(core::decompress<float>(bytes));
-  } catch (const io::StreamError&) {
-  }
-  try {
-    return to_field(core::decompress<float>(bytes));
-  } catch (const io::StreamError&) {
-    return to_field(core::decompress<double>(bytes));
-  }
-}
-
-}  // namespace
-
-Field Session::decompress(const Source& archive) const {
+/// The one place an archive Source becomes bytes: the caller's span for
+/// memory, a read-only mapping for files (FPBK and flat alike). `fn` runs
+/// on the bytes while the mapping is alive, so memory and file sources
+/// decode — and fail — through the same code.
+template <typename Fn>
+auto with_archive_bytes(const Source& archive, const char* caller, Fn&& fn) {
   switch (Access::kind(archive)) {
     case SourceKind::ArchiveMemory:
-      return decompress_bytes(
-          std::span<const std::uint8_t>(
-              static_cast<const std::uint8_t*>(Access::data(archive)),
-              Access::count(archive)),
-          impl_->threads);
-    case SourceKind::ArchiveFile: {
-      // FPBK archives decode straight off a read-only memory map; flat
-      // legacy streams have no block index and are loaded whole (the
-      // mmap reader validates the FPBK header eagerly, so probe the magic
-      // first).
-      if (file_is_block_container(Access::path(archive))) {
-        const io::MmapArchiveReader reader(Access::path(archive));
-        return decompress_bytes(reader.bytes(), impl_->threads);
-      }
-      const auto bytes = read_whole_file(Access::path(archive));
-      return decompress_bytes(bytes, impl_->threads);
-    }
-    default:
-      throw std::invalid_argument(
-          "Session::decompress: input must be an archive source "
-          "(Source::memory(bytes) or Source::file)");
-  }
-}
-
-Field Session::decompress_block(const Source& archive,
-                                std::size_t block_index) const {
-  auto decode = [&](std::span<const std::uint8_t> bytes) {
-    if (!io::is_block_container(bytes))
-      throw std::invalid_argument(
-          "Session::decompress_block: archive is not a block-pipeline "
-          "(FPBK) container");
-    const auto header = io::block_container_header(bytes);
-    return header.scalar == 1
-               ? to_field(core::decompress_block<double>(bytes, block_index))
-               : to_field(core::decompress_block<float>(bytes, block_index));
-  };
-  switch (Access::kind(archive)) {
-    case SourceKind::ArchiveMemory:
-      return decode(std::span<const std::uint8_t>(
+      return fn(std::span<const std::uint8_t>(
           static_cast<const std::uint8_t*>(Access::data(archive)),
           Access::count(archive)));
     case SourceKind::ArchiveFile: {
-      const io::MmapArchiveReader reader(Access::path(archive));
-      return decode(reader.bytes());
+      const io::MappedFile file(Access::path(archive));
+      return fn(file.bytes());
     }
     default:
       throw std::invalid_argument(
-          "Session::decompress_block: input must be an archive source");
+          std::string(caller) +
+          ": input must be an archive source (Source::memory(bytes) or "
+          "Source::file)");
   }
 }
 
-Inspection Session::inspect(const Source& archive) const {
-  std::vector<std::uint8_t> owned;
-  std::optional<io::MmapArchiveReader> mapped;
-  std::span<const std::uint8_t> bytes;
-  switch (Access::kind(archive)) {
-    case SourceKind::ArchiveMemory:
-      bytes = std::span<const std::uint8_t>(
-          static_cast<const std::uint8_t*>(Access::data(archive)),
-          Access::count(archive));
-      break;
-    case SourceKind::ArchiveFile:
-      // FPBK containers are memory-mapped: inspect touches only the header
-      // and the index columns, never the payload pages. Flat legacy
-      // streams have no index and are small enough to load.
-      if (file_is_block_container(Access::path(archive))) {
-        mapped.emplace(Access::path(archive));
-        bytes = mapped->bytes();
-      } else {
-        owned = read_whole_file(Access::path(archive));
-        bytes = owned;
-      }
-      break;
-    default:
-      throw std::invalid_argument(
-          "Session::inspect: input must be an archive source");
-  }
+bool records_double(std::span<const std::uint8_t> bytes) {
+  return core::archive_scalar(bytes) == sz::ScalarType::Float64;
+}
 
+Inspection inspect_bytes(std::span<const std::uint8_t> bytes) {
   Inspection out;
   out.archive_bytes = bytes.size();
-  if (core::is_block_stream(bytes)) {
-    const auto info = core::inspect_block_stream(bytes);
-    out.block_container = true;
-    out.version = info.version;
-    out.codec = std::string(info.codec_name);
-    out.target = facade_mode_name(info.control_mode);
-    out.target_value = info.control_value;
-    out.budget = info.budget_mode == core::BudgetMode::Adaptive ? "adaptive"
-                                                                : "uniform";
-    out.dims = from_dims(info.dims);
-    out.block_count = info.block_count;
-    out.tile = info.tile;
-    out.eb_abs = info.eb_abs;
-    out.value_range = info.value_range;
-    out.achieved_psnr_db = info.achieved_psnr_db;
-    out.temporal = info.temporal;
-    out.delta = info.delta;
-    out.series_id = info.series_id;
-    out.timestep = info.timestep;
-    out.ref_hash = info.ref_hash;
-    out.temporal_blocks = info.temporal_blocks;
-    return out;
+  switch (core::archive_format(bytes)) {
+    case core::ArchiveFormat::BlockContainer: {
+      const auto info = core::inspect_block_stream(bytes);
+      out.block_container = true;
+      out.version = info.version;
+      out.codec = std::string(info.codec_name);
+      out.target = facade_mode_name(info.control_mode);
+      out.target_value = info.control_value;
+      out.budget = info.budget_mode == core::BudgetMode::Adaptive
+                       ? "adaptive"
+                       : "uniform";
+      out.dims = from_dims(info.dims);
+      out.block_count = info.block_count;
+      out.tile = info.tile;
+      out.eb_abs = info.eb_abs;
+      out.value_range = info.value_range;
+      out.achieved_psnr_db = info.achieved_psnr_db;
+      out.temporal = info.temporal;
+      out.delta = info.delta;
+      out.series_id = info.series_id;
+      out.timestep = info.timestep;
+      out.ref_hash = info.ref_hash;
+      out.temporal_blocks = info.temporal_blocks;
+      return out;
+    }
+    case core::ArchiveFormat::FlatTransform: {
+      // An FPTC header records its transform, dims, coefficient bin width
+      // and value range — no control target and no measured error.
+      const auto h = transform::inspect(bytes);
+      const auto& registry = core::CodecRegistry::instance();
+      out.codec = std::string(
+          registry
+              .at(h.kind == transform::Kind::HaarMultiLevel
+                      ? core::kCodecTransformHaar
+                      : core::kCodecTransformDct)
+              .name());
+      out.budget = "uniform";
+      out.dims = from_dims(h.dims);
+      out.eb_abs = h.bin_width / 2.0;  // the bin width is 2 * eb_abs
+      out.value_range = h.value_range;
+      out.achieved_psnr_db = std::numeric_limits<double>::quiet_NaN();
+      return out;
+    }
+    case core::ArchiveFormat::FlatSz:
+      break;
   }
   const auto h = sz::inspect(bytes);  // throws StreamError on foreign bytes
   out.codec = "sz-lorenzo";
@@ -475,6 +406,36 @@ Inspection Session::inspect(const Source& archive) const {
   out.value_range = h.value_range;
   out.achieved_psnr_db = std::numeric_limits<double>::quiet_NaN();
   return out;
+}
+
+}  // namespace
+
+Field Session::decompress(const Source& archive) const {
+  return with_archive_bytes(
+      archive, "Session::decompress", [&](std::span<const std::uint8_t> b) {
+        return records_double(b)
+                   ? to_field(core::decompress<double>(b, impl_->threads))
+                   : to_field(core::decompress<float>(b, impl_->threads));
+      });
+}
+
+Field Session::decompress_block(const Source& archive,
+                                std::size_t block_index) const {
+  return with_archive_bytes(
+      archive, "Session::decompress_block",
+      [&](std::span<const std::uint8_t> b) {
+        if (core::archive_format(b) != core::ArchiveFormat::BlockContainer)
+          throw std::invalid_argument(
+              "Session::decompress_block: archive is not a block-pipeline "
+              "(FPBK) container");
+        return records_double(b)
+                   ? to_field(core::decompress_block<double>(b, block_index))
+                   : to_field(core::decompress_block<float>(b, block_index));
+      });
+}
+
+Inspection Session::inspect(const Source& archive) const {
+  return with_archive_bytes(archive, "Session::inspect", inspect_bytes);
 }
 
 BatchReport Session::compress_batch(const BatchJob& job) const {

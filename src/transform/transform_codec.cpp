@@ -20,18 +20,7 @@ namespace {
 constexpr std::uint8_t kMagic[4] = {'F', 'P', 'T', 'C'};
 constexpr std::uint8_t kVersion = 1;
 
-struct Header {
-  std::uint8_t scalar = 0;  // 0 = float, 1 = double
-  Kind kind = Kind::HaarMultiLevel;
-  data::Dims dims;
-  double bin_width = 0.0;
-  double value_range = 0.0;
-  std::uint32_t quant_bins = 0;
-  unsigned haar_levels = 0;
-  std::size_t dct_block = 8;
-};
-
-void write_tc_header(const Header& h, io::ByteWriter& out) {
+void write_tc_header(const StreamHeader& h, io::ByteWriter& out) {
   out.put_bytes(std::span<const std::uint8_t>(kMagic, 4));
   out.put<std::uint8_t>(kVersion);
   out.put<std::uint8_t>(h.scalar);
@@ -45,13 +34,13 @@ void write_tc_header(const Header& h, io::ByteWriter& out) {
   out.put_varint(h.dct_block);
 }
 
-Header read_tc_header(io::ByteReader& in) {
+StreamHeader read_tc_header(io::ByteReader& in) {
   const auto magic = in.get_bytes(4);
   if (!std::equal(magic.begin(), magic.end(), kMagic))
     throw io::StreamError("fptc: bad magic");
   if (in.get<std::uint8_t>() != kVersion)
     throw io::StreamError("fptc: unsupported version");
-  Header h;
+  StreamHeader h;
   h.scalar = in.get<std::uint8_t>();
   if (h.scalar > 1) throw io::StreamError("fptc: unknown scalar type");
   const auto kind = in.get<std::uint8_t>();
@@ -82,7 +71,7 @@ Header read_tc_header(io::ByteReader& in) {
 }
 
 void forward_of(std::span<double> coeffs, const data::Dims& dims,
-                const Header& h) {
+                const StreamHeader& h) {
   if (h.kind == Kind::HaarMultiLevel)
     haar_forward(coeffs, dims, h.haar_levels);
   else
@@ -90,7 +79,7 @@ void forward_of(std::span<double> coeffs, const data::Dims& dims,
 }
 
 void inverse_of(std::span<double> coeffs, const data::Dims& dims,
-                const Header& h) {
+                const StreamHeader& h) {
   if (h.kind == Kind::HaarMultiLevel)
     haar_inverse(coeffs, dims, h.haar_levels);
   else
@@ -136,7 +125,7 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
   if (!(params.bin_width > 0.0) || !std::isfinite(params.bin_width))
     throw std::invalid_argument("fptc: bin width must be positive and finite");
 
-  Header header;
+  StreamHeader header;
   header.scalar = std::is_same_v<T, double> ? 1 : 0;
   header.kind = params.kind;
   header.dims = dims;
@@ -192,7 +181,7 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
 template <typename T>
 Decompressed<T> decompress(std::span<const std::uint8_t> stream) {
   io::ByteReader reader(stream);
-  const Header header = read_tc_header(reader);
+  const StreamHeader header = read_tc_header(reader);
   const std::uint8_t expect_scalar = std::is_same_v<T, double> ? 1 : 0;
   if (header.scalar != expect_scalar)
     throw io::StreamError("fptc: scalar type mismatch");
@@ -230,12 +219,17 @@ Decompressed<T> decompress(std::span<const std::uint8_t> stream) {
   return {header.dims, std::move(values)};
 }
 
+StreamHeader inspect(std::span<const std::uint8_t> stream) {
+  io::ByteReader reader(stream);
+  return read_tc_header(reader);
+}
+
 template <typename T>
 CoefficientTrace coefficient_trace(std::span<const T> values, const data::Dims& dims,
                                    const Params& params) {
   if (values.size() != dims.count())
     throw std::invalid_argument("fptc: value count does not match dims");
-  Header header;
+  StreamHeader header;
   header.kind = params.kind;
   header.haar_levels = params.haar_levels;
   header.dct_block = params.dct_block;

@@ -69,6 +69,23 @@ struct Decompressed {
 template <typename T>
 Decompressed<T> decompress(std::span<const std::uint8_t> stream);
 
+/// What a flat FPTC stream's header records.
+struct StreamHeader {
+  std::uint8_t scalar = 0;  ///< 0 = float32, 1 = float64
+  Kind kind = Kind::HaarMultiLevel;
+  data::Dims dims;
+  double bin_width = 0.0;
+  double value_range = 0.0;
+  std::uint32_t quant_bins = 0;
+  unsigned haar_levels = 0;
+  std::size_t dct_block = 8;
+};
+
+/// Parses and validates an FPTC header (no payload access). Throws
+/// io::StreamError on bad magic, an unsupported version, or nonsensical
+/// parameters.
+StreamHeader inspect(std::span<const std::uint8_t> stream);
+
 /// Theorem-2 instrumentation: forward-transform coefficients and their
 /// quantized values from an actual pass (outlier coefficients repeated
 /// exactly, i.e. zero coefficient-domain error).

@@ -16,6 +16,9 @@
 #include <sys/wait.h>
 #include <vector>
 
+#include "data/field.h"
+#include "transform/transform_codec.h"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -210,6 +213,65 @@ TEST_F(CliIoTest, WellFormedNumericFlagsStillWork) {
   EXPECT_TRUE(fs::exists(out));
   const std::string dec = (dir_ / "strict-ok.f32").string();
   EXPECT_EQ(run(cli() + " decompress -i " + out + " --block 0 -o " + dec), 0);
+}
+
+TEST_F(CliIoTest, FlatTransformArchiveInspectsAndDecodes) {
+  // Legacy flat FPTC streams decode and inspect like any archive file;
+  // only --block, which needs an FPBK index, is a usage error.
+  std::vector<float> values(1024);
+  for (std::size_t i = 0; i < values.size(); ++i)
+    values[i] = static_cast<float>(i % 97) * 0.25f;
+  fpsnr::transform::Params params;
+  params.bin_width = 1e-3;
+  const auto flat = fpsnr::transform::compress<float>(
+      values, fpsnr::data::Dims{32, 32}, params);
+  const std::string archive = (dir_ / "flat.fptc").string();
+  std::ofstream(archive, std::ios::binary)
+      .write(reinterpret_cast<const char*>(flat.data()),
+             static_cast<std::streamsize>(flat.size()));
+
+  std::string output;
+  EXPECT_EQ(run_capture(cli() + " inspect -i " + archive, &output), 0)
+      << output;
+  EXPECT_NE(output.find("transform-haar"), std::string::npos) << output;
+  const std::string dec = (dir_ / "flat.f32").string();
+  EXPECT_EQ(run_capture(cli() + " decompress -i " + archive + " -o " + dec +
+                            " --report-psnr",
+                        &output),
+            0)
+      << output;
+  EXPECT_NE(output.find("n/a (not an FPBK archive)"), std::string::npos)
+      << output;
+  EXPECT_EQ(fs::file_size(dec), values.size() * sizeof(float));
+  EXPECT_EQ(run(cli() + " decompress -i " + archive + " --block 0 -o " + dec),
+            2);
+}
+
+TEST_F(CliIoTest, MmapFlagIsADeprecatedNoOp) {
+  const std::string archive = (dir_ / "m.fpbk").string();
+  ASSERT_EQ(run(compress_cmd() + " --block-size 8 -o " + archive), 0);
+  const std::string plain = (dir_ / "plain.f32").string();
+  const std::string mapped = (dir_ / "mapped.f32").string();
+  ASSERT_EQ(run(cli() + " decompress -i " + archive + " --block 2 -o " + plain),
+            0);
+  std::string output;
+  EXPECT_EQ(run_capture(cli() + " decompress -i " + archive +
+                            " --mmap --block 2 --mmap -o " + mapped,
+                        &output),
+            0)
+      << output;
+  const std::string warning = "warning: --mmap is deprecated";
+  const auto first = output.find(warning);
+  ASSERT_NE(first, std::string::npos) << output;
+  EXPECT_EQ(output.find(warning, first + 1), std::string::npos)
+      << "warned more than once: " << output;
+  std::ifstream a(plain, std::ios::binary), b(mapped, std::ios::binary);
+  const std::string plain_bytes{std::istreambuf_iterator<char>(a),
+                                std::istreambuf_iterator<char>()};
+  const std::string mapped_bytes{std::istreambuf_iterator<char>(b),
+                                 std::istreambuf_iterator<char>()};
+  EXPECT_FALSE(plain_bytes.empty());
+  EXPECT_EQ(plain_bytes, mapped_bytes);
 }
 
 TEST_F(CliIoTest, CompressBatchRejectsNonPsnrModes) {

@@ -18,7 +18,9 @@
 
 #include "core/compressor.h"
 #include "core/pipeline.h"
+#include "fpsnr/session.h"
 #include "fpsnr/timeseries.h"
+#include "io/archive.h"
 #include "io/streaming_archive.h"
 #include "metrics/metrics.h"
 
@@ -95,8 +97,8 @@ TEST(GoldenFormat, DecodeStaysWithinQualityContract) {
 }
 
 TEST(GoldenFormat, MmapReaderAcceptsGoldenArchive) {
-  const io::MmapArchiveReader reader(data_path("golden_v1.fpbk"));
-  EXPECT_EQ(reader.block_count(), 4u);
+  const io::MappedFile reader(data_path("golden_v1.fpbk"));
+  EXPECT_EQ(io::block_container_header(reader.bytes()).block_count, 4u);
   const auto expected = read_f32(data_path("golden_v1_decoded.f32"));
   const auto full = core::decompress_file<float>(data_path("golden_v1.fpbk"));
   EXPECT_EQ(full.values, expected);
@@ -319,3 +321,97 @@ TEST(GoldenFormat, V4QualityContractHoldsAgainstTheOriginal) {
       fpsnr::metrics::compare<float>(original, frame.f32);
   EXPECT_GE(report.psnr_db, 59.5);
 }
+
+// --- every fixture, every source --------------------------------------------
+//
+// A Session decodes an archive file through a read-only mapping and an
+// archive in memory through the caller's span; both must give the same
+// field, metadata and blocks for every checked-in fixture.
+
+struct GoldenSourceCase {
+  const char* archive;
+  /// The field decompress() must return; nullptr when no checked-in file
+  /// holds it. golden_v4_key.fpbk has no decoded file, and
+  /// golden_v4_decoded.f32 is the chain's t=1 reconstruction, which only
+  /// a TimeSeriesDecoder fed both frames returns.
+  const char* decoded;
+};
+
+class GoldenSources : public ::testing::TestWithParam<GoldenSourceCase> {};
+
+TEST_P(GoldenSources, FileAndMemorySourcesAgree) {
+  const auto& c = GetParam();
+  const std::string path = data_path(c.archive);
+  const auto bytes = read_bytes(path);
+  const auto memory = fpsnr::Source::memory(std::span<const std::uint8_t>(bytes));
+  const auto file = fpsnr::Source::file(path);
+  fpsnr::SessionOptions options;
+  options.threads = 2;
+  const fpsnr::Session session(options);
+
+  const fpsnr::Field from_memory = session.decompress(memory);
+  const fpsnr::Field from_file = session.decompress(file);
+  EXPECT_EQ(from_file.dims, from_memory.dims);
+  EXPECT_EQ(from_file.f32, from_memory.f32);
+  EXPECT_EQ(from_file.f64, from_memory.f64);
+  if (c.decoded) {
+    EXPECT_EQ(from_file.f32, read_f32(data_path(c.decoded)));
+  }
+
+  const fpsnr::Inspection mi = session.inspect(memory);
+  const fpsnr::Inspection fi = session.inspect(file);
+  EXPECT_TRUE(fi.block_container);
+  EXPECT_EQ(fi.version, mi.version);
+  EXPECT_EQ(fi.codec, mi.codec);
+  EXPECT_EQ(fi.target, mi.target);
+  EXPECT_EQ(fi.target_value, mi.target_value);
+  EXPECT_EQ(fi.budget, mi.budget);
+  EXPECT_EQ(fi.dims, mi.dims);
+  EXPECT_EQ(fi.block_count, mi.block_count);
+  EXPECT_EQ(fi.tile, mi.tile);
+  EXPECT_EQ(fi.eb_abs, mi.eb_abs);
+  EXPECT_EQ(fi.value_range, mi.value_range);
+  if (std::isnan(mi.achieved_psnr_db)) {
+    EXPECT_TRUE(std::isnan(fi.achieved_psnr_db));
+  } else {
+    EXPECT_EQ(fi.achieved_psnr_db, mi.achieved_psnr_db);
+  }
+  EXPECT_EQ(fi.archive_bytes, bytes.size());
+  EXPECT_EQ(fi.archive_bytes, mi.archive_bytes);
+  EXPECT_EQ(fi.temporal, mi.temporal);
+  EXPECT_EQ(fi.delta, mi.delta);
+  EXPECT_EQ(fi.series_id, mi.series_id);
+  EXPECT_EQ(fi.timestep, mi.timestep);
+  EXPECT_EQ(fi.ref_hash, mi.ref_hash);
+  EXPECT_EQ(fi.temporal_blocks, mi.temporal_blocks);
+
+  for (std::size_t b = 0; b < fi.block_count; ++b) {
+    SCOPED_TRACE("block " + std::to_string(b));
+    const fpsnr::Field bm = session.decompress_block(memory, b);
+    const fpsnr::Field bf = session.decompress_block(file, b);
+    EXPECT_EQ(bf.dims, bm.dims);
+    EXPECT_EQ(bf.f32, bm.f32);
+    EXPECT_EQ(bf.f64, bm.f64);
+  }
+  EXPECT_THROW((void)session.decompress_block(memory, fi.block_count),
+               std::out_of_range);
+  EXPECT_THROW((void)session.decompress_block(file, fi.block_count),
+               std::out_of_range);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryFixture, GoldenSources,
+    ::testing::Values(
+        GoldenSourceCase{"golden_v1.fpbk", "golden_v1_decoded.f32"},
+        GoldenSourceCase{"golden_v2_interp.fpbk",
+                         "golden_v2_interp_decoded.f32"},
+        GoldenSourceCase{"golden_v2_zfpr.fpbk", "golden_v2_zfpr_decoded.f32"},
+        GoldenSourceCase{"golden_v2_store.fpbk", "golden_v2_input.f32"},
+        GoldenSourceCase{"golden_v3.fpbk", "golden_v3_decoded.f32"},
+        GoldenSourceCase{"golden_v4_key.fpbk", nullptr},
+        GoldenSourceCase{"golden_v4.fpbk", nullptr}),
+    [](const ::testing::TestParamInfo<GoldenSourceCase>& info) {
+      std::string name = info.param.archive;
+      name = name.substr(0, name.find('.'));
+      return name;
+    });

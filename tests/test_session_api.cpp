@@ -35,6 +35,7 @@
 #include "metrics/metrics.h"
 #include "sz/codec.h"
 #include "sz/stream_format.h"
+#include "transform/transform_codec.h"
 
 namespace core = fpsnr::core;
 namespace data = fpsnr::data;
@@ -59,6 +60,13 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
 
 fs::path temp_file(const std::string& stem) {
   return fs::temp_directory_path() / ("fpsnr-session-" + stem);
+}
+
+void spill(const fs::path& path, std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
 }
 
 core::CompressResult compress_fixed_psnr(std::span<const float> values,
@@ -405,17 +413,117 @@ TEST(SessionApi, LegacyFlatPointwiseRelStreamStillDecodes) {
   ASSERT_FALSE(core::is_block_stream(flat));
 
   const Session session;
-  const auto src = Source::memory(std::span<const std::uint8_t>(flat));
-  const auto out = session.decompress(src);
-  EXPECT_EQ(out.f32, sz::decompress<float>(flat).values);
-  for (std::size_t i = 0; i < values.size(); ++i)
-    ASSERT_LE(std::abs(static_cast<double>(out.f32[i]) - values[i]),
-              0.01 * std::abs(static_cast<double>(values[i])));
-  const auto info = session.inspect(src);
-  EXPECT_FALSE(info.block_container);
-  EXPECT_EQ(info.target, "pointwise-rel");
-  EXPECT_DOUBLE_EQ(info.target_value, 0.01);
-  EXPECT_EQ(info.dims, dims.extents);
+  const auto path = temp_file("legacy-flat.fpsz");
+  spill(path, flat);
+  const std::pair<const char*, Source> sources[] = {
+      {"memory", Source::memory(std::span<const std::uint8_t>(flat))},
+      {"file", Source::file(path.string())}};
+  for (const auto& [label, src] : sources) {
+    SCOPED_TRACE(label);
+    const auto out = session.decompress(src);
+    EXPECT_EQ(out.f32, sz::decompress<float>(flat).values);
+    for (std::size_t i = 0; i < values.size(); ++i)
+      ASSERT_LE(std::abs(static_cast<double>(out.f32[i]) - values[i]),
+                0.01 * std::abs(static_cast<double>(values[i])));
+    const auto info = session.inspect(src);
+    EXPECT_FALSE(info.block_container);
+    EXPECT_EQ(info.target, "pointwise-rel");
+    EXPECT_DOUBLE_EQ(info.target_value, 0.01);
+    EXPECT_EQ(info.dims, dims.extents);
+    // A flat stream has no block index, from memory and from file alike.
+    EXPECT_THROW((void)session.decompress_block(src, 0),
+                 std::invalid_argument);
+  }
+  fs::remove(path);
+}
+
+TEST(SessionApi, LegacyFlatTransformStreamsDecodeAndInspect) {
+  // Flat FPTC streams record their scalar and transform in their header;
+  // Session reads both from it, from memory and from file alike.
+  const data::Dims dims{40, 40};
+  const auto values = sample_field(dims);
+  const std::vector<double> values64(values.begin(), values.end());
+  const Session session;
+  for (const auto kind : {fpsnr::transform::Kind::HaarMultiLevel,
+                          fpsnr::transform::Kind::BlockDct}) {
+    fpsnr::transform::Params params;
+    params.kind = kind;
+    params.bin_width = 1e-3;
+    const auto f32 = fpsnr::transform::compress<float>(values, dims, params);
+    const auto f64 =
+        fpsnr::transform::compress<double>(values64, dims, params);
+    const auto path32 = temp_file("legacy-flat-32.fptc");
+    const auto path64 = temp_file("legacy-flat-64.fptc");
+    spill(path32, f32);
+    spill(path64, f64);
+    const auto header = fpsnr::transform::inspect(f32);
+    const std::string codec =
+        kind == fpsnr::transform::Kind::HaarMultiLevel ? "transform-haar"
+                                                       : "transform-dct";
+    for (const bool from_file : {false, true}) {
+      SCOPED_TRACE(codec + (from_file ? " from file" : " from memory"));
+      const Source src32 =
+          from_file ? Source::file(path32.string())
+                    : Source::memory(std::span<const std::uint8_t>(f32));
+      const Source src64 =
+          from_file ? Source::file(path64.string())
+                    : Source::memory(std::span<const std::uint8_t>(f64));
+
+      const auto out32 = session.decompress(src32);
+      ASSERT_FALSE(out32.is_double());
+      EXPECT_EQ(out32.f32, fpsnr::transform::decompress<float>(f32).values);
+      const auto out64 = session.decompress(src64);
+      ASSERT_TRUE(out64.is_double());
+      EXPECT_EQ(out64.f64, fpsnr::transform::decompress<double>(f64).values);
+      EXPECT_EQ(out64.dims, dims.extents);
+
+      const auto info = session.inspect(src32);
+      EXPECT_FALSE(info.block_container);
+      EXPECT_EQ(info.codec, codec);
+      EXPECT_EQ(info.dims, dims.extents);
+      EXPECT_EQ(info.value_range, header.value_range);
+      EXPECT_GT(info.value_range, 0.0);
+      EXPECT_TRUE(std::isnan(info.achieved_psnr_db));
+      EXPECT_EQ(info.archive_bytes, f32.size());
+      EXPECT_THROW((void)session.decompress_block(src32, 0),
+                   std::invalid_argument);
+    }
+    fs::remove(path32);
+    fs::remove(path64);
+  }
+}
+
+TEST(SessionApi, TruncatedFlatTransformStreamFailsOnItsOwnScalar) {
+  // A cut float32 FPTC stream is a truncation, not a scalar mismatch: the
+  // scalar comes from the header, so the stream is decoded once, as f32.
+  const data::Dims dims{40, 40};
+  const auto values = sample_field(dims);
+  fpsnr::transform::Params params;
+  params.bin_width = 1e-3;
+  const auto flat = fpsnr::transform::compress<float>(values, dims, params);
+  ASSERT_GT(flat.size(), 64u);
+  const Session session;
+  const auto path = temp_file("truncated.fptc");
+  for (const std::size_t cut :
+       {flat.size() / 2, flat.size() - 5, flat.size() - 1}) {
+    SCOPED_TRACE("cut at " + std::to_string(cut) + " of " +
+                 std::to_string(flat.size()));
+    const std::vector<std::uint8_t> bytes(flat.begin(), flat.begin() + cut);
+    spill(path, bytes);
+    for (const Source& src :
+         {Source::memory(std::span<const std::uint8_t>(bytes)),
+          Source::file(path.string())}) {
+      try {
+        (void)session.decompress(src);
+        ADD_FAILURE() << "decoded a truncated stream";
+      } catch (const io::StreamError& e) {
+        EXPECT_EQ(std::string(e.what()).find("scalar type mismatch"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  fs::remove(path);
 }
 
 TEST(SessionApi, RawFileSourceMatchesMemorySource) {

@@ -1,8 +1,8 @@
 // Tests for FPBK file I/O: the writer (io::BlockContainerWriter, both
 // outputs) and its pipeline entry points — byte-identity of the file and
 // memory outputs at every thread count, reorder-buffer spilling — plus the
-// mmap reader (io/streaming_archive.h) and the I/O-locality guarantee of
-// single-block random access.
+// read-only file mapping (io/streaming_archive.h) and the I/O-locality
+// guarantee of single-block random access.
 #include "io/streaming_archive.h"
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 
 #include "core/pipeline.h"
 #include "data/synth.h"
+#include "io/archive.h"
 #include "io/bitstream.h"
 
 namespace core = fpsnr::core;
@@ -304,9 +305,10 @@ TEST(StreamingIo, MmapReaderDecodesFullArchiveAndSingleBlocks) {
   core::compress_to_file<float>(values, dims, request, pipeline_options(2, 8),
                                 tmp.str());
 
-  io::MmapArchiveReader reader(tmp.str());
-  ASSERT_EQ(reader.header().tile, (std::vector<std::uint64_t>{8, 30}));
-  EXPECT_EQ(reader.block_count(), (50 + 7) / 8u);
+  const io::MappedFile file(tmp.str());
+  const auto header = io::block_container_header(file.bytes());
+  ASSERT_EQ(header.tile, (std::vector<std::uint64_t>{8, 30}));
+  EXPECT_EQ(header.block_count, (50 + 7) / 8u);
 
   const auto full = core::decompress_file<float>(tmp.str(), 2);
   EXPECT_EQ(full.dims, dims);
@@ -316,16 +318,16 @@ TEST(StreamingIo, MmapReaderDecodesFullArchiveAndSingleBlocks) {
   EXPECT_EQ(full.values, ref.values);
 
   const std::size_t row_stride = dims.count() / dims[0];
-  for (std::size_t b = 0; b < reader.block_count(); ++b) {
-    const auto block = core::decompress_file_block<float>(tmp.str(), b);
-    const std::size_t first = b * reader.header().tile[0];
+  for (std::size_t b = 0; b < header.block_count; ++b) {
+    const auto block = core::decompress_block<float>(file.bytes(), b);
+    const std::size_t first = b * header.tile[0];
     ASSERT_EQ(block.dims[0], std::min<std::size_t>(8, dims[0] - first));
     for (std::size_t i = 0; i < block.values.size(); ++i)
       ASSERT_EQ(block.values[i], ref.values[first * row_stride + i])
           << "block " << b << " value " << i;
   }
-  EXPECT_THROW(core::decompress_file_block<float>(tmp.str(),
-                                                  reader.block_count()),
+  EXPECT_THROW(core::decompress_block<float>(file.bytes(),
+                                             header.block_count),
                std::out_of_range);
 }
 
@@ -355,24 +357,34 @@ TEST(StreamingIo, SingleBlockDecodeNeedsOnlyThatBlocksExtent) {
   const auto ref1 = core::decompress_block<float>(whole, 1);
   fs::resize_file(tmp.path, cut);
 
-  const auto got0 = core::decompress_file_block<float>(tmp.str(), 0);
-  const auto got1 = core::decompress_file_block<float>(tmp.str(), 1);
+  const io::MappedFile file(tmp.str());
+  const auto got0 = core::decompress_block<float>(file.bytes(), 0);
+  const auto got1 = core::decompress_block<float>(file.bytes(), 1);
   EXPECT_EQ(got0.values, ref0.values);
   EXPECT_EQ(got1.values, ref1.values);
-  EXPECT_THROW(core::decompress_file_block<float>(tmp.str(), 2),
+  EXPECT_THROW(core::decompress_block<float>(file.bytes(), 2),
                io::StreamError);
 }
 
 TEST(StreamingIo, MmapReaderRejectsBadFiles) {
-  EXPECT_THROW(io::MmapArchiveReader("/no/such/archive.fpbk"), io::StreamError);
+  EXPECT_THROW(io::MappedFile("/no/such/archive.fpbk"), io::StreamError);
 
+  // The mapping knows no format: an empty file maps to no bytes and junk
+  // maps as it is; the FPBK reader rejects both.
   TempFile empty("mmap-empty");
   std::ofstream(empty.path, std::ios::binary).close();
-  EXPECT_THROW(io::MmapArchiveReader(empty.str()), io::StreamError);
+  const io::MappedFile empty_file(empty.str());
+  EXPECT_TRUE(empty_file.bytes().empty());
+  EXPECT_THROW(io::block_container_header(empty_file.bytes()),
+               io::StreamError);
 
   TempFile junk("mmap-junk");
-  std::ofstream(junk.path, std::ios::binary) << "this is not an archive";
-  EXPECT_THROW(io::MmapArchiveReader(junk.str()), io::StreamError);
+  const std::string text = "this is not an archive";
+  std::ofstream(junk.path, std::ios::binary) << text;
+  const io::MappedFile junk_file(junk.str());
+  EXPECT_EQ(junk_file.bytes().size(), text.size());
+  EXPECT_THROW(io::block_container_header(junk_file.bytes()),
+               io::StreamError);
 }
 
 // --- double scalar through the file path ------------------------------------
