@@ -3,6 +3,7 @@
 // and the end-to-end codec in both directions.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <random>
 
 #include "data/dataset.h"
@@ -24,15 +25,16 @@ namespace sz = fpsnr::sz;
 
 namespace {
 
-const data::Field& test_field() {
+const data::Dataset& hurricane() {
   static const data::Dataset ds = data::make_hurricane({});
-  return ds.field("U");
+  return ds;
 }
 
-std::vector<std::uint32_t> quant_codes() {
+const data::Field& test_field() { return hurricane().field("U"); }
+
+std::vector<std::uint32_t> quant_codes(const data::Field& f, double rel_eb = 1e-4) {
   // Realistic quantization-code stream from an actual pass.
-  const auto& f = test_field();
-  const double eb = 1e-4 * metrics::value_range<float>(f.span());
+  const double eb = rel_eb * metrics::value_range<float>(f.span());
   const auto trace = sz::prediction_trace<float>(f.span(), f.dims, eb);
   sz::LinearQuantizer q(eb, 65536);
   std::vector<std::uint32_t> codes(trace.pe.size());
@@ -62,7 +64,7 @@ void BM_LorenzoQuantizePass(benchmark::State& state) {
 BENCHMARK(BM_LorenzoQuantizePass)->Unit(benchmark::kMillisecond);
 
 void BM_HuffmanEncode(benchmark::State& state) {
-  const auto codes = quant_codes();
+  const auto codes = quant_codes(test_field());
   const auto enc = huffman::Encoder::from_symbols(codes, 65536);
   for (auto _ : state) {
     io::BitWriter bits;
@@ -74,8 +76,12 @@ void BM_HuffmanEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_HuffmanEncode)->Unit(benchmark::kMillisecond);
 
-void BM_HuffmanDecode(benchmark::State& state) {
-  const auto codes = quant_codes();
+// Two arms: U at a 1e-4 relative bound, a smooth field whose codes spread
+// over many bins, and QRAIN at 60 dB (bound vr * sqrt(3) * 1e-3, Eq. 7), a
+// sparse hydrometeor whose codes average under 2 bits, where each 64-bit
+// window resolves the most symbols.
+void BM_HuffmanDecode(benchmark::State& state, const char* field, double rel_eb) {
+  const auto codes = quant_codes(hurricane().field(field), rel_eb);
   const auto enc = huffman::Encoder::from_symbols(codes, 65536);
   io::BitWriter bits;
   enc.encode(codes, bits);
@@ -88,8 +94,12 @@ void BM_HuffmanDecode(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(codes.size()));
+  state.counters["bits_per_value"] =
+      8.0 * static_cast<double>(payload.size()) / static_cast<double>(codes.size());
 }
-BENCHMARK(BM_HuffmanDecode)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HuffmanDecode, U, "U", 1e-4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_HuffmanDecode, QRAIN, "QRAIN", std::sqrt(3.0) * 1e-3)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DeflateCompress(benchmark::State& state) {
   const auto input = byte_workload();

@@ -371,8 +371,9 @@ Decoder::Decoder(std::span<const Run> runs) {
   // symbol of length L has code first_code_[L] + k. Codes are emitted
   // bit-reversed into the LSB-first stream, so a W-bit peek holds
   // reverse(code, L) in its low L bits; every high-bit filler pattern maps
-  // to the same symbol.
-  constexpr unsigned kMaxTableWidth = 12;  // 4096 entries, fits L1
+  // to the same symbol. Ten bits keep the table (12 KB) in L1 and let one
+  // 56-bit window serve five lookups.
+  constexpr unsigned kMaxTableWidth = 10;
   table_width_ = std::min(max_length_, kMaxTableWidth);
   if (max_length_ > 0)
     fast_table_.assign(std::size_t{1} << table_width_, FastEntry{});
@@ -388,31 +389,36 @@ Decoder::Decoder(std::span<const Run> runs) {
       const std::uint32_t rc = reverse_bits(first_code_[L] + rank[L] + k, L);
       const std::size_t fillers = std::size_t{1} << (table_width_ - L);
       for (std::size_t f = 0; f < fillers; ++f)
-        fast_table_[rc | (f << L)] = {r.symbol + k,
-                                      static_cast<std::uint8_t>(L)};
+        fast_table_[rc | (f << L)] = {r.symbol + k, 0,
+                                      static_cast<std::uint8_t>(L),
+                                      static_cast<std::uint8_t>(L), 1};
     }
     rank[L] += r.count;
   }
-}
-
-std::uint32_t Decoder::decode_symbol(io::BitReader& in) const {
-  if (table_width_ != 0) {
-    const std::uint64_t window = in.peek_bits(table_width_);
-    const FastEntry e = fast_table_[window];
-    if (e.length != 0 && e.length <= in.bits_remaining()) {
-      in.skip_bits(e.length);
-      return e.symbol;
+  // Pair each entry with the code its filler bits hold, if they hold a
+  // whole one: that entry's own peek pattern, zero-filled above.
+  for (std::size_t w = 0; w < fast_table_.size(); ++w) {
+    FastEntry& e = fast_table_[w];
+    if (e.length == 0) continue;
+    const FastEntry& next = fast_table_[w >> e.length];
+    if (next.length != 0 && e.length + next.length <= table_width_) {
+      e.second = next.symbol;
+      e.bits = static_cast<std::uint8_t>(e.length + next.length);
+      e.step = 2;
     }
   }
-  return decode_symbol_slow(in);
 }
 
 std::uint32_t Decoder::decode_symbol_slow(io::BitReader& in) const {
+  // Walk the canonical code bit by bit through one peek: the stream holds
+  // codes bit-reversed, so the next code bit is the next window bit.
+  const std::uint64_t window = in.peek_bits(max_length_);
   std::uint32_t code = 0;
   for (unsigned L = 1; L <= max_length_; ++L) {
-    code = (code << 1) | static_cast<std::uint32_t>(in.read_bits(1));
+    code = (code << 1) | static_cast<std::uint32_t>((window >> (L - 1)) & 1u);
     if (count_[L] != 0 && code >= first_code_[L] &&
         code - first_code_[L] < count_[L]) {
+      in.skip_bits(L);  // throws when the code runs past the stream end
       const std::uint32_t rank = code - first_code_[L];
       if (L <= kListedLength) return sorted_symbols_[offset_[L] + rank];
       // The last run of length L whose first rank is <= this code's rank.
@@ -422,17 +428,48 @@ std::uint32_t Decoder::decode_symbol_slow(io::BitReader& in) const {
       return run->symbol + (rank - run->rank);
     }
   }
+  // No code matched: the stream ran out first (skip_bits throws) or holds
+  // a pattern the table leaves unassigned.
+  in.skip_bits(max_length_);
   throw io::StreamError("huffman: invalid code in stream");
 }
 
 std::vector<std::uint32_t> Decoder::decode(io::BitReader& in, std::size_t count) const {
   // Every code is at least one bit (a lone symbol still gets one), so a
-  // count beyond the bits left is a lie; reject it before reserving.
+  // count beyond the bits left is a lie; reject it before allocating.
   if (count > in.bits_remaining())
     throw io::StreamError("huffman: symbol count exceeds the bits left");
-  std::vector<std::uint32_t> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(decode_symbol(in));
+  std::vector<std::uint32_t> out(count);
+  std::size_t i = 0;
+  // Bulk loop: while a whole 8-byte window lies in the stream, each load
+  // makes kWindowBits / table_width_ table lookups, which fit in the bits
+  // it holds, so they need no per-symbol bounds check. A lookup resolves
+  // one code, or two when both fit the table width. A code the table does
+  // not resolve goes to the canonical walk; the last 8 bytes go through
+  // the checked decode_symbol. `dst[i + 1]` is written on every lookup
+  // (and overwritten by the next one when unused), so the loop stops with
+  // two symbols of room per lookup left.
+  if (table_width_ != 0) {
+    const unsigned per_load = io::BitReader::kWindowBits / table_width_;
+    const std::uint64_t mask = (std::uint64_t{1} << table_width_) - 1;
+    const FastEntry* table = fast_table_.data();
+    std::uint32_t* const dst = out.data();
+    while (count - i >= 2 * per_load && in.window_is_full()) {
+      const std::uint64_t window = in.window();
+      unsigned used = 0, k = 0;
+      for (; k < per_load; ++k) {
+        const FastEntry e = table[(window >> used) & mask];
+        if (e.length == 0) break;
+        dst[i] = e.symbol;
+        dst[i + 1] = e.second;
+        i += e.step;
+        used += e.bits;
+      }
+      in.skip_bits(used);
+      if (k < per_load) dst[i++] = decode_symbol_slow(in);
+    }
+  }
+  for (; i < count; ++i) out[i] = decode_symbol(in);
   return out;
 }
 

@@ -16,7 +16,9 @@
 //  * Canonical code assignment — only code *lengths* are serialized
 //    (run-length encoded), exactly like DEFLATE.
 //  * Codes are emitted bit-reversed into the LSB-first BitWriter, so the
-//    decoder can consume one bit at a time in stream order.
+//    low bits of a BitReader window hold the next code, first bit lowest:
+//    the decoder resolves it with one table lookup on those bits, and
+//    Decoder::decode resolves several codes from each 64-bit window.
 #pragma once
 
 #include <cstdint>
@@ -105,10 +107,12 @@ class Decoder {
   /// Build directly from code lengths.
   static Decoder from_lengths(std::span<const std::uint8_t> lengths);
 
-  /// Decode one symbol.
+  /// Decode one symbol. Throws io::StreamError on an invalid code or one
+  /// that runs past the end of the stream.
   std::uint32_t decode_symbol(io::BitReader& in) const;
 
-  /// Decode exactly `count` symbols.
+  /// Decode exactly `count` symbols: the same symbols, final position and
+  /// errors as `count` decode_symbol calls.
   std::vector<std::uint32_t> decode(io::BitReader& in, std::size_t count) const;
 
  private:
@@ -144,10 +148,14 @@ class Decoder {
 
   // Single-level lookup acceleration: peek `table_width_` stream bits and
   // resolve any code of length <= table_width_ in one step (the common
-  // case — long codes fall back to the canonical bit-by-bit walk).
+  // case — long codes fall back to the canonical walk). decode() also
+  // takes the code after it from the same peek when both fit the width.
   struct FastEntry {
     std::uint32_t symbol = 0;
-    std::uint8_t length = 0;  // 0 = no code of width <= table_width_ here
+    std::uint32_t second = 0;  // the next code's symbol when step == 2
+    std::uint8_t length = 0;   // 0 = no code of width <= table_width_ here
+    std::uint8_t bits = 0;     // length of the step's codes together
+    std::uint8_t step = 0;     // codes resolved by decode(): 1 or 2
   };
   unsigned table_width_ = 0;
   std::vector<FastEntry> fast_table_;
@@ -156,5 +164,16 @@ class Decoder {
   explicit Decoder(std::span<const Run> runs);
   std::uint32_t decode_symbol_slow(io::BitReader& in) const;
 };
+
+inline std::uint32_t Decoder::decode_symbol(io::BitReader& in) const {
+  if (table_width_ != 0) {
+    const FastEntry e = fast_table_[in.peek_bits(table_width_)];
+    if (e.length != 0 && e.length <= in.bits_remaining()) {
+      in.skip_bits(e.length);
+      return e.symbol;
+    }
+  }
+  return decode_symbol_slow(in);
+}
 
 }  // namespace fpsnr::huffman

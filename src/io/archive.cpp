@@ -170,6 +170,7 @@ BlockContainerHeader read_block_header(ByteReader& reader) {
   h.version = version;
   h.codec = reader.get<std::uint8_t>();
   h.scalar = reader.get<std::uint8_t>();
+  if (h.scalar > 1) throw StreamError("block container: unknown scalar type");
   const auto rank = reader.get<std::uint8_t>();
   if (rank < 1 || rank > kMaxRank)
     throw StreamError("block container: rank out of 1..3");

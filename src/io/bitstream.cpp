@@ -51,53 +51,31 @@ std::vector<std::uint8_t> BitWriter::take() {
   return out;
 }
 
-std::uint64_t BitReader::read_bits(unsigned nbits) {
-  if (nbits > 64) throw StreamError("BitReader: nbits > 64");
-  if (nbits == 0) return 0;
-  if (nbits > bits_remaining())
-    throw StreamError("BitReader: read past end of stream");
+std::uint64_t BitReader::tail_window(std::size_t pos) const {
   std::uint64_t out = 0;
-  unsigned got = 0;
-  while (got < nbits) {
-    std::size_t byte_idx = bit_pos_ >> 3;
-    unsigned bit_off = static_cast<unsigned>(bit_pos_ & 7);
-    unsigned avail = 8 - bit_off;
-    unsigned take_n = std::min(avail, nbits - got);
-    std::uint64_t chunk =
-        (static_cast<std::uint64_t>(data_[byte_idx]) >> bit_off) &
-        ((std::uint64_t{1} << take_n) - 1);
-    out |= chunk << got;
-    got += take_n;
-    bit_pos_ += take_n;
-  }
+  for (std::size_t byte = pos >> 3, shift = 0;
+       byte < data_.size() && shift < 64; ++byte, shift += 8)
+    out |= std::uint64_t{data_[byte]} << shift;
+  return out >> (pos & 7);  // bits past the end stay zero
+}
+
+std::uint64_t BitReader::peek_wide(unsigned nbits) const {
+  if (nbits > 64) throw StreamError("BitReader: nbits > 64");
+  // Two windows: the low 32 bits, then the rest from 32 bits further on.
+  const std::uint64_t lo = window_at(bit_pos_) & low_mask(32);
+  return lo | (window_at(bit_pos_ + 32) & low_mask(nbits - 32)) << 32;
+}
+
+std::uint64_t BitReader::read_wide(unsigned nbits) {
+  if (nbits > 64) throw StreamError("BitReader: nbits > 64");
+  if (nbits > bits_remaining()) throw_past_end("read");
+  const std::uint64_t out = peek_wide(nbits);
+  bit_pos_ += nbits;
   return out;
 }
 
-std::uint64_t BitReader::peek_bits(unsigned nbits) const {
-  if (nbits > 64) throw StreamError("BitReader: nbits > 64");
-  std::uint64_t out = 0;
-  unsigned got = 0;
-  std::size_t pos = bit_pos_;
-  const std::size_t end = bit_size();
-  while (got < nbits && pos < end) {
-    const std::size_t byte_idx = pos >> 3;
-    const unsigned bit_off = static_cast<unsigned>(pos & 7);
-    const unsigned avail = 8 - bit_off;
-    const unsigned take_n = std::min<unsigned>(avail, nbits - got);
-    const std::uint64_t chunk =
-        (static_cast<std::uint64_t>(data_[byte_idx]) >> bit_off) &
-        ((std::uint64_t{1} << take_n) - 1);
-    out |= chunk << got;
-    got += take_n;
-    pos += take_n;
-  }
-  return out;  // bits past the end stay zero
-}
-
-void BitReader::skip_bits(std::size_t n) {
-  if (n > bits_remaining())
-    throw StreamError("BitReader: skip past end of stream");
-  bit_pos_ += n;
+void BitReader::throw_past_end(const char* op) {
+  throw StreamError(std::string("BitReader: ") + op + " past end of stream");
 }
 
 void BitReader::align_to_byte() {

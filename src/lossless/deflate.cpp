@@ -1,6 +1,7 @@
 #include "lossless/deflate.h"
 
 #include <array>
+#include <cstring>
 #include <stdexcept>
 
 #include "huffman/huffman.h"
@@ -122,31 +123,46 @@ std::vector<std::uint8_t> deflate_decompress(std::span<const std::uint8_t> compr
   if (original_size / 258 > std::uint64_t{payload.size()} * 8)
     throw io::StreamError("deflate: declared size exceeds the payload");
 
+  // The output is sized once to the validated size and written in place:
+  // every literal and match checks its room before it writes.
   io::BitReader bits(payload);
-  std::vector<std::uint8_t> out;
-  out.reserve(original_size);
+  std::vector<std::uint8_t> out(original_size);
+  std::uint8_t* const dst = out.data();
+  std::size_t pos = 0;
   for (;;) {
     const std::uint32_t sym = litlen_dec.decode_symbol(bits);
-    if (sym == kEndOfBlock) break;
     if (sym < 256) {
-      out.push_back(static_cast<std::uint8_t>(sym));
+      if (pos == out.size())
+        throw io::StreamError("deflate: output exceeds declared size");
+      dst[pos++] = static_cast<std::uint8_t>(sym);
       continue;
     }
-    const LengthInfo li = length_symbol_info(sym);
+    if (sym == kEndOfBlock) break;
+    if (sym >= kLitLenAlphabet)
+      throw io::StreamError("deflate: bad length symbol");
     const unsigned length =
-        li.base + static_cast<unsigned>(bits.read_bits(li.extra_bits));
+        kLengthBase[sym - 257] +
+        static_cast<unsigned>(bits.read_bits(kLengthExtra[sym - 257]));
     const std::uint32_t dsym = dist_dec.decode_symbol(bits);
-    const DistanceInfo di = distance_symbol_info(dsym);
-    const unsigned distance =
-        di.base + static_cast<unsigned>(bits.read_bits(di.extra_bits));
-    if (distance == 0 || distance > out.size())
+    if (dsym >= kDistAlphabet)
+      throw io::StreamError("deflate: bad distance symbol");
+    const std::size_t distance =
+        kDistBase[dsym] + static_cast<std::size_t>(bits.read_bits(kDistExtra[dsym]));
+    if (distance > pos)
       throw io::StreamError("deflate: back-reference outside window");
-    const std::size_t src = out.size() - distance;
-    for (unsigned i = 0; i < length; ++i) out.push_back(out[src + i]);
-    if (out.size() > original_size)
+    if (length > out.size() - pos)
       throw io::StreamError("deflate: output exceeds declared size");
+    // A distance shorter than the length repeats bytes this copy writes,
+    // so only a distant source may be copied in one block.
+    std::uint8_t* const to = dst + pos;
+    const std::uint8_t* from = to - distance;
+    if (distance >= length)
+      std::memcpy(to, from, length);
+    else
+      for (unsigned i = 0; i < length; ++i) to[i] = from[i];
+    pos += length;
   }
-  if (out.size() != original_size)
+  if (pos != original_size)
     throw io::StreamError("deflate: output size mismatch with header");
   return out;
 }

@@ -645,3 +645,30 @@ TEST(Corruption, UnknownCodecIdIsAStreamErrorOnEveryDecodePath) {
   }
   fs::remove(path);
 }
+
+// --- unknown scalar type ----------------------------------------------------
+
+TEST(Corruption, UnknownScalarTypeIsAStreamErrorOnInspectAndDecompress) {
+  // Header byte 6 is the scalar type (0 float, 1 double), and the FPBK
+  // reader rejects any other value as the flat FPSZ/FPTC readers do: both
+  // inspect and decompress fail with that typed error, not with a scalar
+  // mismatch further on.
+  auto bytes = valid_container();
+  ASSERT_EQ(io::block_container_header(bytes).scalar, bytes.at(6));
+  bytes[6] = 7;
+  const auto source =
+      fpsnr::Source::memory(std::span<const std::uint8_t>(bytes));
+  auto expect_unknown_scalar = [](auto&& decode) {
+    try {
+      decode();
+      ADD_FAILURE() << "accepted scalar type 7";
+    } catch (const io::StreamError& e) {
+      EXPECT_STREQ(e.what(), "block container: unknown scalar type");
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "untyped error: " << e.what();
+    }
+  };
+  expect_unknown_scalar([&] { (void)fpsnr::Session().inspect(source); });
+  expect_unknown_scalar([&] { (void)fpsnr::Session().decompress(source); });
+  expect_all_readers_reject(bytes);
+}

@@ -1,5 +1,6 @@
 // Unit and property tests for the lossless substrates: LZ77, DEFLATE-like
 // coder, RLE, and the self-describing backend.
+#include "huffman/huffman.h"
 #include "io/bitstream.h"
 #include "io/bytebuffer.h"
 #include "lossless/backend.h"
@@ -9,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <random>
 #include <string>
 
+namespace huffman = fpsnr::huffman;
 namespace lossless = fpsnr::lossless;
 namespace io = fpsnr::io;
 
@@ -40,6 +43,48 @@ std::vector<std::uint8_t> repetitive_bytes(std::size_t n, std::uint64_t seed) {
   }
   v.resize(n);
   return v;
+}
+
+/// A deflate stream written straight from `tokens`, with no check that
+/// they are consistent with `declared_size`: the container deflate_compress
+/// writes (declared size, the two code tables, the coded tokens, end of
+/// block), for streams the compressor would never produce.
+std::vector<std::uint8_t> deflate_from_tokens(std::span<const lossless::Token> tokens,
+                                              std::uint64_t declared_size) {
+  std::vector<std::uint64_t> litlen_freq(lossless::kLitLenAlphabet, 0);
+  std::vector<std::uint64_t> dist_freq(lossless::kDistAlphabet, 0);
+  for (const auto& t : tokens) {
+    if (t.kind == lossless::Token::Kind::Literal) {
+      ++litlen_freq[t.literal];
+    } else {
+      ++litlen_freq[lossless::length_to_symbol(t.length).symbol];
+      ++dist_freq[lossless::distance_to_symbol(t.distance).symbol];
+    }
+  }
+  ++litlen_freq[lossless::kEndOfBlock];
+  ++dist_freq[0];  // a distance table even for literal-only streams
+  const auto litlen = huffman::Encoder::from_frequencies(litlen_freq);
+  const auto dist = huffman::Encoder::from_frequencies(dist_freq);
+  io::ByteWriter out;
+  out.put_varint(declared_size);
+  litlen.write_table(out);
+  dist.write_table(out);
+  io::BitWriter bits;
+  for (const auto& t : tokens) {
+    if (t.kind == lossless::Token::Kind::Literal) {
+      litlen.encode_symbol(t.literal, bits);
+      continue;
+    }
+    const auto ls = lossless::length_to_symbol(t.length);
+    litlen.encode_symbol(ls.symbol, bits);
+    bits.write_bits(ls.extra_value, ls.extra_bits);
+    const auto ds = lossless::distance_to_symbol(t.distance);
+    dist.encode_symbol(ds.symbol, bits);
+    bits.write_bits(ds.extra_value, ds.extra_bits);
+  }
+  litlen.encode_symbol(lossless::kEndOfBlock, bits);
+  out.put_blob(bits.take());
+  return out.take();
 }
 
 }  // namespace
@@ -211,6 +256,117 @@ TEST(Deflate, HugeDeclaredSizeRejectedBeforeAllocating) {
   w.put_varint(std::uint64_t{1} << 50);
   w.put_bytes(std::span<const std::uint8_t>(c).subspan(varint_bytes));
   EXPECT_THROW(lossless::deflate_decompress(w.buffer()), io::StreamError);
+}
+
+TEST(Deflate, OverlappingDistanceOneMatchesOfLength258) {
+  // A run decodes as one literal and distance-1 matches, each copying the
+  // byte it just wrote; the longest (258) has its own symbol.
+  std::vector<std::uint8_t> input(5000, 0x5A);
+  input.push_back(0x01);
+  input.insert(input.end(), 1000, 0x00);
+  const auto tokens = lossless::tokenize(input);
+  const auto is_run = [](const lossless::Token& t) {
+    return t.kind == lossless::Token::Kind::Match && t.distance == 1 &&
+           t.length == lossless::kMaxMatch;
+  };
+  ASSERT_GE(std::count_if(tokens.begin(), tokens.end(), is_run), 20);
+  const auto c = lossless::deflate_compress(input);
+  EXPECT_EQ(lossless::deflate_decompress(std::vector<std::uint8_t>(c.begin(), c.end())),
+            input);
+
+  // Short overlaps too: distance 1..4 under every length class.
+  std::vector<lossless::Token> hand = {lossless::Token::make_literal(7),
+                                       lossless::Token::make_literal(8),
+                                       lossless::Token::make_literal(9),
+                                       lossless::Token::make_literal(10)};
+  std::vector<std::uint8_t> want = {7, 8, 9, 10};
+  for (std::uint16_t length = 3; length <= lossless::kMaxMatch; length += 17)
+    for (std::uint16_t distance = 1; distance <= 4; ++distance) {
+      hand.push_back(lossless::Token::make_match(length, distance));
+      for (std::uint16_t i = 0; i < length; ++i)
+        want.push_back(want[want.size() - distance]);
+    }
+  EXPECT_EQ(lossless::detokenize(hand), want);
+  EXPECT_EQ(lossless::deflate_decompress(deflate_from_tokens(hand, want.size())),
+            want);
+}
+
+TEST(Deflate, ExtraBitsAtEveryWordOffsetRoundTrip) {
+  // Matches of every length and distance class, 13 distance extra bits
+  // included, in a stream long enough that their extra bits fall at every
+  // bit offset of the 8-byte window and straddle its word boundaries.
+  std::mt19937_64 rng(5);
+  std::vector<std::uint8_t> input = random_bytes(lossless::kWindowSize, 6);
+  std::size_t far_matches = 0;
+  while (input.size() < 6 * lossless::kWindowSize) {
+    const std::size_t length = lossless::kMinMatch + rng() % (lossless::kMaxMatch - 2);
+    const std::size_t distance = 1 + rng() % lossless::kWindowSize;
+    far_matches += distance > 16384;
+    for (std::size_t i = 0; i < length; ++i)
+      input.push_back(input[input.size() - distance]);
+    for (std::size_t i = rng() % 4; i > 0; --i)
+      input.push_back(static_cast<std::uint8_t>(rng()));
+  }
+  ASSERT_GT(far_matches, 300u);
+  const auto c = lossless::deflate_compress(input);
+  EXPECT_EQ(lossless::deflate_decompress(c), input);
+}
+
+TEST(Deflate, BackReferenceBeforeTheOutputStartThrows) {
+  const std::vector<lossless::Token> first = {lossless::Token::make_match(3, 1)};
+  EXPECT_THROW(lossless::deflate_decompress(deflate_from_tokens(first, 3)),
+               io::StreamError);
+  const std::vector<lossless::Token> past = {
+      lossless::Token::make_literal(1), lossless::Token::make_literal(2),
+      lossless::Token::make_match(4, 3)};
+  EXPECT_THROW(lossless::deflate_decompress(deflate_from_tokens(past, 6)),
+               io::StreamError);
+}
+
+TEST(Deflate, OutputPastTheDeclaredSizeThrows) {
+  // The output is sized to the declared size; a literal or a match that
+  // would write past it is rejected before it writes (a sanitized build
+  // would flag the write otherwise).
+  const std::vector<lossless::Token> literals = {
+      lossless::Token::make_literal(1), lossless::Token::make_literal(2),
+      lossless::Token::make_literal(3)};
+  EXPECT_THROW(lossless::deflate_decompress(deflate_from_tokens(literals, 2)),
+               io::StreamError);
+  const std::vector<lossless::Token> match = {
+      lossless::Token::make_literal(1), lossless::Token::make_literal(2),
+      lossless::Token::make_match(258, 2)};
+  EXPECT_THROW(lossless::deflate_decompress(deflate_from_tokens(match, 259)),
+               io::StreamError);
+  EXPECT_EQ(lossless::deflate_decompress(deflate_from_tokens(match, 260)).size(), 260u);
+  // Fewer bytes than declared is a mismatch too.
+  EXPECT_THROW(lossless::deflate_decompress(deflate_from_tokens(match, 261)),
+               io::StreamError);
+}
+
+TEST(Deflate, SymbolsOutsideTheDeflateAlphabetsAreStreamErrors) {
+  // The tables are read from the stream, so a corrupted one may code a
+  // length symbol above 285 or a distance symbol above 29; decoding it is
+  // a malformed stream, not an argument error.
+  const auto stream = [](std::uint32_t litlen_symbol, std::uint32_t dist_symbol) {
+    std::vector<std::uint64_t> litlen_freq(300, 0), dist_freq(40, 0);
+    litlen_freq['a'] = litlen_freq[litlen_symbol] = litlen_freq[lossless::kEndOfBlock] = 1;
+    dist_freq[dist_symbol] = dist_freq[0] = 1;
+    const auto litlen = huffman::Encoder::from_frequencies(litlen_freq);
+    const auto dist = huffman::Encoder::from_frequencies(dist_freq);
+    io::ByteWriter out;
+    out.put_varint(10);
+    litlen.write_table(out);
+    dist.write_table(out);
+    io::BitWriter bits;
+    litlen.encode_symbol('a', bits);
+    litlen.encode_symbol(litlen_symbol, bits);  // length 3 when <= 285
+    dist.encode_symbol(dist_symbol, bits);      // distance 1 when 0
+    litlen.encode_symbol(lossless::kEndOfBlock, bits);
+    out.put_blob(bits.take());
+    return out.take();
+  };
+  EXPECT_THROW(lossless::deflate_decompress(stream(290, 0)), io::StreamError);
+  EXPECT_THROW(lossless::deflate_decompress(stream(257, 35)), io::StreamError);
 }
 
 class DeflatePropertyTest : public ::testing::TestWithParam<int> {};
