@@ -3,7 +3,7 @@
 // runtime dispatcher — so time(scalar)/time(dispatch) measured INSIDE one
 // run is the vectorization speedup, independent of the machine. The
 // bench-regression CI job feeds both arms to tools/bench_compare.py, which
-// gates on >= 1.5x for at least two kernels whenever the dispatched
+// gates on >= 1.5x for at least four kernels whenever the dispatched
 // backend is not scalar (the active backend is exported through the
 // "fpsnr_simd_backend" context key below; FPSNR_SIMD=scalar turns the
 // gate off and the pairs simply measure parity).
@@ -147,6 +147,49 @@ void bm_lorenzo3(benchmark::State& state, const simd::KernelTable& kt) {
       static_cast<std::int64_t>(n0 * n1 * n2 * sizeof(float)));
 }
 
+// The recon arms decode the codes the quant arms above produce. The quant
+// kernel's recon already holds every outlier at its code-0 point, which is
+// the recon kernels' input contract; they rewrite only the other points,
+// so every iteration starts from an equivalent buffer.
+
+void bm_lorenzo2_recon(benchmark::State& state, const simd::KernelTable& kt) {
+  constexpr std::size_t n0 = 512, n1 = 512;
+  const auto f64 = smooth_field(n0 * n1, 19);
+  const simd::aligned_vector<float> values(f64.begin(), f64.end());
+  simd::aligned_vector<std::uint32_t> codes(n0 * n1);
+  simd::aligned_vector<float> recon(n0 * n1), outliers(n0 * n1);
+  simd::kernels_for(simd::Backend::Scalar)
+      .lorenzo2_quant_f32(values.data(), n0, n1, 1e-3, 65536, codes.data(),
+                          recon.data(), outliers.data());
+  for (auto _ : state) {
+    kt.lorenzo2_recon_f32(codes.data(), n0, n1, 1e-3, 65536, recon.data());
+    benchmark::DoNotOptimize(recon.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n0 * n1 * sizeof(float)));
+}
+
+void bm_lorenzo3_recon(benchmark::State& state, const simd::KernelTable& kt) {
+  constexpr std::size_t n0 = 64, n1 = 64, n2 = 64;
+  const auto f64 = smooth_field(n0 * n1 * n2, 37);
+  const simd::aligned_vector<float> values(f64.begin(), f64.end());
+  simd::aligned_vector<std::uint32_t> codes(n0 * n1 * n2);
+  simd::aligned_vector<float> recon(n0 * n1 * n2);
+  simd::kernels_for(simd::Backend::Scalar)
+      .lorenzo3_quant_f32(values.data(), n0, n1, n2, 1e-3, 65536,
+                          codes.data(), recon.data());
+  for (auto _ : state) {
+    kt.lorenzo3_recon_f32(codes.data(), n0, n1, n2, 1e-3, 65536,
+                          recon.data());
+    benchmark::DoNotOptimize(recon.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(n0 * n1 * n2 * sizeof(float)));
+}
+
 void bm_huffman_pack(benchmark::State& state, const simd::KernelTable& kt) {
   // Realistic post-quantization symbol skew: geometric around the zero
   // code, canonical table built by the production coder.
@@ -211,6 +254,8 @@ void register_arm_pairs() {
       {"BM_SimdHaarFwd", bm_haar_fwd},     {"BM_SimdDct2", bm_dct2_lines},
       {"BM_SimdZfprQuant", bm_zfpr_quant}, {"BM_SimdLorenzo2", bm_lorenzo2},
       {"BM_SimdLorenzo3", bm_lorenzo3},
+      {"BM_SimdLorenzo2Recon", bm_lorenzo2_recon},
+      {"BM_SimdLorenzo3Recon", bm_lorenzo3_recon},
       {"BM_SimdHuffmanPack", bm_huffman_pack}, {"BM_SimdSse", bm_sse_f64},
   };
   for (const Kernel& k : kernels) {

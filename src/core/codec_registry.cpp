@@ -109,7 +109,17 @@ constexpr TuningKnob kDctBlockKnob{
 // Each policy names a codec family, lists the tuning keys it reads, and
 // gives its typed encode (which fills BlockInfo's outlier_count and
 // achieved_sse, and writes the decode-side values into a non-empty
-// `recon`) and decode. PolicyCodec below turns one into a BlockCodec.
+// `recon`) and decode (which fills the caller's slab, failing with
+// io::StreamError when the block holds a different number of values).
+// PolicyCodec below turns one into a BlockCodec.
+
+/// Copy a decoded block into its slab.
+template <typename T>
+void fill_slab(const std::vector<T>& values, std::span<T> out) {
+  if (values.size() != out.size())
+    throw io::StreamError("block codec: slab size mismatch");
+  std::copy(values.begin(), values.end(), out.begin());
+}
 
 /// Predictor path: Lorenzo / hybrid-regression SZ codec with an absolute
 /// bound (pointwise |err| <= eb_abs holds in addition to the budget) or a
@@ -139,8 +149,8 @@ struct SzPolicy {
   }
 
   template <typename T>
-  static std::vector<T> decode(std::span<const std::uint8_t> block) {
-    return sz::decompress<T>(block).values;
+  static void decode(std::span<const std::uint8_t> block, std::span<T> out) {
+    sz::decompress_into<T>(block, out);
   }
 };
 
@@ -175,8 +185,8 @@ struct TransformPolicy {
   }
 
   template <typename T>
-  static std::vector<T> decode(std::span<const std::uint8_t> block) {
-    return transform::decompress<T>(block).values;
+  static void decode(std::span<const std::uint8_t> block, std::span<T> out) {
+    fill_slab(transform::decompress<T>(block).values, out);
   }
 };
 
@@ -203,8 +213,8 @@ struct InterpPolicy {
   }
 
   template <typename T>
-  static std::vector<T> decode(std::span<const std::uint8_t> block) {
-    return sz::interp_decompress<T>(block).values;
+  static void decode(std::span<const std::uint8_t> block, std::span<T> out) {
+    fill_slab(sz::interp_decompress<T>(block).values, out);
   }
 };
 
@@ -231,8 +241,8 @@ struct ZfpRatePolicy {
   }
 
   template <typename T>
-  static std::vector<T> decode(std::span<const std::uint8_t> block) {
-    return transform::fixed_rate_decompress<T>(block).values;
+  static void decode(std::span<const std::uint8_t> block, std::span<T> out) {
+    fill_slab(transform::fixed_rate_decompress<T>(block).values, out);
   }
 };
 
@@ -272,7 +282,7 @@ struct StorePolicy {
   }
 
   template <typename T>
-  static std::vector<T> decode(std::span<const std::uint8_t> block) {
+  static void decode(std::span<const std::uint8_t> block, std::span<T> out) {
     io::ByteReader reader(block);
     const auto magic = reader.get_bytes(4);
     if (!std::equal(magic.begin(), magic.end(), kStoreMagic))
@@ -281,9 +291,9 @@ struct StorePolicy {
       throw io::StreamError("fpst: unsupported version");
     if (reader.get<std::uint8_t>() != (std::is_same_v<T, double> ? 1 : 0))
       throw io::StreamError("fpst: scalar type mismatch");
-    auto values = reader.get_array<T>(reader.get_varint());
+    const auto values = reader.get_array<T>(reader.get_varint());
     reader.expect_end();
-    return values;
+    fill_slab(values, out);
   }
 };
 
@@ -314,11 +324,11 @@ class PolicyCodec final : public BlockCodec {
   }
   void decompress(std::span<const std::uint8_t> block,
                   std::span<float> out) const override {
-    decompress_impl(block, out);
+    Policy::template decode<float>(block, out);
   }
   void decompress(std::span<const std::uint8_t> block,
                   std::span<double> out) const override {
-    decompress_impl(block, out);
+    Policy::template decode<double>(block, out);
   }
 
  private:
@@ -337,15 +347,6 @@ class PolicyCodec final : public BlockCodec {
       *info = local;
     }
     return bytes;
-  }
-
-  template <typename T>
-  static void decompress_impl(std::span<const std::uint8_t> block,
-                              std::span<T> out) {
-    const std::vector<T> values = Policy::template decode<T>(block);
-    if (values.size() != out.size())
-      throw io::StreamError("block codec: slab size mismatch");
-    std::copy(values.begin(), values.end(), out.begin());
   }
 };
 

@@ -138,6 +138,31 @@ struct KernelTable {
                              std::uint32_t bins, std::uint32_t* codes,
                              double* recon);
 
+  // --- Lorenzo 2-D / 3-D reconstruction (src/sz/codec.cpp) ---------------
+  // The decode-side inverse of lorenzo2/3_quant, bit-exact with
+  // sz::reconstruct_pass + LorenzoPredictor + LinearQuantizer: for every
+  // point whose code is nonzero, in C scan order,
+  //   recon[idx] = T(pred + (double(code) - radius) * 2 * eb)
+  // with radius = bins / 2 and pred the left-to-right Lorenzo sum of the
+  // quant kernels above (missing neighbours read 0.0). Preconditions, both
+  // established by reconstruct_pass's validation sweep: every code is
+  // < bins (bins even, >= 4), and each code-0 point's outlier value is
+  // already in recon[idx]; the kernel reads it as a neighbour and never
+  // writes it. Vector backends run the quant kernels' wavefront; nothing
+  // here can fail.
+  void (*lorenzo2_recon_f32)(const std::uint32_t* codes, std::size_t n0,
+                             std::size_t n1, double eb, std::uint32_t bins,
+                             float* recon);
+  void (*lorenzo2_recon_f64)(const std::uint32_t* codes, std::size_t n0,
+                             std::size_t n1, double eb, std::uint32_t bins,
+                             double* recon);
+  void (*lorenzo3_recon_f32)(const std::uint32_t* codes, std::size_t n0,
+                             std::size_t n1, std::size_t n2, double eb,
+                             std::uint32_t bins, float* recon);
+  void (*lorenzo3_recon_f64)(const std::uint32_t* codes, std::size_t n0,
+                             std::size_t n1, std::size_t n2, double eb,
+                             std::uint32_t bins, double* recon);
+
   // --- Sum of squared errors (achieved-SSE accounting) -------------------
   // DEFINED summation order shared by all backends: four virtual lanes
   // acc[l] over elements i ≡ l (mod 4) for i < 4*(n/4), folded as

@@ -10,9 +10,10 @@
 //             magnitudes >= 2^50 replay the whole group through the
 //             reference (the magic-number trick is only proven below that).
 //  * lorenzo: 4 rows in a skewed anti-diagonal pipeline (rank 2 over the
-//             field, rank 3 within each i0 plane); each point's serial
-//             arithmetic is reproduced exactly, lanes only ever span
-//             points whose dependencies were produced in earlier steps.
+//             field, rank 3 within each i0 plane), for quantize and for
+//             reconstruct; each point's serial arithmetic is reproduced
+//             exactly, lanes only ever span points whose dependencies
+//             were produced in earlier steps.
 //  * sse:     one vector accumulator IS the defined virtual-4-lane order.
 //  * huffman: shared scalar pack (the bit-offset merge is inherently
 //             serial); kept in the table for uniform dispatch.
@@ -381,6 +382,202 @@ void lorenzo3_quant_avx2(const T* values, std::size_t n0, std::size_t n1,
   }
 }
 
+// --- Lorenzo reconstruct ---------------------------------------------------
+
+/// The four codes of one wavefront step, lane 0 at p and the lanes s = n1 - 1
+/// apart (one row down, one column left), built in registers.
+inline __m128i load_code_lanes(const std::uint32_t* p, std::size_t s) {
+  return _mm_set_epi32(static_cast<int>(p[3 * s]), static_cast<int>(p[2 * s]),
+                       static_cast<int>(p[s]), static_cast<int>(p[0]));
+}
+
+/// The same four positions of a T buffer, widened, built in registers.
+template <typename T>
+inline __m256d load_lanes(const T* p, std::size_t s) {
+  if constexpr (sizeof(T) == 8)
+    return _mm256_set_pd(p[3 * s], p[2 * s], p[s], p[0]);
+  else
+    return _mm256_cvtps_pd(_mm_set_ps(p[3 * s], p[2 * s], p[s], p[0]));
+}
+
+/// load_lanes restricted to the lanes set in `lanes` (the others read 0.0
+/// and are never touched in memory).
+template <typename T>
+inline __m256d load_lanes_masked(const T* p, std::size_t s, int lanes) {
+  auto lane = [&](int l) {
+    return (lanes >> l) & 1 ? static_cast<double>(p[l * s]) : 0.0;
+  };
+  return _mm256_set_pd(lane(3), lane(2), lane(1), lane(0));
+}
+
+/// Store the lanes set in `lanes` to p[l * s].
+inline void store_lanes(double* p, std::size_t s, __m256d v, int lanes) {
+  const __m128d lo = _mm256_castpd256_pd128(v);
+  const __m128d hi = _mm256_extractf128_pd(v, 1);
+  if (lanes & 1) _mm_storel_pd(p, lo);
+  if (lanes & 2) _mm_storeh_pd(p + s, lo);
+  if (lanes & 4) _mm_storel_pd(p + 2 * s, hi);
+  if (lanes & 8) _mm_storeh_pd(p + 3 * s, hi);
+}
+
+inline void store_lanes(float* p, std::size_t s, __m128 v, int lanes) {
+  if (lanes & 1) _mm_store_ss(p, v);
+  if (lanes & 2) _mm_store_ss(p + s, _mm_shuffle_ps(v, v, 1));
+  if (lanes & 4) _mm_store_ss(p + 2 * s, _mm_shuffle_ps(v, v, 2));
+  if (lanes & 8) _mm_store_ss(p + 3 * s, _mm_shuffle_ps(v, v, 3));
+}
+
+/// The decode-side lorenzo_block4: the same skewed wavefront over rows
+/// ib..ib+3, with the same prediction arithmetic, turned around — each
+/// lane adds its dequantized code to the prediction instead of
+/// quantizing a value. In steps 4..n1-1 (all four lanes active, none in
+/// column 0) the codes, the previous plane's f100 terms and the results
+/// move straight between registers and their stride-(n1-1) positions; the
+/// first four and the last three steps go through per-lane loops. A code-0
+/// lane keeps the outlier the caller placed: it is read back into the
+/// wavefront and never stored over.
+template <int Rank, typename T>
+void lorenzo_recon_block4(const std::uint32_t* codes, const T* prev,
+                          std::size_t ib, std::size_t n1, double eb,
+                          std::uint32_t bins, T* recon) {
+  const std::uint32_t radius = bins / 2;
+  // radius <= 2^31 - 1 and every code is < bins, so code - radius is an
+  // exact int32 and its conversion equals double(code) - double(radius).
+  const __m128i v_radius = _mm_set1_epi32(static_cast<int>(radius));
+  const __m256d v_two = _mm256_set1_pd(2.0);
+  const __m256d v_eb = _mm256_set1_pd(eb);
+  alignas(32) static constexpr std::uint64_t kKill[4][4] = {
+      {0, ~0ull, ~0ull, ~0ull},
+      {~0ull, 0, ~0ull, ~0ull},
+      {~0ull, ~0ull, 0, ~0ull},
+      {~0ull, ~0ull, ~0ull, 0}};
+  const std::size_t s = n1 - 1;  // lane stride
+  const T* above = ib > 0 ? recon + (ib - 1) * n1 : nullptr;
+  const T* prev_row = prev != nullptr ? prev + ib * n1 : nullptr;
+  const T* prev_above = (prev != nullptr && ib > 0) ? prev_row - n1 : nullptr;
+  __m256d rec_prev1 = _mm256_setzero_pd();
+  __m256d rec_prev2 = _mm256_setzero_pd();
+  __m256d f100_prev1 = _mm256_setzero_pd();
+  __m256d f100_prev2 = _mm256_setzero_pd();
+
+  // Step t: lane l rebuilds column t - l of row ib + l, storing the lanes
+  // set in `active` that are not outliers.
+  auto step = [&](std::size_t t, __m128i code, __m256d f100, int active) {
+    T* const at = recon + ib * n1 + t;
+    __m256d west = rec_prev1;
+    const __m256d north = shift_lanes_up(rec_prev1, at_or_zero(above, t, n1));
+    __m256d nw = shift_lanes_up(rec_prev2, t >= 1 ? at_or_zero(above, t - 1, n1)
+                                                  : 0.0);
+    if (t < 4) {
+      const __m256d kill = _mm256_castsi256_pd(_mm256_load_si256(
+          reinterpret_cast<const __m256i*>(kKill[t])));
+      west = _mm256_and_pd(west, kill);
+      nw = _mm256_and_pd(nw, kill);
+    }
+    __m256d pred;
+    if constexpr (Rank == 2) {
+      pred = _mm256_sub_pd(_mm256_add_pd(west, north), nw);
+    } else {
+      const __m256d f110 =
+          shift_lanes_up(f100_prev1, at_or_zero(prev_above, t, n1));
+      const __m256d f101 = f100_prev1;
+      const __m256d f111 = shift_lanes_up(
+          f100_prev2, t >= 1 ? at_or_zero(prev_above, t - 1, n1) : 0.0);
+      pred = _mm256_add_pd(f100, north);
+      pred = _mm256_add_pd(pred, west);
+      pred = _mm256_sub_pd(pred, f110);
+      pred = _mm256_sub_pd(pred, f101);
+      pred = _mm256_sub_pd(pred, nw);
+      pred = _mm256_add_pd(pred, f111);
+      f100_prev2 = f100_prev1;
+      f100_prev1 = f100;
+    }
+    const __m256d deq = _mm256_mul_pd(
+        _mm256_mul_pd(_mm256_cvtepi32_pd(_mm_sub_epi32(code, v_radius)),
+                      v_two),
+        v_eb);
+    __m256d rec = _mm256_add_pd(pred, deq);
+    const __m128i is_outlier = _mm_cmpeq_epi32(code, _mm_setzero_si128());
+    const int outliers = _mm_movemask_ps(_mm_castsi128_ps(is_outlier)) & active;
+    if constexpr (sizeof(T) == 4) {
+      const __m128 narrow = _mm256_cvtpd_ps(rec);
+      rec = _mm256_cvtps_pd(narrow);
+      store_lanes(at, s, narrow, active & ~outliers);
+    } else {
+      store_lanes(at, s, rec, active & ~outliers);
+    }
+    if (outliers != 0)
+      rec = _mm256_blendv_pd(
+          rec, load_lanes_masked(at, s, outliers),
+          _mm256_castsi256_pd(_mm256_cvtepi32_epi64(is_outlier)));
+    rec_prev2 = rec_prev1;
+    rec_prev1 = rec;
+  };
+
+  // Fill and drain: inactive lanes get a code that dequantizes to 0 and
+  // f100 = 0.0, so, as in lorenzo_block4, their garbage never reaches an
+  // active lane.
+  auto edge_step = [&](std::size_t t) {
+    const std::size_t l_min = t >= n1 ? t - n1 + 1 : 0;
+    const std::size_t l_max = t < 3 ? t : 3;
+    alignas(16) std::uint32_t c[4] = {radius, radius, radius, radius};
+    alignas(32) double p[4] = {0.0, 0.0, 0.0, 0.0};
+    int active = 0;
+    for (std::size_t l = l_min; l <= l_max; ++l) {
+      c[l] = codes[(ib + l) * n1 + (t - l)];
+      if (Rank == 3 && prev_row != nullptr)
+        p[l] = static_cast<double>(prev_row[l * n1 + (t - l)]);
+      active |= 1 << l;
+    }
+    step(t, _mm_load_si128(reinterpret_cast<const __m128i*>(c)),
+         _mm256_load_pd(p), active);
+  };
+
+  std::size_t t = 0;
+  for (; t < 4; ++t) edge_step(t);
+  for (; t < n1; ++t) {
+    const __m256d f100 = (Rank == 3 && prev_row != nullptr)
+                             ? load_lanes(prev_row + t, s)
+                             : _mm256_setzero_pd();
+    step(t, load_code_lanes(codes + ib * n1 + t, s), f100, 0xF);
+  }
+  for (; t < n1 + 3; ++t) edge_step(t);
+}
+
+template <typename T>
+void lorenzo2_recon_avx2(const std::uint32_t* codes, std::size_t n0,
+                         std::size_t n1, double eb, std::uint32_t bins,
+                         T* recon) {
+  if (n0 < 5 || n1 < 8)
+    return lorenzo2_recon_ref(codes, n0, n1, eb, bins, recon);
+  const std::size_t blocks = n0 / 4;
+  for (std::size_t b = 0; b < blocks; ++b)
+    lorenzo_recon_block4<2>(codes, static_cast<const T*>(nullptr), b * 4, n1,
+                            eb, bins, recon);
+  for (std::size_t i0 = blocks * 4; i0 < n0; ++i0)
+    lorenzo2_recon_row_ref(codes, i0, n1, eb, bins, recon);
+}
+
+/// Plane by plane, as lorenzo3_quant_avx2.
+template <typename T>
+void lorenzo3_recon_avx2(const std::uint32_t* codes, std::size_t n0,
+                         std::size_t n1, std::size_t n2, double eb,
+                         std::uint32_t bins, T* recon) {
+  if (n1 < 4 || n2 < 8)
+    return lorenzo3_recon_ref(codes, n0, n1, n2, eb, bins, recon);
+  const std::size_t plane = n1 * n2;
+  const std::size_t blocks = n1 / 4;
+  for (std::size_t i0 = 0; i0 < n0; ++i0) {
+    const std::size_t off = i0 * plane;
+    const T* prev = i0 > 0 ? recon + off - plane : nullptr;
+    for (std::size_t b = 0; b < blocks; ++b)
+      lorenzo_recon_block4<3>(codes + off, prev, b * 4, n2, eb, bins,
+                              recon + off);
+    for (std::size_t i1 = blocks * 4; i1 < n1; ++i1)
+      lorenzo3_recon_row_ref(codes, i0, i1, n1, n2, eb, bins, recon);
+  }
+}
+
 // --- SSE accumulators ------------------------------------------------------
 
 inline double fold_sse(__m256d vacc) {
@@ -456,6 +653,10 @@ const KernelTable* avx2_kernel_table() {
       &lorenzo2_quant_avx2<double>,
       &lorenzo3_quant_avx2<float>,
       &lorenzo3_quant_avx2<double>,
+      &lorenzo2_recon_avx2<float>,
+      &lorenzo2_recon_avx2<double>,
+      &lorenzo3_recon_avx2<float>,
+      &lorenzo3_recon_avx2<double>,
       &sse_f32_avx2,
       &sse_f64_avx2,
       &sse_cast_f32_avx2,

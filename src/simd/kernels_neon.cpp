@@ -9,10 +9,10 @@
 // threshold (4.0e18) already bounds the domain, so no magic-number
 // emulation or domain fallback is needed.
 //
-// The Lorenzo wavefronts (rank 2 and rank 3) and the Huffman pack stay on
-// the shared scalar reference here: the pack's bit-offset merge is serial
-// everywhere, and a 2-lane wavefront pays more in lane shuffling than it
-// recovers.
+// The Lorenzo wavefronts (rank 2 and rank 3, quantize and reconstruct) and
+// the Huffman pack stay on the shared scalar reference here: the pack's
+// bit-offset merge is serial everywhere, and a 2-lane wavefront pays more
+// in lane shuffling than it recovers.
 #include "simd/kernels.h"
 #include "simd/kernels_ref.h"
 
@@ -223,6 +223,10 @@ const KernelTable* neon_kernel_table() {
       &lorenzo2_quant_ref<double>,
       &lorenzo3_quant_ref<float>,
       &lorenzo3_quant_ref<double>,
+      &lorenzo2_recon_ref<float>,
+      &lorenzo2_recon_ref<double>,
+      &lorenzo3_recon_ref<float>,
+      &lorenzo3_recon_ref<double>,
       &sse_f32_neon,
       &sse_f64_neon,
       &sse_cast_f32_neon,

@@ -170,11 +170,13 @@ inline std::size_t lorenzo_collect_outliers(const T* values,
   return n_out;
 }
 
-/// Row i0 of the rank-2 pass (LorenzoPredictor rank 2).
-template <typename T>
-inline void lorenzo2_row_ref(const T* values, std::size_t i0, std::size_t n1,
-                             double eb, std::uint32_t bins,
-                             std::uint32_t* codes, T* recon) {
+/// Visit row i0 of a rank-2 field in scan order, calling
+/// point(idx, pred) with the LorenzoPredictor rank-2 prediction from
+/// `recon` (missing neighbours read 0.0). Shared by the quantize and the
+/// reconstruct pass, so both predict with the same arithmetic.
+template <typename T, typename Point>
+inline void lorenzo2_row_walk(const T* recon, std::size_t i0, std::size_t n1,
+                              Point&& point) {
   std::size_t idx = i0 * n1;
   for (std::size_t i1 = 0; i1 < n1; ++i1, ++idx) {
     const double west = i1 > 0 ? static_cast<double>(recon[idx - 1]) : 0.0;
@@ -182,18 +184,15 @@ inline void lorenzo2_row_ref(const T* values, std::size_t i0, std::size_t n1,
     const double nw = (i0 > 0 && i1 > 0)
                           ? static_cast<double>(recon[idx - n1 - 1])
                           : 0.0;
-    lorenzo_point_ref(values[idx], west + north - nw, eb, bins, codes + idx,
-                      recon + idx);
+    point(idx, west + north - nw);
   }
 }
 
-/// Row (i0, i1) of the rank-3 pass (LorenzoPredictor rank 3, same
-/// left-to-right sum).
-template <typename T>
-inline void lorenzo3_row_ref(const T* values, std::size_t i0, std::size_t i1,
-                             std::size_t n1, std::size_t n2, double eb,
-                             std::uint32_t bins, std::uint32_t* codes,
-                             T* recon) {
+/// Row (i0, i1) of a rank-3 field, the rank-3 counterpart of
+/// lorenzo2_row_walk (LorenzoPredictor rank 3, same left-to-right sum).
+template <typename T, typename Point>
+inline void lorenzo3_row_walk(const T* recon, std::size_t i0, std::size_t i1,
+                              std::size_t n1, std::size_t n2, Point&& point) {
   const std::size_t sz = n1 * n2;  // stride along axis 0
   const std::size_t sy = n2;       // stride along axis 1
   const bool a = i0 > 0, b = i1 > 0;
@@ -211,9 +210,29 @@ inline void lorenzo3_row_ref(const T* values, std::size_t i0, std::size_t i1,
         (b && c) ? static_cast<double>(recon[idx - sy - 1]) : 0.0;
     const double f111 =
         (a && b && c) ? static_cast<double>(recon[idx - sz - sy - 1]) : 0.0;
-    const double pred = f100 + f010 + f001 - f110 - f101 - f011 + f111;
-    lorenzo_point_ref(values[idx], pred, eb, bins, codes + idx, recon + idx);
+    point(idx, f100 + f010 + f001 - f110 - f101 - f011 + f111);
   }
+}
+
+/// Row i0 of the rank-2 quantize pass.
+template <typename T>
+inline void lorenzo2_row_ref(const T* values, std::size_t i0, std::size_t n1,
+                             double eb, std::uint32_t bins,
+                             std::uint32_t* codes, T* recon) {
+  lorenzo2_row_walk(recon, i0, n1, [&](std::size_t idx, double pred) {
+    lorenzo_point_ref(values[idx], pred, eb, bins, codes + idx, recon + idx);
+  });
+}
+
+/// Row (i0, i1) of the rank-3 quantize pass.
+template <typename T>
+inline void lorenzo3_row_ref(const T* values, std::size_t i0, std::size_t i1,
+                             std::size_t n1, std::size_t n2, double eb,
+                             std::uint32_t bins, std::uint32_t* codes,
+                             T* recon) {
+  lorenzo3_row_walk(recon, i0, i1, n1, n2, [&](std::size_t idx, double pred) {
+    lorenzo_point_ref(values[idx], pred, eb, bins, codes + idx, recon + idx);
+  });
 }
 
 /// Exact semantics of sz::quantize_pass + LorenzoPredictor rank 2 +
@@ -238,6 +257,61 @@ inline void lorenzo3_quant_ref(const T* values, std::size_t n0,
   for (std::size_t i0 = 0; i0 < n0; ++i0)
     for (std::size_t i1 = 0; i1 < n1; ++i1)
       lorenzo3_row_ref(values, i0, i1, n1, n2, eb, bins, codes, recon);
+}
+
+// --- Lorenzo reconstruct ---------------------------------------------------
+
+/// The decode of one nonzero code: LinearQuantizer::dequantize added to the
+/// prediction, cast to T. Code 0 points keep the outlier already in place.
+template <typename T>
+inline void lorenzo_recon_point_ref(std::uint32_t code, double pred,
+                                    double eb, std::uint32_t radius,
+                                    T* rec_out) {
+  if (code == 0) return;
+  *rec_out = static_cast<T>(
+      pred + (static_cast<double>(code) - static_cast<double>(radius)) * 2.0 *
+                 eb);
+}
+
+/// Row i0 of the rank-2 reconstruct pass.
+template <typename T>
+inline void lorenzo2_recon_row_ref(const std::uint32_t* codes, std::size_t i0,
+                                   std::size_t n1, double eb,
+                                   std::uint32_t bins, T* recon) {
+  lorenzo2_row_walk(recon, i0, n1, [&](std::size_t idx, double pred) {
+    lorenzo_recon_point_ref(codes[idx], pred, eb, bins / 2, recon + idx);
+  });
+}
+
+/// Row (i0, i1) of the rank-3 reconstruct pass.
+template <typename T>
+inline void lorenzo3_recon_row_ref(const std::uint32_t* codes, std::size_t i0,
+                                   std::size_t i1, std::size_t n1,
+                                   std::size_t n2, double eb,
+                                   std::uint32_t bins, T* recon) {
+  lorenzo3_row_walk(recon, i0, i1, n1, n2, [&](std::size_t idx, double pred) {
+    lorenzo_recon_point_ref(codes[idx], pred, eb, bins / 2, recon + idx);
+  });
+}
+
+/// Exact semantics of sz::reconstruct_pass + LorenzoPredictor rank 2 +
+/// LinearQuantizer::dequantize, on validated codes with outliers placed.
+template <typename T>
+inline void lorenzo2_recon_ref(const std::uint32_t* codes, std::size_t n0,
+                               std::size_t n1, double eb, std::uint32_t bins,
+                               T* recon) {
+  for (std::size_t i0 = 0; i0 < n0; ++i0)
+    lorenzo2_recon_row_ref(codes, i0, n1, eb, bins, recon);
+}
+
+/// The rank-3 counterpart of lorenzo2_recon_ref.
+template <typename T>
+inline void lorenzo3_recon_ref(const std::uint32_t* codes, std::size_t n0,
+                               std::size_t n1, std::size_t n2, double eb,
+                               std::uint32_t bins, T* recon) {
+  for (std::size_t i0 = 0; i0 < n0; ++i0)
+    for (std::size_t i1 = 0; i1 < n1; ++i1)
+      lorenzo3_recon_row_ref(codes, i0, i1, n1, n2, eb, bins, recon);
 }
 
 // --- SSE accumulators ------------------------------------------------------

@@ -19,6 +19,10 @@ const KernelTable& scalar_kernel_table() {
       &lorenzo2_quant_ref<double>,
       &lorenzo3_quant_ref<float>,
       &lorenzo3_quant_ref<double>,
+      &lorenzo2_recon_ref<float>,
+      &lorenzo2_recon_ref<double>,
+      &lorenzo3_recon_ref<float>,
+      &lorenzo3_recon_ref<double>,
       &sse_f32_ref,
       &sse_f64_ref,
       &sse_cast_f32_ref,

@@ -236,16 +236,15 @@ QuantizeOutput<T> quantize_pass_hybrid(std::span<const T> values,
 }
 
 template <typename T>
-std::vector<T> reconstruct_pass_hybrid(std::span<const std::uint32_t> codes,
-                                       std::span<const T> outliers,
-                                       const data::Dims& dims, double eb_abs,
-                                       std::uint32_t bins,
-                                       const HybridPlan& plan) {
+void reconstruct_pass_hybrid(std::span<const std::uint32_t> codes,
+                             std::span<const T> outliers,
+                             const data::Dims& dims, double eb_abs,
+                             std::uint32_t bins, const HybridPlan& plan,
+                             std::span<T> recon) {
   const BlockGrid grid(dims);
   if (plan.use_regression.size() != grid.total())
     throw io::StreamError("fpsz: regression plan does not match dims");
   LinearQuantizer quant(eb_abs, bins);
-  std::vector<T> recon(codes.size());
   auto lorenzo = make_predictor<T>(recon.data(), dims);
   std::size_t next_outlier = 0;
   for_each_point(dims, [&](std::size_t idx, std::size_t i0, std::size_t i1,
@@ -269,7 +268,6 @@ std::vector<T> reconstruct_pass_hybrid(std::span<const std::uint32_t> codes,
   });
   if (next_outlier != outliers.size())
     throw io::StreamError("fpsz: trailing outliers in stream");
-  return recon;
 }
 
 /// Steps 1+2: prediction + quantization. The reconstruction buffer is
@@ -356,31 +354,52 @@ QuantizeOutput<T> quantize_pass(std::span<const T> values, const data::Dims& dim
   return out;
 }
 
-/// Inverse of quantize_pass given the codes and outlier list.
+/// Inverse of quantize_pass given the codes and outlier list, written into
+/// `recon` (dims.count() values). One sweep in scan order validates every
+/// code and places each outlier at its code-0 point, raising the same
+/// errors at the same point a per-point decode would; the Lorenzo kernel
+/// then rebuilds the rest (rank 1 keeps a plain loop).
 template <typename T>
-std::vector<T> reconstruct_pass(std::span<const std::uint32_t> codes,
-                                std::span<const T> outliers, const data::Dims& dims,
-                                double eb_abs, std::uint32_t bins) {
-  LinearQuantizer quant(eb_abs, bins);
-  std::vector<T> recon(codes.size());
-  auto predictor = make_predictor<T>(recon.data(), dims);
+void reconstruct_pass(std::span<const std::uint32_t> codes,
+                      std::span<const T> outliers, const data::Dims& dims,
+                      double eb_abs, std::uint32_t bins, std::span<T> recon) {
   std::size_t next_outlier = 0;
-  for_each_point(dims, [&](std::size_t idx, std::size_t i0, std::size_t i1,
-                           std::size_t i2) {
+  for (std::size_t idx = 0; idx < codes.size(); ++idx) {
     const std::uint32_t code = codes[idx];
     if (code == 0) {
       if (next_outlier >= outliers.size())
         throw io::StreamError("fpsz: outlier list exhausted");
       recon[idx] = outliers[next_outlier++];
-      return;
+    } else if (code >= bins) {
+      throw io::StreamError("fpsz: quantization code out of range");
     }
-    if (code >= bins) throw io::StreamError("fpsz: quantization code out of range");
-    const double pred = predictor.predict(idx, i0, i1, i2);
-    recon[idx] = static_cast<T>(pred + quant.dequantize(code));
-  });
+  }
   if (next_outlier != outliers.size())
     throw io::StreamError("fpsz: trailing outliers in stream");
-  return recon;
+
+  const simd::KernelTable& kt = simd::kernels();
+  if (dims.rank() == 2) {
+    if constexpr (std::is_same_v<T, float>)
+      kt.lorenzo2_recon_f32(codes.data(), dims[0], dims[1], eb_abs, bins,
+                            recon.data());
+    else
+      kt.lorenzo2_recon_f64(codes.data(), dims[0], dims[1], eb_abs, bins,
+                            recon.data());
+  } else if (dims.rank() == 3) {
+    if constexpr (std::is_same_v<T, float>)
+      kt.lorenzo3_recon_f32(codes.data(), dims[0], dims[1], dims[2], eb_abs,
+                            bins, recon.data());
+    else
+      kt.lorenzo3_recon_f64(codes.data(), dims[0], dims[1], dims[2], eb_abs,
+                            bins, recon.data());
+  } else {
+    const LinearQuantizer quant(eb_abs, bins);
+    for (std::size_t idx = 0; idx < codes.size(); ++idx)
+      if (codes[idx] != 0)
+        recon[idx] = static_cast<T>(
+            (idx > 0 ? static_cast<double>(recon[idx - 1]) : 0.0) +
+            quant.dequantize(codes[idx]));
+  }
 }
 
 /// Steps 3+4: entropy-code the quantization codes, append outliers, and run
@@ -513,7 +532,7 @@ double pwrel_finish(std::span<const T> values, std::span<const T> recon_logs,
 }
 
 template <typename T>
-void pwrel_inverse(std::vector<T>& values, std::span<const std::uint8_t> sign_bits,
+void pwrel_inverse(std::span<T> values, std::span<const std::uint8_t> sign_bits,
                    std::span<const std::uint64_t> exception_indices,
                    std::span<const T> exception_values) {
   for (std::size_t i = 0; i < values.size(); ++i)
@@ -524,6 +543,60 @@ void pwrel_inverse(std::vector<T>& values, std::span<const std::uint8_t> sign_bi
       throw io::StreamError("fpsz: pwrel exception index out of range");
     values[idx] = exception_values[k];
   }
+}
+
+/// The stream header, checked to hold T values.
+template <typename T>
+StreamHeader read_header_of(io::ByteReader& reader) {
+  const StreamHeader header = read_header(reader);
+  if (header.scalar != scalar_type_of<T>())
+    throw io::StreamError("fpsz: scalar type mismatch");
+  return header;
+}
+
+/// Decode everything after the header, in the order compress() writes it:
+/// [pwrel side blob] [hybrid plan blob] [inner blob]. `output()` hands
+/// over the header.dims.count() values to reconstruct into; it is called
+/// once the inner stream has decoded, so a header that lies about its size
+/// is rejected by the entropy stage before any value buffer is sized.
+template <typename T, typename Output>
+void decode_body(io::ByteReader& reader, const StreamHeader& header,
+                 Output&& output) {
+  const std::size_t count = header.dims.count();
+  const bool pwrel = header.mode == ErrorBoundMode::PointwiseRelative;
+  std::vector<std::uint8_t> sign_bits;
+  std::vector<std::uint64_t> exc_idx;
+  std::vector<T> exc_val;
+  if (pwrel) {
+    const auto side_raw = lossless::backend_decompress(reader.get_blob_view());
+    io::ByteReader side(side_raw);
+    sign_bits = side.get_blob();
+    if (sign_bits.size() != (count + 7) / 8)
+      throw io::StreamError("fpsz: sign bitmap size mismatch");
+    const std::uint64_t n_exc = side.get_varint();
+    if (n_exc > count) throw io::StreamError("fpsz: exception count exceeds values");
+    exc_idx.resize(n_exc);
+    exc_val.resize(n_exc);
+    std::uint64_t prev = 0;
+    for (std::uint64_t k = 0; k < n_exc; ++k) {
+      prev += side.get_varint();
+      exc_idx[k] = prev;
+      exc_val[k] = side.get<T>();
+    }
+  }
+  const bool hybrid = header.predictor == Predictor::HybridRegression;
+  const HybridPlan plan =
+      hybrid ? deserialize_plan(reader.get_blob_view()) : HybridPlan{};
+  const auto inner = decode_inner<T>(reader.get_blob_view(), count);
+
+  const std::span<T> out = output();
+  if (hybrid)
+    reconstruct_pass_hybrid<T>(inner.codes, inner.outliers, header.dims,
+                               header.eb_abs, header.quant_bins, plan, out);
+  else
+    reconstruct_pass<T>(inner.codes, inner.outliers, header.dims,
+                        header.eb_abs, header.quant_bins, out);
+  if (pwrel) pwrel_inverse<T>(out, sign_bits, exc_idx, exc_val);
 }
 
 }  // namespace
@@ -645,50 +718,25 @@ std::vector<std::uint8_t> compress(std::span<const T> values, const data::Dims& 
 }
 
 template <typename T>
+void decompress_into(std::span<const std::uint8_t> stream, std::span<T> out) {
+  io::ByteReader reader(stream);
+  const StreamHeader header = read_header_of<T>(reader);
+  if (header.dims.count() != out.size())
+    throw io::StreamError("fpsz: header dims do not match the output size");
+  decode_body<T>(reader, header, [&] { return out; });
+}
+
+template <typename T>
 Decompressed<T> decompress(std::span<const std::uint8_t> stream) {
   io::ByteReader reader(stream);
-  const StreamHeader header = read_header(reader);
-  if (header.scalar != scalar_type_of<T>())
-    throw io::StreamError("fpsz: scalar type mismatch");
-  const std::size_t count = header.dims.count();
-
-  // Mirrors compress(): [pwrel side blob] [hybrid plan blob] [inner blob].
-  auto reconstruct = [&]() {
-    if (header.predictor == Predictor::HybridRegression) {
-      const HybridPlan plan = deserialize_plan(reader.get_blob_view());
-      const auto inner = decode_inner<T>(reader.get_blob_view(), count);
-      return reconstruct_pass_hybrid<T>(inner.codes, inner.outliers, header.dims,
-                                        header.eb_abs, header.quant_bins, plan);
-    }
-    const auto inner = decode_inner<T>(reader.get_blob_view(), count);
-    return reconstruct_pass<T>(inner.codes, inner.outliers, header.dims,
-                               header.eb_abs, header.quant_bins);
-  };
-
-  if (header.mode == ErrorBoundMode::PointwiseRelative) {
-    const auto side_raw = lossless::backend_decompress(reader.get_blob_view());
-    io::ByteReader side(side_raw);
-    const auto sign_bits = side.get_blob();
-    if (sign_bits.size() != (count + 7) / 8)
-      throw io::StreamError("fpsz: sign bitmap size mismatch");
-    const std::uint64_t n_exc = side.get_varint();
-    if (n_exc > count) throw io::StreamError("fpsz: exception count exceeds values");
-    std::vector<std::uint64_t> exc_idx(n_exc);
-    std::vector<T> exc_val(n_exc);
-    std::uint64_t prev = 0;
-    for (std::uint64_t k = 0; k < n_exc; ++k) {
-      prev += side.get_varint();
-      exc_idx[k] = prev;
-      exc_val[k] = side.get<T>();
-    }
-
-    auto values = reconstruct();
-    pwrel_inverse<T>(values, sign_bits, exc_idx, exc_val);
-    return {header.dims, std::move(values)};
-  }
-
-  auto values = reconstruct();
-  return {header.dims, std::move(values)};
+  Decompressed<T> d;
+  const StreamHeader header = read_header_of<T>(reader);
+  d.dims = header.dims;
+  decode_body<T>(reader, header, [&] {
+    d.values.resize(header.dims.count());
+    return std::span<T>(d.values);
+  });
+  return d;
 }
 
 template <typename T>
@@ -711,6 +759,10 @@ template std::vector<std::uint8_t> compress<double>(std::span<const double>,
                                                     std::span<double>);
 template Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 template Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
+template void decompress_into<float>(std::span<const std::uint8_t>,
+                                     std::span<float>);
+template void decompress_into<double>(std::span<const std::uint8_t>,
+                                      std::span<double>);
 template PredictionTrace prediction_trace<float>(std::span<const float>,
                                                  const data::Dims&, double,
                                                  std::uint32_t);

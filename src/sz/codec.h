@@ -46,6 +46,13 @@ struct Decompressed {
 template <typename T>
 Decompressed<T> decompress(std::span<const std::uint8_t> stream);
 
+/// decompress() straight into `out`, which must hold exactly as many values
+/// as the stream's header dims; a different size is an io::StreamError
+/// raised before anything is decoded. decompress() is this routine with a
+/// buffer sized from the header.
+template <typename T>
+void decompress_into(std::span<const std::uint8_t> stream, std::span<T> out);
+
 /// Resolve a (mode, bound) pair to the absolute bound the quantizer will
 /// use, given the data's value range. For PointwiseRelative this is the
 /// log2-domain bound. Exposed because core/psnr_control reasons about it.
@@ -73,6 +80,10 @@ extern template std::vector<std::uint8_t> compress<double>(
     std::span<double>);
 extern template Decompressed<float> decompress<float>(std::span<const std::uint8_t>);
 extern template Decompressed<double> decompress<double>(std::span<const std::uint8_t>);
+extern template void decompress_into<float>(std::span<const std::uint8_t>,
+                                            std::span<float>);
+extern template void decompress_into<double>(std::span<const std::uint8_t>,
+                                             std::span<double>);
 extern template PredictionTrace prediction_trace<float>(
     std::span<const float>, const data::Dims&, double, std::uint32_t);
 extern template PredictionTrace prediction_trace<double>(

@@ -1,6 +1,7 @@
 #include "sz/stream_format.h"
 
 #include <cmath>
+#include <cstdint>
 
 namespace fpsnr::sz {
 
@@ -71,7 +72,10 @@ StreamHeader read_header(io::ByteReader& in) {
   h.value_range = in.get<double>();
   if (!std::isfinite(h.eb_abs) || h.eb_abs <= 0.0)
     throw io::StreamError("fpsz: invalid error bound in header");
-  h.quant_bins = static_cast<std::uint32_t>(in.get_varint());
+  const std::uint64_t bins = in.get_varint();
+  if (bins > UINT32_MAX)
+    throw io::StreamError("fpsz: quantization bin count exceeds 32 bits");
+  h.quant_bins = static_cast<std::uint32_t>(bins);
   if (h.quant_bins < 4 || h.quant_bins % 2 != 0)
     throw io::StreamError("fpsz: invalid quantization bin count");
   h.pwrel_zero_floor = in.get<double>();

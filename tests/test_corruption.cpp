@@ -13,14 +13,18 @@
 #include <string>
 #include <vector>
 
+#include "core/codec_registry.h"
 #include "core/pipeline.h"
 #include "data/synth.h"
 #include "fpsnr/session.h"
 #include "fpsnr/timeseries.h"
+#include "huffman/huffman.h"
 #include "io/archive.h"
 #include "io/bitstream.h"
 #include "io/bytebuffer.h"
 #include "io/streaming_archive.h"
+#include "lossless/backend.h"
+#include "simd/dispatch.h"
 #include "sz/codec.h"
 #include "sz/interp.h"
 #include "sz/stream_format.h"
@@ -418,6 +422,119 @@ TEST(Corruption, ArchiveWithHugeEntryCountRejectedBeforeAllocating) {
   const auto s = w.take();
   EXPECT_THROW((void)io::read_archive(s), io::StreamError);
   EXPECT_THROW((void)io::list_archive(s), io::StreamError);
+}
+
+// --- sz reconstruction -------------------------------------------------------
+
+namespace {
+
+/// A hand-built sz Lorenzo stream: `codes` (Huffman-coded over an alphabet
+/// wide enough for any of them) and `outliers` under a header that declares
+/// `dims` and `bins`.
+std::vector<std::uint8_t> crafted_sz_stream(
+    const data::Dims& dims, std::uint32_t bins,
+    const std::vector<std::uint32_t>& codes,
+    const std::vector<float>& outliers) {
+  namespace sz = fpsnr::sz;
+  sz::StreamHeader h;
+  h.dims = dims;
+  h.eb_abs = 1e-2;
+  h.user_bound = 1e-2;
+  h.value_range = 1.0;
+  h.quant_bins = bins;
+  io::ByteWriter w;
+  sz::write_header(h, w);
+  io::ByteWriter inner;
+  inner.put_varint(outliers.size());
+  inner.put_bytes(io::bytes_of(std::span<const float>(outliers)));
+  fpsnr::huffman::encode_stream(codes, 2 * bins, inner);
+  w.put_blob(fpsnr::lossless::backend_compress(inner.buffer(),
+                                               fpsnr::lossless::Method::Store));
+  return w.take();
+}
+
+/// Pins a SIMD backend for one scope, so a failed assertion cannot leave it
+/// pinned for the next test.
+struct BackendPin {
+  explicit BackendPin(fpsnr::simd::Backend b) {
+    EXPECT_TRUE(fpsnr::simd::force_backend(b));
+  }
+  ~BackendPin() { fpsnr::simd::reset_backend(); }
+};
+
+}  // namespace
+
+TEST(Corruption, MalformedSzCodesAndOutliersAreStreamErrorsOnEveryBackend) {
+  // Rank-2 and rank-3 fields big enough for the vector wavefront. Three
+  // code-0 points (one in column 0, one mid-row, one in the last column);
+  // every other code in range. Each corruption must surface as the same
+  // typed error through the block codec (decoding into a tile) and the
+  // flat sz::decompress, whichever backend reconstructs.
+  constexpr std::uint32_t kBins = 16;
+  const core::BlockCodec& codec =
+      core::CodecRegistry::instance().at(core::kCodecSzLorenzo);
+  for (const data::Dims& dims : {data::Dims{8, 12}, data::Dims{3, 8, 12}}) {
+    SCOPED_TRACE("rank " + std::to_string(dims.rank()));
+    const std::size_t n = dims.count();
+    std::vector<std::uint32_t> codes(n);
+    for (std::size_t i = 0; i < n; ++i)
+      codes[i] = kBins / 2 - 2 + static_cast<std::uint32_t>(i % 5);
+    codes[12] = codes[n / 2 + 3] = codes[n - 1] = 0;
+    const std::vector<float> outliers = {1.5f, -2.0f, 0.25f};
+
+    struct Case {
+      const char* what;
+      std::vector<std::uint32_t> codes;
+      std::vector<float> outliers;
+      const char* error;
+    };
+    auto bad_code = codes;
+    bad_code[n / 2] = kBins;
+    auto four = outliers;
+    four.push_back(7.0f);
+    const std::vector<Case> cases = {
+        {"code >= bins", bad_code, outliers,
+         "fpsz: quantization code out of range"},
+        {"one outlier short", codes, {1.5f, -2.0f},
+         "fpsz: outlier list exhausted"},
+        {"one outlier extra", codes, four,
+         "fpsz: trailing outliers in stream"},
+    };
+    const auto valid = crafted_sz_stream(dims, kBins, codes, outliers);
+    for (const fpsnr::simd::Backend b : fpsnr::simd::supported_backends()) {
+      SCOPED_TRACE(fpsnr::simd::backend_name(b));
+      const BackendPin pin(b);
+      std::vector<float> tile(n);
+      EXPECT_NO_THROW(codec.decompress(valid, std::span<float>(tile)));
+      for (const Case& c : cases) {
+        SCOPED_TRACE(c.what);
+        const auto stream = crafted_sz_stream(dims, kBins, c.codes,
+                                              c.outliers);
+        auto expect_error = [&](auto&& decode) {
+          try {
+            decode();
+            ADD_FAILURE() << "decoded";
+          } catch (const io::StreamError& e) {
+            EXPECT_STREQ(e.what(), c.error);
+          }
+        };
+        expect_error([&] { codec.decompress(stream, std::span<float>(tile)); });
+        expect_error([&] { (void)fpsnr::sz::decompress<float>(stream); });
+      }
+      // A header whose dims hold a different number of values than the
+      // tile is refused before anything is decoded.
+      for (const std::size_t size : {n - 1, n + 1, n * 2}) {
+        std::vector<float> wrong(size);
+        try {
+          codec.decompress(valid, std::span<float>(wrong));
+          ADD_FAILURE() << "decoded into a tile of " << size;
+        } catch (const io::StreamError& e) {
+          EXPECT_STREQ(e.what(),
+                       "fpsz: header dims do not match the output size");
+        }
+      }
+    }
+  }
 }
 
 // --- payload corruption -----------------------------------------------------

@@ -19,6 +19,7 @@
 // (the loops below just see a one-element backend list).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -624,6 +625,244 @@ TEST_P(SimdKernelParity, Lorenzo3dGoldenVector) {
                          expect_outliers, "outliers"));
 }
 
+namespace {
+
+/// Codes and placed outliers for one reconstruct case, in C scan order.
+template <typename T>
+struct ReconCase {
+  simd::aligned_vector<std::uint32_t> codes;
+  simd::aligned_vector<T> placed;  // outliers at code 0, 0 elsewhere
+};
+
+enum class OutlierKind { Finite, NanInf, Signalling };
+
+/// A rows x cols field of codes: code-0 outliers in column 0, in the first
+/// and last three columns (the wavefront's fill and drain lanes), and
+/// scattered through the rest; every other code in [1, bins - 1], most
+/// near the radius, some at 1 and bins - 1.
+template <typename T>
+ReconCase<T> recon_case(std::size_t rows, std::size_t cols,
+                        std::uint32_t bins, OutlierKind kind,
+                        std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> value(-6.0, 6.0);
+  const std::uint32_t radius = bins / 2;
+  ReconCase<T> c;
+  c.codes.resize(rows * cols);
+  c.placed.assign(rows * cols, T(0));
+  std::size_t n_outliers = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t col = 0; col < cols; ++col) {
+      const std::size_t idx = r * cols + col;
+      const bool outlier = (col == 0 && r % 3 == 0) ||
+                           (col == 1 && r % 4 == 1) ||
+                           (col == 2 && r % 5 == 2) ||
+                           (col + 1 == cols && r % 2 == 0) ||
+                           (col + 2 == cols && r % 4 == 3) ||
+                           (col + 3 == cols && r % 3 == 1) || rng() % 16 == 0;
+      if (outlier) {
+        c.codes[idx] = 0;
+        T v = static_cast<T>(value(rng));
+        // NaN is the x86 default NaN: every NaN the arithmetic makes from
+        // these (Inf - Inf included) carries the same bits, so results do
+        // not hang on which operand a compiler puts first.
+        if (kind == OutlierKind::NanInf && n_outliers % 5 == 1)
+          v = -std::numeric_limits<T>::quiet_NaN();
+        if (kind == OutlierKind::NanInf && n_outliers % 5 == 2)
+          v = std::numeric_limits<T>::infinity();
+        if (kind == OutlierKind::NanInf && n_outliers % 5 == 3)
+          v = -std::numeric_limits<T>::infinity();
+        // One signalling NaN, the field's only NaN: it must come back
+        // unquieted, bit for bit.
+        if (kind == OutlierKind::Signalling && n_outliers == 1)
+          v = std::numeric_limits<T>::signaling_NaN();
+        c.placed[idx] = v;
+        ++n_outliers;
+        continue;
+      }
+      const std::uint64_t pick = rng() % 32;
+      if (pick == 0) c.codes[idx] = 1;
+      else if (pick == 1) c.codes[idx] = bins - 1;
+      else
+        c.codes[idx] = radius - 3 + static_cast<std::uint32_t>(rng() % 7);
+    }
+  }
+  return c;
+}
+
+template <typename T>
+simd::aligned_vector<T> run_recon2(const simd::KernelTable& kt,
+                                   const ReconCase<T>& c, std::size_t n0,
+                                   std::size_t n1, double eb,
+                                   std::uint32_t bins) {
+  simd::aligned_vector<T> recon = c.placed;
+  if constexpr (std::is_same_v<T, float>)
+    kt.lorenzo2_recon_f32(c.codes.data(), n0, n1, eb, bins, recon.data());
+  else
+    kt.lorenzo2_recon_f64(c.codes.data(), n0, n1, eb, bins, recon.data());
+  return recon;
+}
+
+template <typename T>
+simd::aligned_vector<T> run_recon3(const simd::KernelTable& kt,
+                                   const ReconCase<T>& c, std::size_t n0,
+                                   std::size_t n1, std::size_t n2, double eb,
+                                   std::uint32_t bins) {
+  simd::aligned_vector<T> recon = c.placed;
+  if constexpr (std::is_same_v<T, float>)
+    kt.lorenzo3_recon_f32(c.codes.data(), n0, n1, n2, eb, bins, recon.data());
+  else
+    kt.lorenzo3_recon_f64(c.codes.data(), n0, n1, n2, eb, bins, recon.data());
+  return recon;
+}
+
+/// Outliers are never written: each code-0 point keeps its placed bits.
+template <typename T>
+::testing::AssertionResult outliers_untouched(const ReconCase<T>& c,
+                                              const simd::aligned_vector<T>& r) {
+  for (std::size_t i = 0; i < c.codes.size(); ++i)
+    if (c.codes[i] == 0 && std::memcmp(&c.placed[i], &r[i], sizeof(T)) != 0)
+      return ::testing::AssertionFailure() << "outlier at [" << i
+                                           << "] overwritten";
+  return ::testing::AssertionSuccess();
+}
+
+/// (eb, bins) pairs of the reconstruct sweeps. bins = 2^32 - 2 puts codes
+/// at and above 2^31 (bins - 1 = 4294967293); eb = 1e-3 gives f32 sums
+/// that are not floats and round on the cast.
+const std::vector<std::pair<double, std::uint32_t>> kReconBounds = {
+    {0.25, 16u}, {1e-3, 65536u}, {1e-9, 4294967294u}};
+
+/// Every (shape, bound, outlier kind) case: rebuild(kt, case, eb, bins)
+/// for the scalar reference and the backend must agree bit for bit.
+template <typename T, typename Rebuild>
+void recon_parity_sweep(const simd::KernelTable& ref,
+                        const simd::KernelTable& kt, std::size_t rows,
+                        std::size_t cols, std::uint64_t seed,
+                        Rebuild&& rebuild) {
+  for (const auto& [eb, bins] : kReconBounds) {
+    for (const OutlierKind kind : {OutlierKind::Finite, OutlierKind::NanInf,
+                                   OutlierKind::Signalling}) {
+      SCOPED_TRACE("eb " + std::to_string(eb) + " bins " +
+                   std::to_string(bins) + " kind " +
+                   std::to_string(static_cast<int>(kind)));
+      const auto c = recon_case<T>(rows, cols, bins, kind, seed);
+      const auto a = rebuild(ref, c, eb, bins);
+      const auto b = rebuild(kt, c, eb, bins);
+      EXPECT_TRUE(bits_equal(a, b, "lorenzo recon"));
+      EXPECT_TRUE(outliers_untouched(c, b));
+    }
+  }
+}
+
+/// Rank 2 over the rank-3 sweep's extents: fields too thin for the
+/// wavefront, whole 4-row blocks and leftover rows after them.
+template <typename T>
+void lorenzo2_recon_parity(const simd::KernelTable& ref,
+                           const simd::KernelTable& kt) {
+  for (const std::size_t n0 : {1, 3, 4, 5, 9, 13}) {
+    for (const std::size_t n1 : {1, 7, 8, 9, 33}) {
+      SCOPED_TRACE(std::to_string(n0) + "x" + std::to_string(n1));
+      recon_parity_sweep<T>(
+          ref, kt, n0, n1, 131 + n0 * n1,
+          [&](const simd::KernelTable& k, const ReconCase<T>& c, double eb,
+              std::uint32_t bins) {
+            return run_recon2<T>(k, c, n0, n1, eb, bins);
+          });
+    }
+  }
+}
+
+/// The Lorenzo3d sweep's shapes; the codes are laid out as n0 * n1 rows of
+/// n2, so the fill and drain columns are those of each wavefront row.
+template <typename T>
+void lorenzo3_recon_parity(const simd::KernelTable& ref,
+                           const simd::KernelTable& kt) {
+  for (const std::size_t n0 : {1, 2, 5}) {
+    for (const std::size_t n1 : {1, 3, 4, 5, 9}) {
+      for (const std::size_t n2 : {1, 7, 8, 33}) {
+        SCOPED_TRACE(std::to_string(n0) + "x" + std::to_string(n1) + "x" +
+                     std::to_string(n2));
+        recon_parity_sweep<T>(
+            ref, kt, n0 * n1, n2, 137 + n0 * n1 * n2,
+            [&](const simd::KernelTable& k, const ReconCase<T>& c, double eb,
+                std::uint32_t bins) {
+              return run_recon3<T>(k, c, n0, n1, n2, eb, bins);
+            });
+      }
+    }
+  }
+}
+
+/// The quant kernels' codes and outliers, placed and fed back through the
+/// recon kernel, rebuild their recon bit for bit: the decoder sees what
+/// the encoder predicted from.
+template <typename T>
+void recon_round_trip(const simd::KernelTable& ref,
+                      const simd::KernelTable& kt) {
+  const std::vector<std::array<std::size_t, 3>> shapes = {
+      {1, 9, 33}, {1, 40, 40}, {3, 9, 33}, {5, 13, 17}, {2, 4, 8}};
+  for (const auto& [n0, n1, n2] : shapes) {
+    SCOPED_TRACE(std::to_string(n0) + "x" + std::to_string(n1) + "x" +
+                 std::to_string(n2));
+    const std::size_t n = n0 * n1 * n2;
+    for (int block = 0; block < 3; ++block) {
+      auto src = block == 0   ? random_block(n, 149 + n)
+                 : block == 1 ? poisoned_block(n, 151 + n)
+                              : random_block(n, 157 + n);
+      if (block == 2)
+        for (double& x : src) x += 1.0e6;
+      const simd::aligned_vector<T> values(src.begin(), src.end());
+      for (const double eb : {0.25, 0.04, 1e-3}) {
+        for (const std::uint32_t bins : {16u, 65536u, 4294967294u}) {
+          // Rank 2 over the n0 * n1 rows, rank 3 over the whole shape.
+          for (const int rank : {2, 3}) {
+            SCOPED_TRACE("rank " + std::to_string(rank) + " eb " +
+                         std::to_string(eb) + " bins " +
+                         std::to_string(bins));
+            const LorenzoRun<T> q =
+                rank == 2 ? run_lorenzo<T>(ref, values, n0 * n1, n2, eb, bins)
+                          : run_lorenzo3<T>(ref, values, n0, n1, n2, eb, bins);
+            ReconCase<T> c;
+            c.codes = q.codes;
+            c.placed.assign(n, T(0));
+            std::size_t next = 0;
+            for (std::size_t i = 0; i < n; ++i)
+              if (c.codes[i] == 0) c.placed[i] = q.outliers[next++];
+            const auto r = rank == 2
+                               ? run_recon2<T>(kt, c, n0 * n1, n2, eb, bins)
+                               : run_recon3<T>(kt, c, n0, n1, n2, eb, bins);
+            EXPECT_TRUE(bits_equal(r, q.recon, "round-trip recon"));
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST_P(SimdKernelParity, Lorenzo2dReconFloat) {
+  lorenzo2_recon_parity<float>(ref(), kt());
+}
+
+TEST_P(SimdKernelParity, Lorenzo2dReconDouble) {
+  lorenzo2_recon_parity<double>(ref(), kt());
+}
+
+TEST_P(SimdKernelParity, Lorenzo3dReconFloat) {
+  lorenzo3_recon_parity<float>(ref(), kt());
+}
+
+TEST_P(SimdKernelParity, Lorenzo3dReconDouble) {
+  lorenzo3_recon_parity<double>(ref(), kt());
+}
+
+TEST_P(SimdKernelParity, LorenzoReconRoundTripsTheQuantKernels) {
+  recon_round_trip<float>(ref(), kt());
+  recon_round_trip<double>(ref(), kt());
+}
+
 TEST_P(SimdKernelParity, SseAccumulators) {
   for (const std::size_t n : kSizes) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -664,7 +903,9 @@ TEST_P(SimdKernelParity, SseGoldenVector) {
 namespace {
 
 /// Every engine, fixed-PSNR and fixed-rate, on every supported backend:
-/// the archive bytes must equal the scalar backend's.
+/// the archive bytes must equal the scalar backend's, and decoding that
+/// archive on every backend must give back, bit for bit, the values the
+/// scalar encode handed back.
 void expect_same_bytes_on_every_backend(const data::Dims& dims,
                                         std::vector<std::size_t> tile) {
   auto values = data::smoothed_noise(dims, 17, 2, 2);
@@ -685,10 +926,13 @@ void expect_same_bytes_on_every_backend(const data::Dims& dims,
       opts.parallel.threads = 2;
       opts.parallel.tile = tile;
       std::vector<std::uint8_t> reference;
+      std::vector<float> handed_back(values.size());
       for (const simd::Backend b : simd::supported_backends()) {
         BackendPin pin(b);
-        const auto r = core::compress_blocked<float>(span, dims, request,
-                                                     opts);
+        const auto r = core::compress_blocked<float>(
+            span, dims, request, opts,
+            reference.empty() ? std::span<float>(handed_back)
+                              : std::span<float>());
         if (reference.empty()) {
           reference = r.stream;  // scalar comes first in the list
           const auto out = core::decompress_blocked<float>(r.stream, 2);
@@ -698,6 +942,12 @@ void expect_same_bytes_on_every_backend(const data::Dims& dims,
               << "backend " << simd::backend_name(b)
               << " diverged from scalar bytes";
         }
+      }
+      for (const simd::Backend b : simd::supported_backends()) {
+        BackendPin pin(b);
+        SCOPED_TRACE(std::string("decode on ") + simd::backend_name(b));
+        const auto out = core::decompress_blocked<float>(reference, 2);
+        EXPECT_TRUE(bits_equal(out.values, handed_back, "decoded values"));
       }
     }
   }

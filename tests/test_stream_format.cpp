@@ -119,6 +119,36 @@ TEST(StreamFormat, ZeroExtentRejected) {
   EXPECT_THROW(sz::read_header(r), io::StreamError);
 }
 
+TEST(StreamFormat, QuantBinsAbove32BitsRejected) {
+  // 2^32 + 8 would read as 8 bins (even, >= 4) if it were truncated to 32
+  // bits; the largest valid count still reads back.
+  auto header_with_bins = [](std::uint64_t bins) {
+    io::ByteWriter w;
+    w.put_bytes(std::span<const std::uint8_t>(sz::kMagic, 4));
+    w.put<std::uint8_t>(sz::kFormatVersion);
+    w.put<std::uint8_t>(0);  // float32
+    w.put<std::uint8_t>(0);  // abs
+    w.put<std::uint8_t>(0);  // lorenzo
+    w.put<std::uint8_t>(2);  // rank 2
+    w.put_varint(4);
+    w.put_varint(4);
+    w.put<double>(1e-3);  // eb_abs
+    w.put<double>(1e-3);  // user bound
+    w.put<double>(1.0);   // value range
+    w.put_varint(bins);
+    w.put<double>(0.0);  // pwrel zero floor
+    return w.take();
+  };
+  const auto big = header_with_bins((std::uint64_t{1} << 32) + 8);
+  io::ByteReader r(big);
+  EXPECT_THROW(sz::read_header(r), io::StreamError);
+  EXPECT_THROW((void)sz::decompress<float>(big), io::StreamError);
+
+  const auto max = header_with_bins(4294967294u);
+  io::ByteReader r2(max);
+  EXPECT_EQ(sz::read_header(r2).quant_bins, 4294967294u);
+}
+
 TEST(StreamFormat, ModeNames) {
   EXPECT_EQ(sz::mode_name(sz::ErrorBoundMode::Absolute), "abs");
   EXPECT_EQ(sz::mode_name(sz::ErrorBoundMode::ValueRangeRelative), "vr-rel");

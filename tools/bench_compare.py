@@ -78,6 +78,10 @@ SIMD_KERNELS = [
     ("zfpr", "BM_SimdZfprQuant/scalar", "BM_SimdZfprQuant/dispatch"),
     ("lorenzo", "BM_SimdLorenzo2/scalar", "BM_SimdLorenzo2/dispatch"),
     ("lorenzo3", "BM_SimdLorenzo3/scalar", "BM_SimdLorenzo3/dispatch"),
+    ("lorenzo2-recon", "BM_SimdLorenzo2Recon/scalar",
+     "BM_SimdLorenzo2Recon/dispatch"),
+    ("lorenzo3-recon", "BM_SimdLorenzo3Recon/scalar",
+     "BM_SimdLorenzo3Recon/dispatch"),
     ("huffman", "BM_SimdHuffmanPack/scalar", "BM_SimdHuffmanPack/dispatch"),
     ("sse", "BM_SimdSse/scalar", "BM_SimdSse/dispatch"),
 ]
